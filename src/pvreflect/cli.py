@@ -32,7 +32,7 @@ from .errors import NoConvergence, PvreflectError
 from .pathcore import CSV_FLOAT_FORMAT, p_variation, read_path_csv, write_path_csv
 from .drivers import FbmSpec, sample_fbm
 from .presets import PROBLEM_PRESETS, ProblemPreset, build_problem
-from .sde import Solution, euler_adaptive, euler_uniform, solution_gap, solve
+from .sde import Solution, euler_adaptive, euler_uniform, solution_gap, solve, with_vbar_p_x
 
 __all__ = ["main", "console_main"]
 
@@ -158,9 +158,11 @@ def cmd_simulate(args, cfg) -> int:
     def run_one(rep: int) -> Solution:
         problem = build_problem(preset, seed=seed, replicate=rep)
         if tol is not None:
-            return solve(problem, tol=float(tol), n0=n)
-        runner = euler_adaptive if scheme == "adaptive" else euler_uniform
-        return runner(problem, n)
+            solution = solve(problem, tol=float(tol), n0=n)
+        else:
+            runner = euler_adaptive if scheme == "adaptive" else euler_uniform
+            solution = runner(problem, n)
+        return with_vbar_p_x(solution, problem.p)
 
     if replicates == 1:
         solutions = [run_one(0)]

@@ -29,7 +29,7 @@ from .errors import (
     InvalidParameter,
     UnknownKind,
 )
-from .pathcore import StepPath, make_path
+from .pathcore import StepPath, _increment_norms, make_path
 from .young import grid_riemann_sum
 
 __all__ = [
@@ -230,8 +230,7 @@ def empirical_pvar_profile(path: StepPath, p: float, levels) -> np.ndarray:
                 f"level {level} needs 2^{level} to divide the {n_steps} steps"
             )
         stride = n_steps // pieces
-        diffs = np.diff(path.values[::stride], axis=0)
-        norms = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+        norms = _increment_norms(np.diff(path.values[::stride], axis=0))
         out.append(float(np.sum(norms ** p) ** (1.0 / p)))
     return np.asarray(out)
 

@@ -11,6 +11,15 @@ All functionals in this module (`p_variation`, `running_max`, `oscillation`,
 subdivisions that defines p-variation reduces to a maximum over finitely many
 breakpoint subsequences, which the dynamic program below computes.
 
+The dynamic program is one kernel for every caller.  For a scalar window and
+p > 1 it first reduces the window to its end points and strict local extrema,
+dropping repeated values; this is exact, because an interior point of a
+monotone run only splits an increment into two of the same sign, and
+``|a + b|^p >= |a|^p + |b|^p`` for same-sign ``a, b`` and ``p >= 1``
+(Butkus & Norvaisa, "Computation of p-variation", Lith. Math. J. 2018).
+It then advances a block of rows at a time, holding at most
+``_PVAR_BLOCK_CELLS`` point pairs in memory at once.
+
 Conventions:
 
 * value arrays are always 2-D ``(n, d)`` for vector paths and 3-D
@@ -292,15 +301,28 @@ def make_matrix_path(times: Sequence[float], values) -> MatrixStepPath:
 # increment norms and windowing
 # ---------------------------------------------------------------------------
 
-def _increment_norms(diffs: np.ndarray) -> np.ndarray:
-    """Euclidean norm for stacked vectors, operator norm for stacked matrices."""
-    if diffs.ndim == 2:
-        return np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    if diffs.ndim == 3:
-        if diffs.shape[0] == 0:
-            return np.zeros(0)
-        return np.linalg.norm(diffs, ord=2, axis=(1, 2))
-    raise LengthMismatch(f"unexpected increment shape {diffs.shape}")
+def _increment_norms(diffs: np.ndarray, matrix: bool = False) -> np.ndarray:
+    """Norms of stacked increments with any leading shape.
+
+    Vectors (last axis) take the Euclidean norm, matrices (last two axes,
+    ``matrix=True``) the operator (spectral) norm.  One or two squares are
+    added directly, so a strided block needs no copy; that equals
+    ``einsum("ij,ij->i")`` bit for bit.  Three or more go through that einsum
+    on a contiguous copy: einsum adds them in SIMD lanes, in an order a plain
+    sum does not reproduce, and keeping its order keeps printed results
+    unchanged to the last digit.
+    """
+    if matrix:
+        if diffs.size == 0:
+            return np.zeros(diffs.shape[:-2])
+        return np.linalg.norm(diffs, ord=2, axis=(-2, -1))
+    if diffs.shape[-1] > 2:
+        flat = np.ascontiguousarray(diffs).reshape(-1, diffs.shape[-1])
+        return np.sqrt(np.einsum("ij,ij->i", flat, flat)).reshape(diffs.shape[:-1])
+    squares = np.square(diffs[..., 0])
+    if diffs.shape[-1] == 2:
+        squares += np.square(diffs[..., 1])
+    return np.sqrt(squares)
 
 
 def _resolve_window(path, window) -> tuple[float, float]:
@@ -331,18 +353,77 @@ def _window_values(path, window, include_right: bool = True) -> np.ndarray:
 # p-variation
 # ---------------------------------------------------------------------------
 
+#: most point pairs (block rows x earlier points) the DP holds at once
+_PVAR_BLOCK_CELLS = 1 << 14
+#: rows the DP advances per block; the rest of the cap goes to columns
+_PVAR_BLOCK_ROWS = 64
+
+
+def _pvar_block_shape(m: int) -> tuple[int, int]:
+    """Rows per block and earlier points per column chunk for ``m`` points."""
+    span = max(m - 1, 1)
+    return min(_PVAR_BLOCK_ROWS, span), min(_PVAR_BLOCK_CELLS // _PVAR_BLOCK_ROWS, span)
+
+
+def _local_extrema(vals: np.ndarray) -> np.ndarray:
+    """End points and strict local extrema of a scalar window, repeats dropped."""
+    x = vals.reshape(-1)
+    idx = np.concatenate(([0], np.flatnonzero(x[1:] != x[:-1]) + 1))
+    if idx.size < 3:
+        return vals[idx]
+    # increments between kept points are nonzero, so their sign bits tell turns
+    down = np.signbit(np.diff(x[idx]))
+    turns = np.flatnonzero(down[:-1] != down[1:]) + 1
+    return vals[np.concatenate(([0], idx[turns], [idx[-1]]))]
+
+
 def _pvar_dp(vals: np.ndarray, p: float) -> float:
-    """Max of sum |increments|^p over subsequences anchored at both ends."""
+    """Max of sum |increments|^p over subsequences anchored at both ends.
+
+    ``best[j] = max_{i<j} best[i] + |v_j - v_i|^p`` with ``best[0] = 0``.
+    Rows are advanced a block at a time: first against every earlier point
+    outside the block, one column chunk at a time, then one row at a time
+    against the rows of the block before it.  Each distance is the norm of
+    the increment raised to ``p`` and each sum adds one distance to one
+    ``best``, as a row-by-row loop would, so the result does not depend on
+    the blocking.
+    """
     m = vals.shape[0]
     if m < 2:
         return 0.0
+    matrix = vals.ndim == 3
     if p == 1.0:
         # triangle equality: keep every breakpoint
-        return float(np.sum(_increment_norms(np.diff(vals, axis=0))))
+        return float(np.sum(_increment_norms(np.diff(vals, axis=0), matrix)))
+    if vals[0].size == 1:
+        vals = _local_extrema(vals)
+        m = vals.shape[0]
+    # one row per component keeps each component's block differences contiguous
+    comps = np.ascontiguousarray(vals.reshape(m, -1).T)
+
+    def dist_p(r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+        diffs = (comps[:, r0:r1, None] - comps[:, None, c0:c1]).transpose(1, 2, 0)
+        diffs = diffs.reshape(r1 - r0, c1 - c0, *vals.shape[1:])
+        return _increment_norms(diffs, matrix) ** p
+
+    rows, cols = _pvar_block_shape(m)
     best = np.zeros(m)
-    for j in range(1, m):
-        dist = _increment_norms(vals[:j] - vals[j])
-        best[j] = np.max(best[:j] + dist ** p)
+    for r0 in range(1, m, rows):
+        r1 = min(r0 + rows, m)
+        # column 0: best over the points before the block; then the block itself
+        block = np.empty((r1 - r0, r1 - r0 + 1))
+        block[:, 0] = -np.inf
+        for c0 in range(0, r0, cols):
+            c1 = min(c0 + cols, r0)
+            sums = dist_p(r0, r1, c0, c1)
+            sums += best[c0:c1]
+            np.maximum(block[:, 0], sums.max(axis=1), out=block[:, 0])
+        block[:, 1:] = dist_p(r0, r1, r0, r1)
+        # head[0] = 0 passes column 0 through; head[1 + k] is best[r0 + k]
+        head = np.zeros(r1 - r0 + 1)
+        for k in range(r1 - r0):
+            head[k + 1] = (head[: k + 1] + block[k, : k + 1]).max()
+        best[r0:r1] = head[1:]
     return float(best[-1])
 
 
@@ -351,7 +432,13 @@ def p_variation(path, p: float, window=None) -> float:
 
     Computed by an O(n^2) dynamic program over the breakpoints inside the
     window; on step paths this equals the supremum over all subdivisions.
-    Degenerate windows yield 0.
+    For a scalar path and p > 1 the window is first reduced to its end points
+    and strict local extrema, repeated values dropped.  This is exact: an
+    interior point of a monotone run splits an increment into two of the
+    same sign, and ``|a + b|^p >= |a|^p + |b|^p`` for those (Butkus &
+    Norvaisa, "Computation of p-variation", Lith. Math. J. 2018), so n counts
+    the extrema only.  The program holds at most ``_PVAR_BLOCK_CELLS`` point
+    pairs at a time.  Degenerate windows yield 0.
     """
     if p < 1.0:
         raise InvalidP(f"p must be >= 1, got {p}")
@@ -374,8 +461,7 @@ def p_variation_brute(path, p: float, window=None) -> float:
         raise InvalidParameter(f"brute-force oracle limited to 16 points, got {m}")
     if m < 2:
         return 0.0
-    diffs = vals[:, None] - vals[None, :]
-    dist_p = _increment_norms(diffs.reshape(m * m, *vals.shape[1:])).reshape(m, m) ** p
+    dist_p = _increment_norms(vals[:, None] - vals[None, :], vals.ndim == 3) ** p
     best = float(dist_p[0, m - 1])
     interior = range(1, m - 1)
     for r in range(1, m - 1):
@@ -401,7 +487,7 @@ def variation_norm(path, p: float, window=None, include_right: bool = True) -> f
     if p < 1.0:
         raise InvalidP(f"p must be >= 1, got {p}")
     vals = _window_values(path, window, include_right=include_right)
-    anchor = float(_increment_norms(vals[:1] - 0.0)[0])
+    anchor = float(_increment_norms(vals[0], vals.ndim == 3))
     return _pvar_dp(vals, float(p)) ** (1.0 / p) + anchor
 
 

@@ -25,7 +25,7 @@ drops below a tolerance; no convergence rate is assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -40,7 +40,7 @@ from .errors import (
     NoConvergence,
     PartitionOverflow,
 )
-from .pathcore import StepPath, TimeGrid, sup_norm, variation_norm
+from .pathcore import StepPath, TimeGrid, _increment_norms, sup_norm, variation_norm
 from .skorokhod import Reflection
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "euler_adaptive",
     "solve",
     "solution_gap",
+    "with_vbar_p_x",
     "a_priori_check",
 ]
 
@@ -146,7 +147,7 @@ def _big_jump_times(problem: Problem, threshold: float) -> np.ndarray:
     cut = []
     for path in (problem.a, problem.z, problem.l):
         times, incr = path.jumps()
-        sizes = np.sqrt(np.einsum("ij,ij->i", incr, incr))
+        sizes = _increment_norms(incr)
         cut.append(times[(sizes > threshold) & (times <= problem.horizon)])
     merged = np.unique(np.concatenate(cut)) if cut else np.empty(0)
     return merged
@@ -227,7 +228,6 @@ def _run_recursion(problem: Problem, times: np.ndarray, scheme: str, n: int) -> 
         l=StepPath(grid, l_s),
     )
     diagnostics = {
-        "vbar_p_x": variation_norm(reflection.x, problem.p),
         "sup_k": sup_norm(reflection.k),
         "steps": float(m),
     }
@@ -261,9 +261,19 @@ def solution_gap(fine: Solution, coarse: Solution) -> float:
     for attr in ("x", "k"):
         fine_vals = getattr(fine.reflection, attr).eval(ts)
         coarse_vals = getattr(coarse.reflection, attr).values
-        diff = fine_vals - coarse_vals
-        gaps.append(float(np.sqrt(np.einsum("ij,ij->i", diff, diff)).max()))
+        gaps.append(float(_increment_norms(fine_vals - coarse_vals).max()))
     return max(gaps)
+
+
+def with_vbar_p_x(solution: Solution, p: float) -> Solution:
+    """The solution with ``vbar_p_x``, the variation norm of x, in its diagnostics.
+
+    The schemes leave it out, because `solve` discards every level but the
+    last and a refinement ladder reports none; callers compute it only for
+    the solutions they report.
+    """
+    diagnostics = dict(solution.diagnostics, vbar_p_x=variation_norm(solution.x, p))
+    return replace(solution, diagnostics=diagnostics)
 
 
 def solve(problem: Problem, tol: float, n0: int,

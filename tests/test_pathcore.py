@@ -9,6 +9,7 @@ from pvreflect import (
     Interval,
     align,
     coarsen_jump_adapted,
+    make_matrix_path,
     make_path,
     oscillation,
     p_variation,
@@ -28,6 +29,13 @@ from pvreflect.errors import (
     NegativeTime,
     NonFiniteValue,
     NonMonotoneGrid,
+)
+from pvreflect.drivers import FbmSpec, sample_fbm
+from pvreflect.pathcore import (
+    _PVAR_BLOCK_CELLS,
+    _increment_norms,
+    _local_extrema,
+    _pvar_block_shape,
 )
 from conftest import random_step_path
 
@@ -115,23 +123,69 @@ def test_variation_norm_examples():
     assert variation_norm(p, 1.0, (0, 1)) == pytest.approx(4.0)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     data=st.data(),
-    n=st.integers(min_value=2, max_value=8),
-    d=st.sampled_from([1, 2]),
-    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    n=st.integers(min_value=2, max_value=16),
+    shape=st.sampled_from([(1,), (2,), (3,), (1, 1), (2, 2)]),
+    ties=st.booleans(),
+    p=st.sampled_from([1.0, 1.2, 1.5, 2.0, 3.0]),
 )
-def test_pvariation_matches_brute_force(data, n, d, p):
+def test_pvariation_matches_brute_force(data, n, shape, ties, p):
     gaps = data.draw(st.lists(
         st.floats(0.05, 1.0, allow_nan=False), min_size=n - 1, max_size=n - 1))
-    vals = data.draw(st.lists(
-        st.lists(st.floats(-5, 5, allow_nan=False), min_size=d, max_size=d),
-        min_size=n, max_size=n))
-    path = make_path(np.concatenate([[0.0], np.cumsum(gaps)]), np.asarray(vals))
+    # small integers make repeated values and equal increments common
+    cell = st.integers(-2, 2).map(float) if ties else st.floats(-5, 5, allow_nan=False)
+    size = n * math.prod(shape)
+    vals = np.asarray(data.draw(st.lists(cell, min_size=size, max_size=size)))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    build = make_path if len(shape) == 1 else make_matrix_path
+    path = build(times, vals.reshape(n, *shape))
     dp = p_variation(path, p)
     brute = p_variation_brute(path, p)
     assert dp == pytest.approx(brute, rel=1e-12, abs=1e-12)
+
+
+def test_pvariation_extrema_pruning_is_bit_identical():
+    path = sample_fbm(FbmSpec(hurst=0.75, steps=4096, seed=11))
+    assert _local_extrema(path.values).shape[0] < path.values.shape[0] // 2
+    # a zero second component changes no increment norm but skips the pruning
+    lifted = make_path(path.times, np.column_stack([path.values[:, 0], np.zeros(4097)]))
+    for p in (1.5, 2.0, 3.0):
+        assert p_variation(path, p) == p_variation(lifted, p)
+    ties = np.array([0.0, 1.0, 1.0, 2.0, 1.0, 1.0, 3.0, 2.0, 2.0, 0.0])[:, None]
+    assert np.array_equal(_local_extrema(ties)[:, 0], [0.0, 2.0, 1.0, 3.0, 0.0])
+
+
+def _pvar_row_by_row(vals, p):
+    """One row per step, the reference for the blocked kernel."""
+    best = np.zeros(vals.shape[0])
+    for j in range(1, vals.shape[0]):
+        dist = _increment_norms(vals[j] - vals[:j], vals.ndim == 3)
+        best[j] = np.max(best[:j] + dist ** p)
+    return float(best[-1])
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (2, 2)])
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_pvariation_blocks_match_row_by_row_dp(shape, p, rng):
+    rows, cols = _pvar_block_shape(10 ** 6)
+    # several row blocks, and more earlier points than one column chunk holds
+    m = cols + 2 * rows + 3
+    vals = np.cumsum(rng.normal(size=(m, *shape)), axis=0)
+    build = make_path if len(shape) == 1 else make_matrix_path
+    path = build(np.arange(m, dtype=float), vals)
+    assert p_variation(path, p) == _pvar_row_by_row(vals, p)
+
+
+@pytest.mark.parametrize("m", [2, 100, 70_000])
+def test_pvariation_blocks_stay_under_the_cell_cap(m):
+    rows, cols = _pvar_block_shape(m)
+    assert _PVAR_BLOCK_CELLS <= 1 << 16
+    # column chunks against earlier points, then the block's own rows plus
+    # one column for the best over earlier points
+    assert rows * cols <= _PVAR_BLOCK_CELLS
+    assert rows * (rows + 1) <= _PVAR_BLOCK_CELLS
 
 
 @settings(max_examples=60, deadline=None)

@@ -19,6 +19,7 @@ from pvreflect import (
     solve,
     solve_sp,
     sup_distance,
+    variation_norm,
 )
 from pvreflect.errors import (
     CoefficientEvaluationFailure,
@@ -29,7 +30,7 @@ from pvreflect.errors import (
     PartitionOverflow,
 )
 from pvreflect.presets import coefficient_preset
-from pvreflect.sde import solution_gap
+from pvreflect.sde import solution_gap, with_vbar_p_x
 from pvreflect.drivers import philox_stream
 from conftest import random_step_path
 
@@ -227,6 +228,16 @@ def test_solve_geometric_converges():
     assert sol.n <= 16 * 2 ** 10
     assert sol.diagnostics["cauchy_gap"] < 1e-2
     assert abs(sol.x.eval(1.0)[0] - math.e) < 1e-2
+
+
+def test_vbar_p_x_only_for_the_reported_solution():
+    prob = fbm_problem(seed=5, d=2)
+    sol = solve(prob, tol=1e-2, n0=16)
+    assert "vbar_p_x" not in sol.diagnostics
+    reported = with_vbar_p_x(sol, prob.p)
+    assert reported.diagnostics["vbar_p_x"] == variation_norm(sol.x, prob.p)
+    assert reported.diagnostics["cauchy_gap"] == sol.diagnostics["cauchy_gap"]
+    assert reported.reflection is sol.reflection
 
 
 def test_solve_unreachable_tolerance():
