@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import holds_with_slack
+from .checks import InequalityCheck, holds_with_slack
 from .drivers import philox_stream
 from .pathcore import (
     MatrixStepPath,
@@ -46,28 +46,14 @@ _BLOCK_STIELTJES = 2
 
 
 @dataclass(frozen=True)
-class CampaignRow:
+class CampaignRow(InequalityCheck):
+    """One campaign check: the inequality row plus the campaign and case it came from."""
+
     campaign: str
     case: int
-    name: str
-    lhs: float
-    rhs: float
-    passed: bool
-
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
 
     def csv_row(self) -> list[str]:
-        return [
-            self.campaign,
-            str(self.case),
-            self.name,
-            "%.17g" % self.lhs,
-            "%.17g" % self.rhs,
-            "%.17g" % self.margin,
-            "1" if self.passed else "0",
-        ]
+        return [self.campaign, str(self.case)] + super().csv_row()
 
 
 def _random_times(rng: np.random.Generator, max_points: int, horizon: float = 1.0) -> np.ndarray:
@@ -91,8 +77,13 @@ def _random_path(rng: np.random.Generator, max_points: int, d: int = 1) -> StepP
     return make_path(times, _random_values(rng, times.size, d))
 
 
-def _maybe_corrupt(lhs: float, corrupt: bool) -> float:
-    return lhs + 1.0 + abs(lhs) if corrupt else lhs
+def _row(campaign: str, case: int, name: str, lhs: float, rhs: float,
+         corrupt: bool) -> CampaignRow:
+    """One evaluated check; ``corrupt`` inflates its left side past any slack."""
+    if corrupt:
+        lhs = lhs + 1.0 + abs(lhs)
+    return CampaignRow(name=name, lhs=lhs, rhs=rhs, passed=holds_with_slack(lhs, rhs),
+                       campaign=campaign, case=case)
 
 
 def running_max_contraction_campaign(
@@ -116,17 +107,8 @@ def running_max_contraction_campaign(
         y1, y2 = align([y1, y2])
         lhs = p_variation(running_max(y1) - running_max(y2), p)
         rhs = p_variation(y1 - y2, p)
-        lhs = _maybe_corrupt(lhs, corrupt)
-        rows.append(
-            CampaignRow(
-                campaign="running_max_contraction",
-                case=case,
-                name=f"vp_contraction_p{p:g}",
-                lhs=lhs,
-                rhs=rhs,
-                passed=holds_with_slack(lhs, rhs),
-            )
-        )
+        rows.append(_row("running_max_contraction", case, f"vp_contraction_p{p:g}",
+                         lhs, rhs, corrupt))
     return rows
 
 
@@ -155,18 +137,8 @@ def reflection_estimates_campaign(
         y, l = _admissible_pair(rng, max_points, d)
         y2, l2 = _admissible_pair(rng, max_points, d)
         report = check_estimates(y, l, y2, l2, p)
-        for chk in report.checks:
-            lhs = _maybe_corrupt(chk.lhs, corrupt)
-            rows.append(
-                CampaignRow(
-                    campaign="reflection_estimates",
-                    case=case,
-                    name=f"{chk.name}_d{d}_p{p:g}",
-                    lhs=lhs,
-                    rhs=chk.rhs,
-                    passed=holds_with_slack(lhs, chk.rhs),
-                )
-            )
+        rows += [_row("reflection_estimates", case, f"{chk.name}_d{d}_p{p:g}",
+                      chk.lhs, chk.rhs, corrupt) for chk in report.checks]
     return rows
 
 
@@ -192,17 +164,8 @@ def stieltjes_bound_campaign(
         integrand = _random_matrix_path(rng, max_points, d)
         driver = _random_path(rng, max_points, d)
         report = young_bound_check(integrand, driver, p, q)
-        lhs = _maybe_corrupt(report.lhs, corrupt)
-        rows.append(
-            CampaignRow(
-                campaign="stieltjes_bound",
-                case=case,
-                name=f"zeta_bound_p{p:g}_q{q:g}",
-                lhs=lhs,
-                rhs=report.rhs,
-                passed=holds_with_slack(lhs, report.rhs),
-            )
-        )
+        rows.append(_row("stieltjes_bound", case, f"zeta_bound_p{p:g}_q{q:g}",
+                         report.lhs, report.rhs, corrupt))
     return rows
 
 

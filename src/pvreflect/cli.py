@@ -32,7 +32,7 @@ from .errors import NoConvergence, PvreflectError
 from .pathcore import CSV_FLOAT_FORMAT, p_variation, read_path_csv, write_path_csv
 from .drivers import FbmSpec, sample_fbm
 from .presets import PROBLEM_PRESETS, ProblemPreset, build_problem
-from .sde import Solution, euler_adaptive, euler_uniform, solution_gap, solve, with_vbar_p_x
+from .sde import Solution, euler_adaptive, euler_uniform, refinement_ladder, solve, with_vbar_p_x
 
 __all__ = ["main", "console_main"]
 
@@ -105,7 +105,10 @@ def _resolve_preset(args, cfg) -> ProblemPreset:
         value = _setting(args, cfg, "problem", key, None, cast)
         if value is not None:
             overrides[field] = cast(value)
-    return dataclasses.replace(PROBLEM_PRESETS[name], **overrides)
+    preset = dataclasses.replace(PROBLEM_PRESETS[name], **overrides)
+    _positive_int("dimension", preset.dim)
+    _positive_int("driver-steps", preset.driver_steps)
+    return preset
 
 
 def _open_out(path: str | None):
@@ -200,19 +203,14 @@ def cmd_convergence(args, cfg) -> int:
     fh, must_close = _open_out(out_path)
     try:
         fh.write("n,gap,runtime_s\n")
-        prev = None
-        n = n0
+        ladder = refinement_ladder(problem, n0)
         for _ in range(levels):
+            # each level's time includes its gap to the level before
             start = time.perf_counter()
-            sol = euler_adaptive(problem, n)
+            sol, gap = next(ladder)
             elapsed = time.perf_counter() - start
-            if prev is None:
-                gap_cell = ""
-            else:
-                gap_cell = CSV_FLOAT_FORMAT % solution_gap(sol, prev)
-            fh.write(f"{n},{gap_cell},{elapsed:.6f}\n")
-            prev = sol
-            n *= 2
+            gap_cell = "" if gap is None else CSV_FLOAT_FORMAT % gap
+            fh.write(f"{sol.n},{gap_cell},{elapsed:.6f}\n")
     finally:
         if must_close:
             fh.close()

@@ -92,7 +92,7 @@ class InadmissibleStart(PvreflectError):
 
 
 class PartitionOverflow(PvreflectError):
-    """Adaptive partition exceeded the configured step cap."""
+    """A scheme partition would exceed its step cap."""
 
 
 class NoConvergence(PvreflectError):

@@ -10,6 +10,8 @@ All functionals in this module (`p_variation`, `running_max`, `oscillation`,
 `coarsen_jump_adapted`, ...) are exact on step paths: the supremum over
 subdivisions that defines p-variation reduces to a maximum over finitely many
 breakpoint subsequences, which the dynamic program below computes.
+`jump_adapted_times` is the one "advance by mesh, stop at big jumps"
+partition, shared by `coarsen_jump_adapted` and both Euler schemes.
 
 The dynamic program is one kernel for every caller.  For a scalar window and
 p > 1 it first reduces the window to its end points and strict local extrema,
@@ -50,6 +52,7 @@ from .errors import (
     NegativeTime,
     NonFiniteValue,
     NonMonotoneGrid,
+    PartitionOverflow,
 )
 
 __all__ = [
@@ -66,6 +69,7 @@ __all__ = [
     "oscillation",
     "sup_norm",
     "coarsen_jump_adapted",
+    "jump_adapted_times",
     "align",
     "sup_distance",
     "read_path_csv",
@@ -130,23 +134,27 @@ def _locate(times: np.ndarray, t, left: bool = False) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class StepPath:
-    """Piecewise-constant cadlag path ``t -> R^d`` on a finite grid.
+class _GridPath:
+    """Right-continuous piecewise-constant values on a :class:`TimeGrid`.
 
     The path equals ``values[i]`` on ``[times[i], times[i+1])`` and stays at
-    ``values[-1]`` from the last breakpoint on.  Instances are immutable and
-    safe to share between workers.
+    ``values[-1]`` from the last breakpoint on.  Subclasses fix the shape of
+    one value; instances are immutable and safe to share between workers.
     """
 
     grid: TimeGrid
     values: np.ndarray
 
+    #: shape of one value; a square matrix repeats ``d``
+    _value_shape = ("d",)
+
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
+        axes = len(self._value_shape)
         if values.ndim == 1:
-            values = values[:, None]
-        if values.ndim != 2:
-            raise LengthMismatch("values must be (n,) or (n, d)")
+            values = values.reshape(-1, *(1,) * axes)
+        if values.ndim != 1 + axes or len(set(values.shape[1:])) > 1:
+            raise LengthMismatch(f"values must be (n,) or (n, {', '.join(self._value_shape)})")
         if values.shape[0] != len(self.grid):
             raise LengthMismatch(
                 f"{values.shape[0]} values for {len(self.grid)} grid times"
@@ -154,8 +162,6 @@ class StepPath:
         if not np.isfinite(values).all():
             raise NonFiniteValue("path values must be finite")
         object.__setattr__(self, "values", _freeze(values))
-
-    # -- basic accessors -----------------------------------------------------
 
     @property
     def times(self) -> np.ndarray:
@@ -170,12 +176,12 @@ class StepPath:
         return self.grid.end_time
 
     def eval(self, t):
-        """Right-continuous value at ``t`` (scalar -> ``(d,)``, array -> ``(m, d)``)."""
+        """Right-continuous value at ``t`` (scalar -> one value, array -> stacked)."""
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr < 0.0):
             raise NegativeTime("paths are defined on [0, inf)")
         out = self.values[_locate(self.times, t_arr)]
-        return out if t_arr.ndim else out.reshape(self.dim)
+        return out if t_arr.ndim else out.reshape(self.values.shape[1:])
 
     def left_limit(self, t):
         """Left limit at ``t > 0``; equals ``values[0]`` up to the first jump."""
@@ -183,7 +189,12 @@ class StepPath:
         if np.any(t_arr <= 0.0):
             raise NegativeTime("left limits require t > 0")
         out = self.values[_locate(self.times, t_arr, left=True)]
-        return out if t_arr.ndim else out.reshape(self.dim)
+        return out if t_arr.ndim else out.reshape(self.values.shape[1:])
+
+
+@dataclass(frozen=True)
+class StepPath(_GridPath):
+    """Piecewise-constant cadlag path ``t -> R^d`` on a finite grid."""
 
     def jumps(self) -> tuple[np.ndarray, np.ndarray]:
         """Breakpoint times after 0 and the value increments there."""
@@ -218,83 +229,32 @@ class StepPath:
 
 
 @dataclass(frozen=True)
-class MatrixStepPath:
+class MatrixStepPath(_GridPath):
     """Piecewise-constant cadlag path of d x d matrices."""
 
-    grid: TimeGrid
-    values: np.ndarray
+    _value_shape = ("d", "d")
 
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim == 1:
-            values = values[:, None, None]
-        if values.ndim != 3 or values.shape[1] != values.shape[2]:
-            raise LengthMismatch("values must be (n,), or (n, d, d)")
-        if values.shape[0] != len(self.grid):
-            raise LengthMismatch(
-                f"{values.shape[0]} values for {len(self.grid)} grid times"
-            )
-        if not np.isfinite(values).all():
-            raise NonFiniteValue("matrix values must be finite")
-        object.__setattr__(self, "values", _freeze(values))
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.grid.times
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[1])
-
-    @property
-    def end_time(self) -> float:
-        return self.grid.end_time
-
-    def eval(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0.0):
-            raise NegativeTime("paths are defined on [0, inf)")
-        out = self.values[_locate(self.times, t_arr)]
-        return out if t_arr.ndim else out.reshape(self.dim, self.dim)
-
-    def left_limit(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr <= 0.0):
-            raise NegativeTime("left limits require t > 0")
-        out = self.values[_locate(self.times, t_arr, left=True)]
-        return out if t_arr.ndim else out.reshape(self.dim, self.dim)
-
-    @classmethod
-    def from_function(cls, func, path: StepPath) -> "MatrixStepPath":
-        """Sample ``func`` (point -> d x d matrix) along a vector path."""
-        mats = np.stack([np.asarray(func(v), dtype=float) for v in path.values])
-        return cls(path.grid, mats)
+def _make(cls, times: Sequence[float], values):
+    times_arr = np.atleast_1d(np.asarray(times, dtype=float))
+    values_arr = np.asarray(values, dtype=float)
+    if values_arr.ndim == 0:
+        values_arr = values_arr[None]
+    if values_arr.shape[0] != times_arr.shape[0]:
+        raise LengthMismatch(
+            f"{values_arr.shape[0]} values for {times_arr.shape[0]} times"
+        )
+    return cls(TimeGrid(times_arr), values_arr)
 
 
 def make_path(times: Sequence[float], values) -> StepPath:
     """Validate and build a :class:`StepPath` (scalar values are lifted to d=1)."""
-    times_arr = np.atleast_1d(np.asarray(times, dtype=float))
-    values_arr = np.asarray(values, dtype=float)
-    if values_arr.ndim == 0:
-        values_arr = values_arr[None]
-    if values_arr.shape[0] != times_arr.shape[0]:
-        raise LengthMismatch(
-            f"{values_arr.shape[0]} values for {times_arr.shape[0]} times"
-        )
-    return StepPath(TimeGrid(times_arr), values_arr)
+    return _make(StepPath, times, values)
 
 
 def make_matrix_path(times: Sequence[float], values) -> MatrixStepPath:
     """Validate and build a :class:`MatrixStepPath` (scalars lifted to 1x1)."""
-    times_arr = np.atleast_1d(np.asarray(times, dtype=float))
-    values_arr = np.asarray(values, dtype=float)
-    if values_arr.ndim == 0:
-        values_arr = values_arr[None]
-    if values_arr.shape[0] != times_arr.shape[0]:
-        raise LengthMismatch(
-            f"{values_arr.shape[0]} values for {times_arr.shape[0]} times"
-        )
-    return MatrixStepPath(TimeGrid(times_arr), values_arr)
+    return _make(MatrixStepPath, times, values)
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +467,8 @@ def oscillation(path: StepPath, window=None) -> float:
     chunk = max(1, 2_000_000 // max(m, 1))
     for start in range(0, m, chunk):
         block = vals[start : start + chunk]
-        d2 = np.sum((block[:, None, :] - vals[None, :, :]) ** 2, axis=-1)
-        best = max(best, float(d2.max()))
-    return float(np.sqrt(best))
+        best = max(best, float(_increment_norms(block[:, None, :] - vals[None, :, :]).max()))
+    return best
 
 
 def sup_norm(path: StepPath, window=None) -> float:
@@ -521,6 +480,54 @@ def sup_norm(path: StepPath, window=None) -> float:
 def sup_distance(path: StepPath, other: StepPath, window=None) -> float:
     """Uniform (sup over time, Euclidean in space) distance of two step paths."""
     return sup_norm(path - other, window)
+
+
+# ---------------------------------------------------------------------------
+# the jump-adapted partition
+# ---------------------------------------------------------------------------
+
+#: most points a partition may have before its horizon is appended
+STEP_CAP = 10_000_000
+
+
+def jump_adapted_times(horizon: float, n: float, jumps: np.ndarray,
+                       step_cap: int = STEP_CAP) -> np.ndarray:
+    """0, the ``jumps``, and the mesh points ``base + j/n`` between them.
+
+    ``jumps`` are sorted, distinct times in ``(0, horizon]``.  After each
+    base (0 or a jump) come ``base + j/n``, ``j = 1, 2, ...``, below the next
+    jump, or below the horizon after the last one: integer multiples, not
+    accumulated sums, so with no jumps the points are exactly ``j/n``.  The
+    horizon itself is not appended.  Each segment's count is estimated in
+    float as ``ceil((next - base) * n) - 1`` and corrected until stable, so
+    :class:`PartitionOverflow` (more than ``step_cap`` points) is raised
+    before any array of that size is built.
+    """
+    bases = np.concatenate(([0.0], jumps))
+    limits = np.append(jumps, horizon)
+    n = float(n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        estimate = np.maximum(np.ceil((limits - bases) * n) - 1.0, 0.0)
+        total = float(estimate.sum())
+    # rounding of base + j/n can at most halve a count: past this, no
+    # correction brings the partition back under the cap (NaN fails too)
+    if not total <= 3.0 * (step_cap + bases.size):
+        raise PartitionOverflow(f"partition exceeds {step_cap} points")
+    counts = estimate.astype(np.int64)
+    while True:
+        grow = bases + (counts + 1) / n < limits
+        shrink = (counts > 0) & (bases + counts / n >= limits)
+        if not (grow.any() or shrink.any()):
+            break
+        counts += grow
+        counts -= shrink
+    if bases.size + counts.sum() > step_cap:
+        raise PartitionOverflow(f"partition exceeds {step_cap} points")
+    # segment s holds its base (j = 0) and then j = 1 .. counts[s]
+    sizes = counts + 1
+    segment = np.repeat(np.arange(bases.size), sizes)
+    j = np.arange(segment.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return bases[segment] + j / n
 
 
 # ---------------------------------------------------------------------------
@@ -541,33 +548,18 @@ def align(paths: Sequence[StepPath]) -> list[StepPath]:
 def coarsen_jump_adapted(path: StepPath, delta: float, mesh: float) -> StepPath:
     """Subsample a path keeping all jumps larger than ``delta``.
 
-    Sampling times advance by at most ``mesh`` and stop exactly at the first
-    jump of size > ``delta``; the value held on each piece is the input's
-    value at the sampling time.  Mesh-driven points falling at or beyond the
-    final breakpoint are dropped (the path is constant from the last sample
-    on anyway, up to jumps no larger than ``delta``).
+    Sampling times are the partition of :func:`jump_adapted_times` with
+    ``n = 1/mesh``: they advance by ``mesh`` and stop exactly at every jump
+    of size > ``delta``; the value held on each piece is the input's value at
+    the sampling time.  Mesh points at or beyond the final breakpoint are
+    dropped (the path is constant from the last sample on anyway, up to jumps
+    no larger than ``delta``).
     """
     if delta <= 0.0 or mesh <= 0.0:
         raise InvalidParameter("delta and mesh must be positive")
-    horizon = path.end_time
     jump_times, jump_incr = path.jumps()
     big = jump_times[_increment_norms(jump_incr) > delta]
-    out_times = [0.0]
-    t = 0.0
-    ptr = 0
-    while True:
-        while ptr < big.size and big[ptr] <= t:
-            ptr += 1
-        next_jump = big[ptr] if ptr < big.size else np.inf
-        mesh_t = t + mesh
-        if next_jump <= mesh_t:
-            t = float(next_jump)
-        else:
-            if mesh_t >= horizon:
-                break
-            t = mesh_t
-        out_times.append(t)
-    out = np.asarray(out_times)
+    out = jump_adapted_times(path.end_time, 1.0 / mesh, big)
     return StepPath(TimeGrid(out), path.eval(out))
 
 

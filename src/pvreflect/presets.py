@@ -29,26 +29,16 @@ __all__ = [
 
 def _identity_coeffs(dim: int) -> Coefficients:
     eye = np.eye(dim)
-    return Coefficients(
-        f=lambda x: np.zeros(dim),
-        g=lambda x: eye,
-        linear_growth=0.0,
-        holder_order=1.0,
-    )
+    return Coefficients(f=lambda x: np.zeros(dim), g=lambda x: eye)
 
 
 def _zero_coeffs(dim: int) -> Coefficients:
     zero = np.zeros((dim, dim))
-    return Coefficients(f=lambda x: np.zeros(dim), g=lambda x: zero, linear_growth=0.0)
+    return Coefficients(f=lambda x: np.zeros(dim), g=lambda x: zero)
 
 
 def _geometric_coeffs(dim: int) -> Coefficients:
-    return Coefficients(
-        f=lambda x: np.zeros(dim),
-        g=lambda x: np.diag(x),
-        linear_growth=0.0,
-        holder_order=1.0,
-    )
+    return Coefficients(f=lambda x: np.zeros(dim), g=lambda x: np.diag(x))
 
 
 def _tanh_coeffs(dim: int) -> Coefficients:
@@ -56,8 +46,6 @@ def _tanh_coeffs(dim: int) -> Coefficients:
     return Coefficients(
         f=lambda x: 0.5 * np.tanh(x),
         g=lambda x: eye + 0.3 * np.diag(np.tanh(x)),
-        linear_growth=0.5,
-        holder_order=1.0,
     )
 
 
@@ -70,12 +58,7 @@ def _rotation2d_coeffs(dim: int) -> Coefficients:
             [[np.cos(x[1]), -np.sin(x[1])], [np.sin(x[0]), np.cos(x[0])]]
         )
 
-    return Coefficients(
-        f=lambda x: 0.3 * np.tanh(np.array([-x[1], x[0]])),
-        g=g,
-        linear_growth=0.3,
-        holder_order=1.0,
-    )
+    return Coefficients(f=lambda x: 0.3 * np.tanh(np.array([-x[1], x[0]])), g=g)
 
 
 COEFFICIENT_PRESETS = {

@@ -15,16 +15,16 @@ i.e. the discrete reflection recursion; the regulator is stored as
 ``k = x - y`` with ``y`` the accumulated drift+noise sums, which is the same
 quantity with exact additivity in floating point.
 
-Two partitions are provided: the uniform mesh-1/n grid and the jump-adaptive
-partition that additionally stops at every driver/barrier jump larger than
-1/n.  `solve` drives the adaptive scheme through dyadic refinements until the
-sup-distance between successive iterates (evaluated on the coarser grid)
-drops below a tolerance; no convergence rate is assumed.
+Both schemes advance by mesh 1/n on `pathcore.jump_adapted_times`; the
+adaptive one also stops at every driver/barrier jump larger than 1/n.
+`refinement_ladder` runs it at n0, 2*n0, ... with the sup-distance between
+successive iterates (on the coarser grid); `solve` stops the ladder once that
+drops below a tolerance.  No convergence rate is assumed.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -38,9 +38,9 @@ from .errors import (
     InvalidP,
     InvalidParameter,
     NoConvergence,
-    PartitionOverflow,
 )
-from .pathcore import StepPath, TimeGrid, _increment_norms, sup_norm, variation_norm
+from .pathcore import (STEP_CAP, StepPath, TimeGrid, _increment_norms, jump_adapted_times,
+                       sup_norm, variation_norm)
 from .skorokhod import Reflection
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "AprioriReport",
     "euler_uniform",
     "euler_adaptive",
+    "refinement_ladder",
     "solve",
     "solution_gap",
     "with_vbar_p_x",
@@ -61,18 +62,13 @@ __all__ = [
 class Coefficients:
     """Drift ``f: R^d -> R^d`` and noise ``g: R^d -> R^(d x d)``.
 
-    The optional constants describe the regularity the caller believes the
-    functions have (linear-growth constant, Holder order of g, local
-    Lipschitz constants of f).  They are metadata only; nothing is verified
-    symbolically and the solver simply reports non-convergence when the
-    functions are too rough.
+    Nothing about their regularity is assumed or verified: every value is
+    checked for shape and finiteness when the scheme evaluates it, and the
+    solver simply reports non-convergence when the functions are too rough.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
-    linear_growth: float | None = None
-    holder_order: float | None = None
-    local_lipschitz: dict[int, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -134,61 +130,18 @@ class Solution:
         return self.reflection.k
 
 
-def _uniform_partition(horizon: float, n: int) -> np.ndarray:
-    # mesh exactly 1/n: points k/n up to the horizon, then the horizon itself
-    last = math.floor(horizon * n)
-    times = np.arange(last + 1, dtype=float) / n
-    if times[-1] < horizon:
-        times = np.append(times, horizon)
-    return times
-
-
 def _big_jump_times(problem: Problem, threshold: float) -> np.ndarray:
     cut = []
     for path in (problem.a, problem.z, problem.l):
         times, incr = path.jumps()
         sizes = _increment_norms(incr)
         cut.append(times[(sizes > threshold) & (times <= problem.horizon)])
-    merged = np.unique(np.concatenate(cut)) if cut else np.empty(0)
-    return merged
+    return np.unique(np.concatenate(cut))
 
 
-def _adaptive_partition(problem: Problem, n: int, step_cap: int) -> np.ndarray:
-    """Stop at every driver/barrier jump > 1/n, else advance by mesh 1/n.
-
-    Mesh candidates are computed as ``base + j/n`` from the most recent jump
-    time ``base`` (integer multiples, not accumulated sums), so that with no
-    large jumps the partition reproduces the uniform grid bit for bit.
-    """
-    horizon = problem.horizon
-    big = _big_jump_times(problem, 1.0 / n)
-    out = [0.0]
-    t = 0.0
-    base = 0.0
-    mesh_count = 0
-    ptr = 0
-    while True:
-        while ptr < big.size and big[ptr] <= t:
-            ptr += 1
-        next_jump = big[ptr] if ptr < big.size else np.inf
-        mesh_t = base + (mesh_count + 1) / n
-        if next_jump <= mesh_t:
-            t = float(next_jump)
-            base = t
-            mesh_count = 0
-        else:
-            if mesh_t >= horizon:
-                break
-            t = mesh_t
-            mesh_count += 1
-        out.append(t)
-        if len(out) > step_cap:
-            raise PartitionOverflow(
-                f"adaptive partition exceeded {step_cap} points"
-            )
-    if out[-1] < horizon:
-        out.append(horizon)
-    return np.asarray(out)
+def _partition(horizon: float, n: int, jumps: np.ndarray, step_cap: int) -> np.ndarray:
+    times = jump_adapted_times(horizon, n, jumps, step_cap)
+    return np.append(times, horizon) if times[-1] < horizon else times
 
 
 def _eval_coefficient(func, point: np.ndarray, shape: tuple[int, ...], label: str):
@@ -238,19 +191,23 @@ def euler_uniform(problem: Problem, n: int) -> Solution:
     """Euler scheme on the uniform mesh-1/n partition of [0, horizon]."""
     if n < 1:
         raise InvalidParameter("n must be >= 1")
-    return _run_recursion(problem, _uniform_partition(problem.horizon, n), "uniform", n)
+    times = _partition(problem.horizon, n, np.empty(0), STEP_CAP)
+    return _run_recursion(problem, times, "uniform", n)
 
 
-def euler_adaptive(problem: Problem, n: int, step_cap: int = 10_000_000) -> Solution:
+def euler_adaptive(problem: Problem, n: int, step_cap: int = STEP_CAP) -> Solution:
     """Euler scheme on the jump-adaptive partition.
 
     The partition advances by mesh 1/n but stops exactly at every jump of
     ``a``, ``z`` or ``l`` whose size exceeds 1/n, so large jumps are applied
     in a single step.  With no such jumps it coincides with the uniform grid.
+    Raises :class:`PartitionOverflow` when it would have more than
+    ``step_cap`` points before the horizon.
     """
     if n < 1:
         raise InvalidParameter("n must be >= 1")
-    times = _adaptive_partition(problem, n, step_cap)
+    jumps = _big_jump_times(problem, 1.0 / n)
+    times = _partition(problem.horizon, n, jumps, step_cap)
     return _run_recursion(problem, times, "adaptive", n)
 
 
@@ -276,31 +233,39 @@ def with_vbar_p_x(solution: Solution, p: float) -> Solution:
     return replace(solution, diagnostics=diagnostics)
 
 
+def refinement_ladder(problem: Problem, n0: int, step_cap: int = STEP_CAP):
+    """Yield ``(solution, gap)`` for the adaptive scheme at n0, 2*n0, 4*n0, ...
+
+    ``gap`` is the `solution_gap` to the level before, ``None`` at n0.  Each
+    level is computed only when it is asked for.
+    """
+    if n0 < 1:
+        raise InvalidParameter("n0 must be >= 1")
+    prev = None
+    for level in itertools.count():
+        cur = euler_adaptive(problem, n0 * 2**level, step_cap)
+        yield cur, (None if prev is None else solution_gap(cur, prev))
+        prev = cur
+
+
 def solve(problem: Problem, tol: float, n0: int,
-          max_doublings: int = 14, step_cap: int = 10_000_000) -> Solution:
+          max_doublings: int = 14, step_cap: int = STEP_CAP) -> Solution:
     """Adaptive scheme with a posteriori refinement control.
 
-    Runs ``euler_adaptive`` at n0, 2*n0, 4*n0, ... and stops once the
-    sup-distance between successive iterates falls below ``tol``, returning
-    the finest solution with the achieved gap recorded in ``diagnostics``.
+    Walks `refinement_ladder` from n0 and stops once the sup-distance
+    between successive iterates falls below ``tol``, returning the finest
+    solution with the achieved gap recorded in ``diagnostics``.
     Raises :class:`NoConvergence` after ``max_doublings`` refinements, which
     signals non-regular coefficients or an unreachable tolerance.
     """
     if tol < 0.0:
         raise InvalidParameter("tol must be >= 0")
-    if n0 < 1:
-        raise InvalidParameter("n0 must be >= 1")
-    prev = euler_adaptive(problem, n0, step_cap)
-    n = n0
-    for _ in range(max_doublings):
-        n *= 2
-        cur = euler_adaptive(problem, n, step_cap)
-        gap = solution_gap(cur, prev)
+    ladder = refinement_ladder(problem, n0, step_cap)
+    for cur, gap in itertools.islice(ladder, 1, max_doublings + 1):
         if gap < tol:
             diagnostics = dict(cur.diagnostics)
             diagnostics["cauchy_gap"] = gap
             return Solution(cur.reflection, cur.scheme, cur.n, diagnostics)
-        prev = cur
     raise NoConvergence(
         f"no Cauchy gap below {tol} within {max_doublings} doublings from n0={n0}"
     )

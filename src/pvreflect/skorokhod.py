@@ -125,8 +125,6 @@ class EstimateReport:
     def csv_rows(self) -> list[list[str]]:
         return [c.csv_row() for c in self.checks]
 
-    CSV_HEADER = ["inequality", "lhs", "rhs", "margin", "pass"]
-
 
 def _uniform_norm(path: StepPath) -> float:
     """sup over time of the largest component magnitude."""

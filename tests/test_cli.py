@@ -54,6 +54,25 @@ def test_simulate_unknown_preset_exits_2(tmp_path, capsys):
     assert "error=UsageError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--preset", "geometric", "--dimension", "-1"],
+    ["--preset", "constant", "--dimension", "0"],
+    ["--preset", "geometric", "--driver-steps", "-5"],
+    ["--preset", "geometric", "--driver-steps", "0"],
+])
+def test_simulate_nonpositive_sizes_exit_2(tmp_path, capsys, args):
+    rc = run_cli(["simulate", *args, "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "error=UsageError" in capsys.readouterr().err
+
+
+def test_simulate_uniform_partition_overflow_exits_2(tmp_path, capsys):
+    rc = run_cli(["simulate", "--scheme", "uniform", "--n", "1000000000000",
+                  "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "error=PartitionOverflow" in capsys.readouterr().err
+
+
 def test_simulate_replicates_workers_identical(tmp_path):
     outs = []
     for workers in ("1", "4"):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pvreflect import (
     Interval,
+    StepPath,
     align,
     coarsen_jump_adapted,
     make_matrix_path,
@@ -78,6 +79,24 @@ def test_eval_and_left_limit():
         p.eval(-0.1)
     with pytest.raises(NegativeTime):
         p.left_limit(0.0)
+
+
+def test_matrix_paths_share_evaluation_but_not_the_vector_type():
+    m = make_matrix_path([0, 1], [np.eye(2), 2 * np.eye(2)])
+    assert not isinstance(m, StepPath)
+    assert (m.dim, m.end_time) == (2, 1.0)
+    assert np.array_equal(m.eval(1.0), 2 * np.eye(2))
+    assert np.array_equal(m.left_limit(1.0), np.eye(2))
+    assert m.eval([0.5, 1.0]).shape == (2, 2, 2)
+    assert make_matrix_path([0.0], 3.0).values.shape == (1, 1, 1)
+    with pytest.raises(LengthMismatch):
+        make_matrix_path([0.0], np.zeros((1, 2, 3)))
+    with pytest.raises(LengthMismatch):
+        make_matrix_path([0, 1], np.zeros((3, 2, 2)))
+    with pytest.raises(NonFiniteValue):
+        make_matrix_path([0.0], np.full((1, 2, 2), np.inf))
+    with pytest.raises(NegativeTime):
+        m.left_limit(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +268,18 @@ def test_oscillation_and_sup_norm():
     assert oscillation(make_path([0.0], [7.0])) == 0.0
     assert oscillation(make_path([0, 1, 2], [0, 1, 0]), (0, 2)) == 1.0
     assert sup_norm(make_path([0, 1], [-2, 3]), (0, 1)) == 3.0
+
+
+@pytest.mark.parametrize("d, m", [(2, 40), (3, 40), (2, 1500), (3, 1500)])
+def test_oscillation_vector_paths_match_pairwise_max(rng, d, m):
+    # m = 1500 spans two memory chunks of the pairwise diameter
+    vals = np.cumsum(rng.normal(size=(m, d)), axis=0)
+    path = make_path(np.arange(m, dtype=float), vals)
+    brute = max(float(np.linalg.norm(vals - row, axis=1).max()) for row in vals)
+    assert oscillation(path) == pytest.approx(brute, rel=1e-14)
+    inner = vals[10:20]
+    brute = max(float(np.linalg.norm(inner - row, axis=1).max()) for row in inner)
+    assert oscillation(path, (10.0, 19.0)) == pytest.approx(brute, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

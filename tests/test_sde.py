@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pvreflect import (
     Coefficients,
@@ -30,7 +32,8 @@ from pvreflect.errors import (
     PartitionOverflow,
 )
 from pvreflect.presets import coefficient_preset
-from pvreflect.sde import solution_gap, with_vbar_p_x
+from pvreflect.pathcore import STEP_CAP
+from pvreflect.sde import _partition, refinement_ladder, solution_gap, with_vbar_p_x
 from pvreflect.drivers import philox_stream
 from conftest import random_step_path
 
@@ -202,6 +205,97 @@ def test_partition_overflow_guard():
         euler_adaptive(prob, 1024, step_cap=100)
 
 
+def _reference_partition(horizon, n, big, step_cap=STEP_CAP):
+    """The scalar "mesh or next big jump" loop the vectorized partition replaced."""
+    out = [0.0]
+    t = 0.0
+    base = 0.0
+    mesh_count = 0
+    ptr = 0
+    while True:
+        while ptr < big.size and big[ptr] <= t:
+            ptr += 1
+        next_jump = big[ptr] if ptr < big.size else np.inf
+        mesh_t = base + (mesh_count + 1) / n
+        if next_jump <= mesh_t:
+            t = float(next_jump)
+            base = t
+            mesh_count = 0
+        else:
+            if mesh_t >= horizon:
+                break
+            t = mesh_t
+            mesh_count += 1
+        out.append(t)
+        if len(out) > step_cap:
+            raise PartitionOverflow(f"adaptive partition exceeded {step_cap} points")
+    if out[-1] < horizon:
+        out.append(horizon)
+    return np.asarray(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(),
+       horizon=st.floats(0.01, 8.0),
+       n=st.sampled_from([1, 3, 7, 10, 16, 33, 100, 1000]))
+def test_partition_equals_reference_loop(data, horizon, n):
+    # free jumps, jumps landing exactly on base + j/n, and one at the horizon
+    free = data.draw(st.lists(st.floats(0.0, horizon), max_size=10))
+    jumps = [t for t in free if t > 0.0]
+    for _ in range(data.draw(st.integers(0, 4))):
+        base = data.draw(st.sampled_from([0.0] + jumps))
+        jumps.append(base + data.draw(st.integers(1, 8)) / n)
+    if data.draw(st.booleans()):
+        jumps.append(horizon)
+    jumps = np.unique(np.asarray([t for t in jumps if 0.0 < t <= horizon], dtype=float))
+    for big in (jumps, np.empty(0)):
+        expected = _reference_partition(horizon, n, big)
+        got = _partition(horizon, n, big, STEP_CAP)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_partition_cap_is_the_reference_cap():
+    # the cap counts points before the horizon is appended, as the loop did
+    big = np.array([0.25, 0.5])
+    times = _reference_partition(1.0, 8, big)
+    assert times.size == 9
+    assert np.array_equal(_partition(1.0, 8, big, 8), times)
+    with pytest.raises(PartitionOverflow):
+        _reference_partition(1.0, 8, big, step_cap=7)
+    with pytest.raises(PartitionOverflow):
+        _partition(1.0, 8, big, 7)
+
+
+@pytest.mark.parametrize("scheme, n", [(euler_uniform, 10**12), (euler_adaptive, 10**30)])
+def test_partition_overflow_raises_before_allocating(scheme, n):
+    # 10**30 also exceeds int64: the count must be refused while still a float
+    prob = fbm_problem(2, n_driver=64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PartitionOverflow):
+            scheme(prob, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_uniform_partition_ends_at_the_horizon():
+    # floor(horizon * n) rounds up to K + 1 here although (K + 1)/n lies one
+    # ulp past the horizon; the partition stops below it and ends at horizon
+    horizon, n = 0.02728300819903873, 77814
+    k = math.floor(horizon * n)
+    assert k / n > horizon
+    prob = Problem(x0=[1.0], a=zero_a(horizon), z=make_path([0.0, horizon], [0.0, 0.0]),
+                   l=make_barrier("constant", level=0.0, horizon=horizon),
+                   coeffs=identity_coeffs(), p=2.0, horizon=horizon)
+    times = euler_uniform(prob, n).x.times
+    assert times[-1] == horizon
+    assert times[-2] == (k - 1) / n
+    assert np.array_equal(times, euler_adaptive(prob, n).x.times)
+
+
 # ---------------------------------------------------------------------------
 # refinement control
 # ---------------------------------------------------------------------------
@@ -238,6 +332,42 @@ def test_vbar_p_x_only_for_the_reported_solution():
     assert reported.diagnostics["vbar_p_x"] == variation_norm(sol.x, prob.p)
     assert reported.diagnostics["cauchy_gap"] == sol.diagnostics["cauchy_gap"]
     assert reported.reflection is sol.reflection
+
+
+def test_refinement_ladder_is_lazy_and_feeds_solve(monkeypatch):
+    import pvreflect.sde as sde
+
+    prob = Problem(
+        x0=[1.0], a=zero_a(),
+        z=make_fv_driver("linear", horizon=1.0, steps=1024),
+        l=make_barrier("constant", level=-1e6, horizon=1.0),
+        coeffs=coefficient_preset("geometric", 1), p=2.0,
+    )
+    # the ladder looks both steps up in the module, where tracers wrap them
+    calls = []
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in ("euler_adaptive", "solution_gap"):
+        monkeypatch.setattr(sde, name, counted(name, getattr(sde, name)))
+    ladder = refinement_ladder(prob, 8)
+    assert calls == []
+    levels = [next(ladder) for _ in range(4)]
+    assert calls == ["euler_adaptive"] + ["euler_adaptive", "solution_gap"] * 3
+    assert [sol.n for sol, _ in levels] == [8, 16, 32, 64]
+    assert levels[0][1] is None
+    for (fine, gap), (coarse, _) in zip(levels[1:], levels[:-1]):
+        assert gap == solution_gap(fine, coarse)
+    gaps = [gap for _, gap in levels[1:]]
+    assert gaps == sorted(gaps, reverse=True)
+    sol = solve(prob, tol=gaps[-1] * (1 + 1e-9), n0=8)
+    assert sol.n == 64
+    assert sol.diagnostics["cauchy_gap"] == gaps[-1]
+    assert np.array_equal(sol.x.values, levels[3][0].x.values)
 
 
 def test_solve_unreachable_tolerance():
