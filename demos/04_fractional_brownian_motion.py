@@ -1,9 +1,10 @@
 """Sampling fractional Brownian motion with exact increment laws.
 
 The sampler embeds the stationary increment covariance in a circulant matrix
-(diagonalized by FFT) and falls back to a dense Cholesky factor if the
-embedding fails.  Every path derives its randomness from a counter-based
-stream keyed by (seed, path index), so batches are reproducible in any order.
+(diagonalized by FFT), which is exact for every H in (1/2, 1).  A dense
+Cholesky factor of the same covariance is the independent check below.
+Every path derives its randomness from a counter-based stream keyed by
+(seed, path index), so batches are reproducible in any order.
 """
 
 import numpy as np

@@ -9,7 +9,7 @@ The library is organised in five layers:
 * :mod:`pvreflect.young`     — left-point Riemann-Stieltjes integration and
   the zeta-constant variation bound;
 * :mod:`pvreflect.drivers`   — fractional Brownian motion (circulant
-  embedding / Cholesky), integrated noise drivers, deterministic fixtures;
+  embedding), integrated noise drivers, deterministic fixtures;
 * :mod:`pvreflect.sde`       — uniform and jump-adaptive Euler schemes with
   refinement-based convergence control.
 

@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import campaigns
 from .errors import NoConvergence, PvreflectError
-from .pathcore import CSV_FLOAT_FORMAT, p_variation, read_path_csv, write_path_csv
+from .pathcore import CSV_FLOAT_FORMAT, STEP_CAP, p_variation, read_path_csv, write_path_csv
 from .drivers import FbmSpec, sample_fbm
 from .presets import PROBLEM_PRESETS, ProblemPreset, build_problem
 from .sde import Solution, euler_adaptive, euler_uniform, refinement_ladder, solve, with_vbar_p_x
@@ -73,9 +73,11 @@ def _setting(args, cfg: configparser.ConfigParser, section: str, key: str,
     return default
 
 
-def _positive_int(name: str, value: int) -> int:
+def _positive_int(name: str, value: int, cap: int | None = None) -> int:
     if value < 1:
         raise UsageError(f"{name} must be >= 1, got {value}")
+    if cap is not None and value > cap:
+        raise UsageError(f"{name} must be <= {cap}, got {value}")
     return int(value)
 
 
@@ -107,14 +109,14 @@ def _resolve_preset(args, cfg) -> ProblemPreset:
             overrides[field] = cast(value)
     preset = dataclasses.replace(PROBLEM_PRESETS[name], **overrides)
     _positive_int("dimension", preset.dim)
-    _positive_int("driver-steps", preset.driver_steps)
+    _positive_int("driver-steps", preset.driver_steps, STEP_CAP)
     return preset
 
 
 def _open_out(path: str | None):
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", newline="")
 
 
 def _solution_header(dim: int, with_rep: bool) -> str:
@@ -149,14 +151,17 @@ def cmd_simulate(args, cfg) -> int:
     seed = int(_setting(args, cfg, "run", "seed", 0, int))
     replicates = _positive_int(
         "replicates", int(_setting(args, cfg, "run", "replicates", 1, int)))
-    workers = _positive_int(
-        "workers", int(_setting(args, cfg, "run", "workers", 1, int)))
+    # validated but unused: replicates run in order in one thread
+    _positive_int("workers", int(_setting(args, cfg, "run", "workers", 1, int)))
     out_path = _setting(args, cfg, "run", "out", None)
     n = int(_setting(args, cfg, "problem", "n", 256, int))
     tol = _setting(args, cfg, "problem", "tol", None, float)
     scheme = _setting(args, cfg, "problem", "scheme", "adaptive")
     if scheme not in ("adaptive", "uniform"):
         raise UsageError(f"scheme must be adaptive or uniform, got {scheme!r}")
+    if tol is not None and scheme == "uniform":
+        raise UsageError("tol refines the adaptive scheme; it cannot be used "
+                         "with scheme uniform")
 
     def run_one(rep: int) -> Solution:
         problem = build_problem(preset, seed=seed, replicate=rep)
@@ -167,27 +172,15 @@ def cmd_simulate(args, cfg) -> int:
             solution = runner(problem, n)
         return with_vbar_p_x(solution, problem.p)
 
-    if replicates == 1:
-        solutions = [run_one(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solutions = list(pool.map(run_one, range(replicates)))
-
-    fh, must_close = _open_out(out_path)
-    try:
-        if replicates == 1:
-            fh.write(_solution_header(solutions[0].x.dim, with_rep=False) + "\n")
-            _solution_rows(fh, solutions[0])
-            _write_diagnostics(fh, solutions[0])
-        else:
-            fh.write(_solution_header(solutions[0].x.dim, with_rep=True) + "\n")
-            for rep, sol in enumerate(solutions):
-                _solution_rows(fh, sol, replicate=rep)
-            for rep, sol in enumerate(solutions):
-                _write_diagnostics(fh, sol, replicate=rep)
-    finally:
-        if must_close:
-            fh.close()
+    solutions = [run_one(rep) for rep in range(replicates)]
+    # a single replicate is written without the rep column and tags
+    tags = [None] if replicates == 1 else range(replicates)
+    with _open_out(out_path) as fh:
+        fh.write(_solution_header(solutions[0].x.dim, with_rep=replicates > 1) + "\n")
+        for rep, sol in zip(tags, solutions):
+            _solution_rows(fh, sol, replicate=rep)
+        for rep, sol in zip(tags, solutions):
+            _write_diagnostics(fh, sol, replicate=rep)
     return 0
 
 
@@ -200,8 +193,7 @@ def cmd_convergence(args, cfg) -> int:
         "levels", int(_setting(args, cfg, "convergence", "levels", 6, int)))
 
     problem = build_problem(preset, seed=seed)
-    fh, must_close = _open_out(out_path)
-    try:
+    with _open_out(out_path) as fh:
         fh.write("n,gap,runtime_s\n")
         ladder = refinement_ladder(problem, n0)
         for _ in range(levels):
@@ -211,26 +203,20 @@ def cmd_convergence(args, cfg) -> int:
             elapsed = time.perf_counter() - start
             gap_cell = "" if gap is None else CSV_FLOAT_FORMAT % gap
             fh.write(f"{sol.n},{gap_cell},{elapsed:.6f}\n")
-    finally:
-        if must_close:
-            fh.close()
     return 0
 
 
 def cmd_fbm(args, cfg) -> int:
     hurst = float(_setting(args, cfg, "fbm", "hurst", 0.75, float))
-    steps = _positive_int("steps", int(_setting(args, cfg, "fbm", "steps", 1024, int)))
+    steps = _positive_int(
+        "steps", int(_setting(args, cfg, "fbm", "steps", 1024, int)), STEP_CAP)
     horizon = float(_setting(args, cfg, "fbm", "horizon", 1.0, float))
     seed = int(_setting(args, cfg, "run", "seed", 0, int))
     out_path = _setting(args, cfg, "run", "out", None)
     spec = FbmSpec(hurst=hurst, horizon=horizon, steps=steps, seed=seed)
     path = sample_fbm(spec)
-    fh, must_close = _open_out(out_path)
-    try:
+    with _open_out(out_path) as fh:
         write_path_csv(path, fh)
-    finally:
-        if must_close:
-            fh.close()
     return 0
 
 
@@ -243,16 +229,12 @@ def cmd_verify(args, cfg) -> int:
     corrupt = bool(os.environ.get(CORRUPT_ENV))
     rows = campaigns.run_all_campaigns(cases, seed, corrupt=corrupt)
     failures = sum(not r.passed for r in rows)
-    fh, must_close = _open_out(out_path)
-    try:
+    with _open_out(out_path) as fh:
         fh.write(",".join(campaigns.CAMPAIGN_CSV_HEADER) + "\n")
         for row in rows:
             fh.write(",".join(row.csv_row()) + "\n")
         fh.write(f"summary,,total,{len(rows)},{len(rows) - failures},{failures},"
                  f"{1 if failures == 0 else 0}\n")
-    finally:
-        if must_close:
-            fh.close()
     return 0 if failures == 0 else 1
 
 
@@ -295,9 +277,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--preset", choices=sorted(PROBLEM_PRESETS))
     sp.add_argument("--replicates", type=int)
-    sp.add_argument("--workers", type=int)
+    sp.add_argument("--workers", type=int,
+                    help="accepted and checked (>= 1); replicates run in order "
+                         "in one thread")
     sp.add_argument("--n", type=int, help="resolution parameter")
-    sp.add_argument("--tol", type=float, help="refine until this Cauchy gap")
+    sp.add_argument("--tol", type=float,
+                    help="refine the adaptive scheme until this Cauchy gap")
     sp.add_argument("--scheme", choices=["adaptive", "uniform"])
     sp.add_argument("--hurst", type=float)
     sp.add_argument("--dimension", type=int)

@@ -3,10 +3,11 @@
 Fractional Brownian motion with Hurst index ``H in (1/2, 1)`` is sampled on a
 uniform grid with the exact Gaussian law of its increments: the stationary
 increment covariance is embedded in a circulant matrix (grid padded to a
-power of two) and diagonalized by FFT; if the embedding produces negative
-eigenvalues beyond -1e-10 the sampler falls back to a dense Cholesky factor
-of the covariance matrix.  Both samplers draw from the same law, which the
-test-suite cross-checks with a two-sample Kolmogorov-Smirnov test.
+power of two) and diagonalized by FFT.  The embedding of fractional Gaussian
+noise is nonnegative (Dietrich & Newsam 1997; Craigmile 2003), and the
+covariance is computed in a form that keeps it so in floating point.  A dense
+Cholesky sampler of at most ``CHOLESKY_MAX_STEPS`` steps is the independent
+oracle: the test-suite cross-checks both laws with a two-sample KS test.
 
 Reproducibility contract: every sampled path derives its stream from the
 counter-based Philox generator keyed by ``(seed, path_index)``, so results do
@@ -107,22 +108,37 @@ class VolatilitySpec:
 
 
 def _fgn_autocov(count: int, hurst: float) -> np.ndarray:
-    """Autocovariance of unit-spaced fractional Gaussian noise at lags 0..count-1."""
-    j = np.arange(count, dtype=float)
+    """Autocovariance of unit-spaced fractional Gaussian noise at lags 0..count-1.
+
+    Lag ``j >= 1`` is ``0.5 (|j+1|^2H - 2 j^2H + |j-1|^2H)``, written as
+    ``0.5 j^2H (expm1(2H log1p(1/j)) + expm1(2H log1p(-1/j)))``: the direct
+    second difference of powers near ``j^2H`` loses up to ``2 log10(j)``
+    digits to cancellation, this form about ``log10(j)``.
+    """
+    j = np.arange(1, count, dtype=float)
     two_h = 2.0 * hurst
-    return 0.5 * (np.abs(j + 1) ** two_h - 2.0 * j ** two_h + np.abs(j - 1) ** two_h)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at lag 1, expm1 -> -1
+        tail = 0.5 * j ** two_h * (np.expm1(two_h * np.log1p(1.0 / j))
+                                   + np.expm1(two_h * np.log1p(-1.0 / j)))
+    return np.concatenate([[1.0], tail])
 
 
-def _fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
+def _circulant_eigenvalues(n: int, hurst: float) -> np.ndarray:
+    """Eigenvalues of the circulant embedding of ``n`` fGn increments, length 2m."""
     m = 1 << max(n - 1, 1).bit_length()
     gamma = _fgn_autocov(m + 1, hurst)
     row = np.concatenate([gamma, gamma[-2:0:-1]])  # circulant first row, length 2m
-    lam = np.fft.fft(row).real
+    return np.fft.fft(row).real
+
+
+def _fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
+    lam = _circulant_eigenvalues(n, hurst)
     if lam.min() < -1e-10:
         raise EmbeddingFailure(
             f"circulant embedding not nonnegative (min eigenvalue {lam.min():g})"
         )
     lam = np.clip(lam, 0.0, None)
+    m = lam.size // 2
     endpoints = rng.standard_normal(2)
     inner = rng.standard_normal((m - 1, 2))
     z = np.empty(2 * m, dtype=complex)
@@ -134,46 +150,42 @@ def _fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray
     return np.fft.fft(spectrum).real[:n]
 
 
+#: largest step count of the dense Cholesky oracle (an n x n factor)
+CHOLESKY_MAX_STEPS = 4096
+
+
 @lru_cache(maxsize=2)  # factors are O(n^2) memory; callers loop per (n, hurst)
 def _cholesky_factor(n: int, hurst: float) -> np.ndarray:
-    cov = scipy.linalg.toeplitz(_fgn_autocov(n, hurst))
     try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        try:
-            factor = np.linalg.cholesky(cov + 1e-12 * np.eye(n))
-        except np.linalg.LinAlgError as exc:
-            raise EmbeddingFailure(
-                "increment covariance not positive definite even after jitter"
-            ) from exc
+        factor = np.linalg.cholesky(scipy.linalg.toeplitz(_fgn_autocov(n, hurst)))
+    except np.linalg.LinAlgError as exc:
+        raise EmbeddingFailure("increment covariance not positive definite") from exc
     factor.setflags(write=False)
     return factor
 
 
 def _fgn_cholesky(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
+    if n > CHOLESKY_MAX_STEPS:
+        raise InvalidParameter(
+            f"cholesky sampling is capped at {CHOLESKY_MAX_STEPS} steps, got {n}"
+        )
     return _cholesky_factor(n, hurst) @ rng.standard_normal(n)
 
 
-def sample_fbm(spec: FbmSpec, method: str = "auto", path_index: int = 0) -> StepPath:
+_SAMPLERS = {"circulant": _fgn_circulant, "cholesky": _fgn_cholesky}
+
+
+def sample_fbm(spec: FbmSpec, method: str = "circulant", path_index: int = 0) -> StepPath:
     """Sample one fBm path as a scalar step path, ``B_0 = 0``.
 
-    ``method`` is ``"auto"`` (circulant with Cholesky fallback),
-    ``"circulant"`` or ``"cholesky"``.  Deterministic in
-    ``(spec, method, path_index)``.
+    ``method`` is ``"circulant"`` (FFT, the sampler every caller uses) or
+    ``"cholesky"`` (the dense oracle, at most ``CHOLESKY_MAX_STEPS`` steps).
+    Deterministic in ``(spec, method, path_index)``.
     """
-    rng = philox_stream(spec.seed, path_index)
-    n = spec.steps
-    if method == "auto":
-        try:
-            fgn = _fgn_circulant(n, spec.hurst, rng)
-        except EmbeddingFailure:
-            fgn = _fgn_cholesky(n, spec.hurst, philox_stream(spec.seed, path_index))
-    elif method == "circulant":
-        fgn = _fgn_circulant(n, spec.hurst, rng)
-    elif method == "cholesky":
-        fgn = _fgn_cholesky(n, spec.hurst, rng)
-    else:
+    if method not in _SAMPLERS:
         raise UnknownKind(f"unknown fbm sampling method {method!r}")
+    n = spec.steps
+    fgn = _SAMPLERS[method](n, spec.hurst, philox_stream(spec.seed, path_index))
     scale = (spec.horizon / n) ** spec.hurst
     values = np.concatenate([[0.0], np.cumsum(scale * fgn)])
     return make_path(spec.times, values)

@@ -70,7 +70,7 @@ class InvalidHurst(PvreflectError):
 
 
 class EmbeddingFailure(PvreflectError):
-    """Neither circulant embedding nor Cholesky factorization succeeded."""
+    """The fGn covariance is not numerically nonnegative (H within ~1e-12 of 1)."""
 
 
 class GridMismatch(PvreflectError):

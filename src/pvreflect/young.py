@@ -87,8 +87,8 @@ def grid_riemann_sum(matrices, points) -> np.ndarray:
     """Cumulative left-point sums ``S_{k+1} = S_k + M_k (z_{k+1} - z_k)``, ``S_0 = 0``.
 
     ``matrices`` is ``(K, d, d)`` and ``points`` is ``(K, d)``; the final
-    matrix is never used.  This is the discrete kernel shared by the Euler
-    schemes and the integrated-driver construction.
+    matrix is never used.  Its callers are ``rs_integral`` and the
+    integrated-driver construction ``drivers.build_zh``.
     """
     mats = np.asarray(matrices, dtype=float)
     pts = np.asarray(points, dtype=float)

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -6,10 +7,22 @@ import pytest
 
 from pvreflect import read_path_csv, write_path_csv
 from pvreflect.cli import CORRUPT_ENV, main
+from pvreflect.pathcore import STEP_CAP
 
 
 def run_cli(args):
     return main(args)
+
+
+def run_cli_peak(args):
+    """Exit code and tracemalloc peak (bytes) of one in-process CLI call."""
+    tracemalloc.start()
+    try:
+        rc = main(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return rc, peak
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +84,59 @@ def test_simulate_uniform_partition_overflow_exits_2(tmp_path, capsys):
                   "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "error=PartitionOverflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("by_config", [False, True])
+def test_simulate_tol_with_uniform_scheme_exits_2(tmp_path, capsys, by_config):
+    # --tol refines the adaptive scheme; with the uniform one it used to run
+    # the adaptive solver anyway and exit 0
+    out = tmp_path / "x.csv"
+    if by_config:
+        cfg = tmp_path / "u.ini"
+        cfg.write_text("[problem]\npreset = geometric\nscheme = uniform\n"
+                       "tol = 1e-3\nn = 16\n")
+        args = ["simulate", "--config", str(cfg)]
+    else:
+        args = ["simulate", "--preset", "geometric", "--scheme", "uniform",
+                "--tol", "1e-3", "--n", "16"]
+    assert run_cli([*args, "--seed", "1", "--out", str(out)]) == 2
+    assert "error=UsageError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme", [[], ["--scheme", "adaptive"]])
+def test_simulate_tol_without_uniform_scheme_runs(tmp_path, scheme):
+    out = tmp_path / "x.csv"
+    rc = run_cli(["simulate", "--preset", "geometric", *scheme, "--tol", "1e-2",
+                  "--n", "16", "--seed", "1", "--out", str(out)])
+    assert rc == 0
+    text = out.read_text()
+    assert "# scheme=adaptive" in text
+    assert "cauchy_gap=" in text
+
+
+@pytest.mark.parametrize("by_config", [False, True])
+def test_simulate_driver_steps_cap_exits_2_before_allocating(tmp_path, capsys, by_config):
+    steps = str(STEP_CAP + 1)
+    if by_config:
+        cfg = tmp_path / "big.ini"
+        cfg.write_text(f"[problem]\npreset = fbm-reflected\ndriver-steps = {steps}\n")
+        args = ["simulate", "--config", str(cfg)]
+    else:
+        args = ["simulate", "--preset", "fbm-reflected", "--driver-steps", steps]
+    rc, peak = run_cli_peak([*args, "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "error=UsageError" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+def test_fbm_steps_cap_exits_2_before_allocating(tmp_path, capsys):
+    rc, peak = run_cli_peak(["fbm", "--steps", str(STEP_CAP + 1),
+                             "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "error=UsageError" in capsys.readouterr().err
+    assert peak < 1 << 20
+    assert run_cli(["fbm", "--steps", "1", "--out", str(tmp_path / "y.csv")]) == 0
 
 
 def test_simulate_replicates_workers_identical(tmp_path):

@@ -1,3 +1,6 @@
+import tracemalloc
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -14,6 +17,7 @@ from pvreflect import (
     philox_stream,
     sample_fbm,
 )
+from pvreflect.drivers import CHOLESKY_MAX_STEPS, _circulant_eigenvalues, _fgn_autocov
 from pvreflect.errors import (
     DimensionMismatch,
     GridMismatch,
@@ -95,6 +99,62 @@ def test_fbm_samplers_agree_in_distribution_light():
     circ = np.array([sample_fbm(spec, "circulant", i).values[-1, 0] for i in range(200)])
     chol = np.array([sample_fbm(spec, "cholesky", 1000 + i).values[-1, 0] for i in range(200)])
     assert scipy.stats.ks_2samp(circ, chol).pvalue >= 0.01
+
+
+def _decimal_fgn_autocov(lag: int, hurst: float) -> float:
+    # 0.5 (|j+1|^2H - 2 j^2H + |j-1|^2H) with 60 significant digits
+    with localcontext() as ctx:
+        ctx.prec = 60
+        two_h = 2 * Decimal(hurst)
+        power = lambda x: (x.ln() * two_h).exp() if x > 0 else Decimal(0)
+        j = Decimal(lag)
+        return float((power(j + 1) - 2 * power(j) + power(j - 1)) / 2)
+
+
+@pytest.mark.parametrize("hurst", [0.51, 0.75, 0.9, 0.9999, 1 - 1e-7])
+def test_fgn_autocov_matches_decimal_reference(hurst):
+    lags = [1, 2, 3, 10, 10**3, 2**16, 2**18 - 1]
+    gamma = _fgn_autocov(2**18, hurst)
+    assert gamma[0] == 1.0
+    for lag in lags:
+        ref = _decimal_fgn_autocov(lag, hurst)
+        assert abs(gamma[lag] / ref - 1.0) < 1e-8, (lag, gamma[lag], ref)
+
+
+def test_circulant_spectrum_nonnegative_on_grid():
+    # the fGn embedding is nonnegative (Dietrich & Newsam 1997); computing the
+    # covariance without cancellation keeps it so up to rounding
+    worst = np.inf
+    for k in range(4, 19):
+        for hurst in (0.51, 0.6, 0.75, 0.9, 0.99, 0.999, 0.9999, 0.99999, 1 - 1e-7):
+            lam = _circulant_eigenvalues(1 << k, hurst)
+            assert lam.size == 2 << k
+            worst = min(worst, float(lam.min()))
+    assert worst >= -1e-10
+
+
+def test_near_unit_hurst_uses_the_circulant_sampler():
+    spec = FbmSpec(hurst=1 - 1e-7, steps=4096, seed=8)
+    path = sample_fbm(spec)
+    assert np.array_equal(path.values, sample_fbm(spec, method="circulant").values)
+    # H ~ 1: B_t ~ t * B_1, so the increments are nearly equal
+    steps = np.diff(path.values[:, 0])
+    assert np.all(np.isfinite(steps))
+    assert np.ptp(steps) < 0.05 * np.abs(steps).max()
+
+
+def test_cholesky_cap_raises_before_allocating():
+    ok = FbmSpec(hurst=0.75, steps=64, seed=1)
+    assert sample_fbm(ok, method="cholesky").values.shape == (65, 1)
+    spec = FbmSpec(hurst=0.75, steps=CHOLESKY_MAX_STEPS + 1, seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameter):
+            sample_fbm(spec, method="cholesky")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
