@@ -10,8 +10,9 @@ The library is organised in five layers:
   the zeta-constant variation bound;
 * :mod:`pvreflect.drivers`   — fractional Brownian motion (circulant
   embedding), integrated noise drivers, deterministic fixtures;
-* :mod:`pvreflect.sde`       — uniform and jump-adaptive Euler schemes with
-  refinement-based convergence control.
+* :mod:`pvreflect.sde`       — uniform and jump-adaptive Euler schemes, run
+  for many replicates as one batch, with refinement-based convergence
+  control.
 
 :mod:`pvreflect.cli` exposes the same functionality as a command line; the
 randomized verification campaigns behind ``pvreflect verify`` live in
@@ -64,6 +65,7 @@ from .sde import (
     Solution,
     a_priori_check,
     euler_adaptive,
+    euler_batch,
     euler_uniform,
     solve,
 )
@@ -113,6 +115,7 @@ __all__ = [
     "Solution",
     "a_priori_check",
     "euler_adaptive",
+    "euler_batch",
     "euler_uniform",
     "solve",
     "__version__",

@@ -174,17 +174,25 @@ def _fgn_cholesky(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
 
 _SAMPLERS = {"circulant": _fgn_circulant, "cholesky": _fgn_cholesky}
 
+#: largest step count of any fBm sample (the circulant embedding pads it to
+#: a power of two and holds a few complex arrays of twice that length)
+FBM_MAX_STEPS = 2**20
+
 
 def sample_fbm(spec: FbmSpec, method: str = "circulant", path_index: int = 0) -> StepPath:
     """Sample one fBm path as a scalar step path, ``B_0 = 0``.
 
     ``method`` is ``"circulant"`` (FFT, the sampler every caller uses) or
     ``"cholesky"`` (the dense oracle, at most ``CHOLESKY_MAX_STEPS`` steps).
+    Either raises :class:`InvalidParameter` above ``FBM_MAX_STEPS`` steps,
+    before any array is built.
     Deterministic in ``(spec, method, path_index)``.
     """
     if method not in _SAMPLERS:
         raise UnknownKind(f"unknown fbm sampling method {method!r}")
     n = spec.steps
+    if n > FBM_MAX_STEPS:
+        raise InvalidParameter(f"fbm sampling is capped at {FBM_MAX_STEPS} steps, got {n}")
     fgn = _SAMPLERS[method](n, spec.hurst, philox_stream(spec.seed, path_index))
     scale = (spec.horizon / n) ** spec.hurst
     values = np.concatenate([[0.0], np.cumsum(scale * fgn)])

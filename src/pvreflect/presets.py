@@ -2,7 +2,8 @@
 
 Presets keep the command line free of expression parsing: every simulate or
 convergence run names a coefficient preset, a barrier preset and a driver
-preset, all of which are plain Python factories below.
+preset, all of which are plain Python factories below.  Coefficient presets
+take states of shape ``(R, d)``, as `sde.Coefficients` describes.
 """
 
 from __future__ import annotations
@@ -27,25 +28,32 @@ __all__ = [
 ]
 
 
+def _diag(v: np.ndarray) -> np.ndarray:
+    """``np.diag`` of each row: ``(R, d) -> (R, d, d)``, exactly 0 off the diagonal."""
+    d = v.shape[-1]
+    out = np.zeros((len(v), d * d))
+    out[:, :: d + 1] = v
+    return out.reshape(len(v), d, d)
+
+
 def _identity_coeffs(dim: int) -> Coefficients:
     eye = np.eye(dim)
-    return Coefficients(f=lambda x: np.zeros(dim), g=lambda x: eye)
+    return Coefficients(f=np.zeros_like, g=lambda x: np.tile(eye, (len(x), 1, 1)))
 
 
 def _zero_coeffs(dim: int) -> Coefficients:
-    zero = np.zeros((dim, dim))
-    return Coefficients(f=lambda x: np.zeros(dim), g=lambda x: zero)
+    return Coefficients(f=np.zeros_like, g=lambda x: np.zeros(x.shape + (dim,)))
 
 
 def _geometric_coeffs(dim: int) -> Coefficients:
-    return Coefficients(f=lambda x: np.zeros(dim), g=lambda x: np.diag(x))
+    return Coefficients(f=np.zeros_like, g=_diag)
 
 
 def _tanh_coeffs(dim: int) -> Coefficients:
     eye = np.eye(dim)
     return Coefficients(
         f=lambda x: 0.5 * np.tanh(x),
-        g=lambda x: eye + 0.3 * np.diag(np.tanh(x)),
+        g=lambda x: eye + 0.3 * _diag(np.tanh(x)),
     )
 
 
@@ -53,12 +61,15 @@ def _rotation2d_coeffs(dim: int) -> Coefficients:
     if dim != 2:
         raise UnknownKind("rotation2d coefficients require dimension 2")
 
-    def g(x: np.ndarray) -> np.ndarray:
-        return 0.4 * np.array(
-            [[np.cos(x[1]), -np.sin(x[1])], [np.sin(x[0]), np.cos(x[0])]]
-        )
+    def f(x: np.ndarray) -> np.ndarray:
+        return 0.3 * np.tanh(np.stack([-x[:, 1], x[:, 0]], axis=-1))
 
-    return Coefficients(f=lambda x: 0.3 * np.tanh(np.array([-x[1], x[0]])), g=g)
+    def g(x: np.ndarray) -> np.ndarray:
+        cos, sin = np.cos(x), np.sin(x)
+        rows = np.stack([cos[:, 1], -sin[:, 1], sin[:, 0], cos[:, 0]], axis=-1)
+        return 0.4 * rows.reshape(-1, 2, 2)
+
+    return Coefficients(f=f, g=g)
 
 
 COEFFICIENT_PRESETS = {

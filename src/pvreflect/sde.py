@@ -17,6 +17,11 @@ quantity with exact additivity in floating point.
 
 Both schemes advance by mesh 1/n on `pathcore.jump_adapted_times`; the
 adaptive one also stops at every driver/barrier jump larger than 1/n.
+`euler_batch` runs the recursion for R problems at once on an ``(R, d)``
+state: each time step is one numpy step, with one call of ``f`` and one of
+``g`` on the rows of every replicate whose own partition is not yet done, so
+each replicate gets exactly the values it would get alone.
+`euler_uniform` and `euler_adaptive` are its R = 1 case.
 `refinement_ladder` runs it at n0, 2*n0, ... with the sup-distance between
 successive iterates (on the coarser grid); `solve` stops the ladder once that
 drops below a tolerance.  No convergence rate is assumed.
@@ -38,6 +43,7 @@ from .errors import (
     InvalidP,
     InvalidParameter,
     NoConvergence,
+    PartitionOverflow,
 )
 from .pathcore import (STEP_CAP, StepPath, TimeGrid, _increment_norms, jump_adapted_times,
                        sup_norm, variation_norm)
@@ -50,6 +56,7 @@ __all__ = [
     "AprioriReport",
     "euler_uniform",
     "euler_adaptive",
+    "euler_batch",
     "refinement_ladder",
     "solve",
     "solution_gap",
@@ -60,11 +67,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Coefficients:
-    """Drift ``f: R^d -> R^d`` and noise ``g: R^d -> R^(d x d)``.
+    """Drift ``f: R^d -> R^d`` and noise ``g: R^d -> R^(d x d)``, on batches.
 
-    Nothing about their regularity is assumed or verified: every value is
-    checked for shape and finiteness when the scheme evaluates it, and the
-    solver simply reports non-convergence when the functions are too rough.
+    Both take states of shape ``(R, d)``, one row per replicate, with any
+    ``R >= 1``.  ``f`` returns ``(R, d)`` and ``g`` returns ``(R, d, d)``, row
+    ``r`` being the value at state row ``r``; a row's value must not depend
+    on the other rows.  Nothing about their regularity is assumed or
+    verified: every batch of values is checked for shape and finiteness when
+    the scheme evaluates it, and the solver simply reports non-convergence
+    when the functions are too rough.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -144,55 +155,117 @@ def _partition(horizon: float, n: int, jumps: np.ndarray, step_cap: int) -> np.n
     return np.append(times, horizon) if times[-1] < horizon else times
 
 
-def _eval_coefficient(func, point: np.ndarray, shape: tuple[int, ...], label: str):
-    value = np.asarray(func(point), dtype=float)
+def _eval_coefficient(func, states: np.ndarray, shape: tuple[int, ...], label: str):
+    value = np.asarray(func(states), dtype=float)
     if value.shape != shape:
         raise CoefficientEvaluationFailure(
-            f"{label}({point}) returned shape {value.shape}, expected {shape}"
+            f"{label} returned shape {value.shape} on states of shape "
+            f"{states.shape}, expected {shape}"
         )
     if not np.isfinite(value).all():
-        raise CoefficientEvaluationFailure(f"{label}({point}) is not finite")
+        raise CoefficientEvaluationFailure(f"{label} is not finite on states {states}")
     return value
 
 
-def _run_recursion(problem: Problem, times: np.ndarray, scheme: str, n: int) -> Solution:
-    d = problem.dim
-    a_s = problem.a.eval(times)[:, 0]
-    z_s = problem.z.eval(times)
-    l_s = problem.l.eval(times)
-    m = times.size
-    x = np.empty((m, d))
-    y = np.empty((m, d))
-    x[0] = problem.x0
-    y[0] = problem.x0
-    f, g = problem.coeffs.f, problem.coeffs.g
-    for j in range(1, m):
-        prev = x[j - 1]
-        fv = _eval_coefficient(f, prev, (d,), "f")
-        gv = _eval_coefficient(g, prev, (d, d), "g")
-        dy = fv * (a_s[j] - a_s[j - 1]) + gv @ (z_s[j] - z_s[j - 1])
-        x[j] = np.maximum(prev + dy, l_s[j])
-        y[j] = y[j - 1] + dy
-    grid = TimeGrid(times)
-    reflection = Reflection(
-        x=StepPath(grid, x),
-        k=StepPath(grid, x - y),
-        y=StepPath(grid, y),
-        l=StepPath(grid, l_s),
-    )
-    diagnostics = {
-        "sup_k": sup_norm(reflection.k),
-        "steps": float(m),
-    }
-    return Solution(reflection=reflection, scheme=scheme, n=n, diagnostics=diagnostics)
+def _run_recursion(problems: list[Problem], partitions: list[np.ndarray],
+                   scheme: str, n: int) -> list[Solution]:
+    d = problems[0].dim
+    sizes = np.array([times.size for times in partitions])
+    # slots hold the replicates longest partition first: at step j the
+    # replicates still running are the first c slots, c = #{sizes > j}
+    order = np.argsort(-sizes, kind="stable")
+    ends = sizes[order].tolist()
+    m = ends[0]
+    # row j - 1 holds the increments of step j and the barrier at its end
+    da = np.zeros((m - 1, len(problems), 1))
+    dz = np.zeros((m - 1, len(problems), d, 1))
+    l_end = np.zeros((m - 1, len(problems), d))
+    x = np.zeros((m, len(problems), d))
+    barriers = []
+    for slot, r in enumerate(order):
+        problem, times = problems[r], partitions[r]
+        l_s = problem.l.eval(times)
+        da[: times.size - 1, slot, 0] = np.diff(problem.a.eval(times)[:, 0])
+        dz[: times.size - 1, slot, :, 0] = np.diff(problem.z.eval(times), axis=0)
+        l_end[: times.size - 1, slot] = l_s[1:]
+        x[0, slot] = problem.x0
+        barriers.append(l_s)
+    y = x.copy()
+    f, g = problems[0].coeffs.f, problems[0].coeffs.g
+    start = 1
+    for c in range(len(problems), 0, -1):
+        # steps start .. ends[c - 1] - 1 advance exactly the first c slots
+        xs, ys, das, dzs, ls = x[:, :c], y[:, :c], da[:, :c], dz[:, :c], l_end[:, :c]
+        for j in range(start, ends[c - 1]):
+            prev = xs[j - 1]
+            fv = _eval_coefficient(f, prev, (c, d), "f")
+            gv = _eval_coefficient(g, prev, (c, d, d), "g")
+            dy = fv * das[j - 1] + (gv @ dzs[j - 1])[..., 0]
+            np.maximum(prev + dy, ls[j - 1], out=xs[j])
+            np.add(ys[j - 1], dy, out=ys[j])
+        start = ends[c - 1]
+    solutions = [None] * len(problems)
+    for slot, r in enumerate(order):
+        size = partitions[r].size
+        grid = TimeGrid(partitions[r])
+        xs, ys = x[:size, slot], y[:size, slot]
+        reflection = Reflection(
+            x=StepPath(grid, xs),
+            k=StepPath(grid, xs - ys),
+            y=StepPath(grid, ys),
+            l=StepPath(grid, barriers[slot]),
+        )
+        diagnostics = {
+            "sup_k": sup_norm(reflection.k),
+            "steps": float(size),
+        }
+        solutions[r] = Solution(reflection=reflection, scheme=scheme, n=n,
+                                diagnostics=diagnostics)
+    return solutions
+
+
+def euler_batch(problems, n: int, scheme: str = "adaptive",
+                step_cap: int = STEP_CAP) -> list[Solution]:
+    """One Euler recursion for several problems; one `Solution` per problem.
+
+    Each problem runs on its own partition of ``scheme`` (``"adaptive"`` or
+    ``"uniform"``) and gets the solution `euler_adaptive` or `euler_uniform`
+    gives it alone, bit for bit.  A time step advances every replicate whose
+    partition is not yet done with one call of ``f`` and one of ``g`` on
+    their ``(R, d)`` states, so every problem must carry the same
+    `Coefficients` object.  Raises :class:`PartitionOverflow` before the
+    batch arrays are allocated when R times the longest partition's step
+    count exceeds ``step_cap``.
+    """
+    problems = list(problems)
+    if n < 1:
+        raise InvalidParameter("n must be >= 1")
+    if scheme not in ("adaptive", "uniform"):
+        raise InvalidParameter(f"scheme must be adaptive or uniform, got {scheme!r}")
+    if not problems:
+        raise InvalidParameter("a batch needs at least one problem")
+    coeffs, d = problems[0].coeffs, problems[0].dim
+    if any(problem.coeffs is not coeffs for problem in problems):
+        raise InvalidParameter("a batch evaluates one Coefficients object; "
+                               "every problem must carry it")
+    if any(problem.dim != d for problem in problems):
+        raise DimensionMismatch("every problem of a batch must have one dimension")
+    partitions = []
+    steps = 0
+    for problem in problems:
+        jumps = _big_jump_times(problem, 1.0 / n) if scheme == "adaptive" else np.empty(0)
+        partitions.append(_partition(problem.horizon, n, jumps, step_cap))
+        steps = max(steps, partitions[-1].size - 1)
+        if len(problems) * steps > step_cap:
+            raise PartitionOverflow(
+                f"{len(problems)} replicates of up to {steps} steps exceed {step_cap}"
+            )
+    return _run_recursion(problems, partitions, scheme, n)
 
 
 def euler_uniform(problem: Problem, n: int) -> Solution:
     """Euler scheme on the uniform mesh-1/n partition of [0, horizon]."""
-    if n < 1:
-        raise InvalidParameter("n must be >= 1")
-    times = _partition(problem.horizon, n, np.empty(0), STEP_CAP)
-    return _run_recursion(problem, times, "uniform", n)
+    return euler_batch([problem], n, "uniform")[0]
 
 
 def euler_adaptive(problem: Problem, n: int, step_cap: int = STEP_CAP) -> Solution:
@@ -204,11 +277,7 @@ def euler_adaptive(problem: Problem, n: int, step_cap: int = STEP_CAP) -> Soluti
     Raises :class:`PartitionOverflow` when it would have more than
     ``step_cap`` points before the horizon.
     """
-    if n < 1:
-        raise InvalidParameter("n must be >= 1")
-    jumps = _big_jump_times(problem, 1.0 / n)
-    times = _partition(problem.horizon, n, jumps, step_cap)
-    return _run_recursion(problem, times, "adaptive", n)
+    return euler_batch([problem], n, "adaptive", step_cap)[0]
 
 
 def solution_gap(fine: Solution, coarse: Solution) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import tracemalloc
 from importlib import resources
@@ -7,6 +8,7 @@ import pytest
 
 from pvreflect import read_path_csv, write_path_csv
 from pvreflect.cli import CORRUPT_ENV, main
+from pvreflect.drivers import FBM_MAX_STEPS
 from pvreflect.pathcore import STEP_CAP
 
 
@@ -130,6 +132,25 @@ def test_simulate_driver_steps_cap_exits_2_before_allocating(tmp_path, capsys, b
     assert peak < 1 << 20
 
 
+def test_simulate_replicate_steps_cap_exits_2_before_allocating(tmp_path, capsys):
+    # each size is within its own cap; their product is not
+    steps = STEP_CAP // 4 + 1
+    rc, peak = run_cli_peak(["simulate", "--preset", "linear-reflected", "--replicates", "4",
+                             "--driver-steps", str(steps), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "error=UsageError" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+def test_simulate_fbm_steps_cap_exits_2_before_allocating(tmp_path, capsys):
+    rc, peak = run_cli_peak(["simulate", "--preset", "linear-reflected",
+                             "--driver-steps", str(FBM_MAX_STEPS + 1),
+                             "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "error=InvalidParameter" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
 def test_fbm_steps_cap_exits_2_before_allocating(tmp_path, capsys):
     rc, peak = run_cli_peak(["fbm", "--steps", str(STEP_CAP + 1),
                              "--out", str(tmp_path / "x.csv")])
@@ -151,6 +172,27 @@ def test_simulate_replicates_workers_identical(tmp_path):
     assert outs[0] == outs[1]
     header = outs[0].decode().splitlines()[0]
     assert header == "rep,t,x1,k1"
+
+
+#: sha256 of ``simulate --preset fbm-reflected --replicates 16 --n 1024 --seed S``
+#: as written when every replicate ran its own Euler loop.  fBm sampling's
+#: exp/expm1/log1p round differently on numpy's AVX-512 and AVX2 kernels, so
+#: each seed has the bytes of both.
+GOLDEN_REPLICATES_16 = {
+    1: {"22771b89201dae6d7600e43843f194d5d3b0a83d8a3af2fcec96fbc106a0d847",
+        "75321d9fba51fbe9efcae87a93fcb4119aebe85796b8571fdd95185f00d249ad"},
+    2: {"4230dd3005e90ac7bcbfe0f031c9a8299a3ffacaa41d28cda3dea86a1f534bdd",
+        "82aeceecf788b61823a25761b4705808cb78ac808bf389496f92c44e898b8679"},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_REPLICATES_16))
+def test_simulate_replicates_batch_bytes_are_golden(tmp_path, seed):
+    out = tmp_path / "ens.csv"
+    rc = run_cli(["simulate", "--preset", "fbm-reflected", "--replicates", "16",
+                  "--n", "1024", "--seed", str(seed), "--out", str(out)])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() in GOLDEN_REPLICATES_16[seed]
 
 
 def test_problem_field_overrides_from_config(tmp_path, capsys):

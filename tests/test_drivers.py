@@ -17,7 +17,8 @@ from pvreflect import (
     philox_stream,
     sample_fbm,
 )
-from pvreflect.drivers import CHOLESKY_MAX_STEPS, _circulant_eigenvalues, _fgn_autocov
+from pvreflect.drivers import (CHOLESKY_MAX_STEPS, FBM_MAX_STEPS, _circulant_eigenvalues,
+                               _fgn_autocov)
 from pvreflect.errors import (
     DimensionMismatch,
     GridMismatch,
@@ -151,6 +152,19 @@ def test_cholesky_cap_raises_before_allocating():
     try:
         with pytest.raises(InvalidParameter):
             sample_fbm(spec, method="cholesky")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_fbm_cap_raises_before_allocating():
+    # 2**20 + 1 steps would embed in 2**22 points: about 200 MB of arrays
+    spec = FbmSpec(hurst=0.75, steps=FBM_MAX_STEPS + 1, seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameter, match="capped"):
+            sample_fbm(spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from pvreflect import (
     a_priori_check,
     build_zh,
     euler_adaptive,
+    euler_batch,
     euler_uniform,
     make_barrier,
     make_fv_driver,
@@ -31,7 +34,7 @@ from pvreflect.errors import (
     NoConvergence,
     PartitionOverflow,
 )
-from pvreflect.presets import coefficient_preset
+from pvreflect.presets import PROBLEM_PRESETS, build_problem, coefficient_preset
 from pvreflect.pathcore import STEP_CAP
 from pvreflect.sde import _partition, refinement_ladder, solution_gap, with_vbar_p_x
 from pvreflect.drivers import philox_stream
@@ -152,7 +155,7 @@ def test_coefficient_failure_is_reported():
     prob = Problem(
         x0=[1.0], a=zero_a(), z=make_path([0, 1], [0, 1]),
         l=make_barrier("constant", level=0.0, horizon=1.0),
-        coeffs=Coefficients(f=lambda x: np.zeros(1), g=lambda x: np.full((1, 1), np.nan)),
+        coeffs=Coefficients(f=np.zeros_like, g=lambda x: np.full((len(x), 1, 1), np.nan)),
         p=2.0,
     )
     with pytest.raises(CoefficientEvaluationFailure):
@@ -297,6 +300,156 @@ def test_uniform_partition_ends_at_the_horizon():
 
 
 # ---------------------------------------------------------------------------
+# the batched recursion
+# ---------------------------------------------------------------------------
+
+def preset_batch(replicates, **fields):
+    """``fbm-reflected`` problems for replicates 0..R-1 sharing one Coefficients."""
+    preset = dataclasses.replace(PROBLEM_PRESETS["fbm-reflected"], **fields)
+    problems = [build_problem(preset, seed=7, replicate=r) for r in range(replicates)]
+    return [dataclasses.replace(p, coeffs=problems[0].coeffs) for p in problems]
+
+
+def _reference_euler(problem, times):
+    """The one-state-at-a-time loop the batched recursion replaced: (x, k)."""
+    f, g = problem.coeffs.f, problem.coeffs.g
+    a_s = problem.a.eval(times)[:, 0]
+    z_s = problem.z.eval(times)
+    l_s = problem.l.eval(times)
+    x = np.empty((times.size, problem.dim))
+    y = np.empty_like(x)
+    x[0] = y[0] = problem.x0
+    for j in range(1, times.size):
+        prev = x[j - 1]
+        dy = (f(prev[None])[0] * (a_s[j] - a_s[j - 1])
+              + g(prev[None])[0] @ (z_s[j] - z_s[j - 1]))
+        x[j] = np.maximum(prev + dy, l_s[j])
+        y[j] = y[j - 1] + dy
+    return x, x - y
+
+
+def assert_same_solution(got, expected):
+    for attr in ("x", "k", "y", "l"):
+        a, b = getattr(got.reflection, attr), getattr(expected.reflection, attr)
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.values.tobytes() == b.values.tobytes()
+    assert (got.scheme, got.n, got.diagnostics) == (expected.scheme, expected.n,
+                                                    expected.diagnostics)
+
+
+def assert_batch_is_per_replicate(problems, n, scheme="adaptive"):
+    alone = euler_adaptive if scheme == "adaptive" else euler_uniform
+    batch = euler_batch(problems, n, scheme)
+    assert len(batch) == len(problems)
+    for problem, sol in zip(problems, batch):
+        assert_same_solution(sol, alone(problem, n))
+        x, k = _reference_euler(problem, sol.x.times)
+        assert sol.x.values.tobytes() == x.tobytes()
+        assert sol.k.values.tobytes() == k.tobytes()
+    return batch
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_batch_equals_per_replicate_runs(n):
+    batch = assert_batch_is_per_replicate(preset_batch(16), n)
+    sizes = {sol.x.times.size for sol in batch}
+    if n < 1024:
+        assert len(sizes) > 1  # ragged: replicates stop at different steps
+
+
+@pytest.mark.parametrize("scheme", ["adaptive", "uniform"])
+@pytest.mark.parametrize("coefficients, dim", [
+    ("zero", 1), ("identity", 1), ("geometric", 1), ("tanh", 1),
+    ("zero", 2), ("identity", 2), ("geometric", 3), ("tanh", 2), ("rotation2d", 2),
+])
+def test_batch_equals_per_replicate_runs_every_preset(coefficients, dim, scheme):
+    problems = preset_batch(5, dim=dim, coefficients=coefficients, barrier="jump",
+                            driver_steps=256)
+    batch = assert_batch_is_per_replicate(problems, 64, scheme)
+    if scheme == "adaptive":  # the barrier's two jumps are steps of their own
+        assert {0.4, 0.7} <= set(batch[0].x.times.tolist())
+
+
+def test_batch_evaluates_exactly_the_per_replicate_states():
+    problems = preset_batch(6)
+    coeffs = problems[0].coeffs
+
+    def counting(seen, calls):
+        def wrap(label, func):
+            def call(x):
+                calls.append(len(x))
+                seen.extend((label, *row) for row in x.tolist())
+                return func(x)
+            return call
+        return Coefficients(f=wrap("f", coeffs.f), g=wrap("g", coeffs.g))
+
+    alone, alone_calls = [], []
+    for problem in problems:
+        euler_adaptive(dataclasses.replace(problem, coeffs=counting(alone, alone_calls)), 64)
+    batched, batched_calls = [], []
+    shared = counting(batched, batched_calls)
+    batch = euler_batch([dataclasses.replace(p, coeffs=shared) for p in problems], 64)
+    assert Counter(batched) == Counter(alone)
+    longest = max(sol.x.times.size for sol in batch)
+    assert len(batched_calls) == 2 * (longest - 1)
+    assert sum(batched_calls) == sum(alone_calls) == len(alone)
+
+
+def test_batch_coefficient_failures_are_reported():
+    problems = preset_batch(4)
+    coeffs = problems[0].coeffs
+
+    def nan_in_last_row(x):
+        out = coeffs.g(x)
+        out[-1, 0, 0] = np.nan
+        return out
+
+    bad = {
+        "shape": [Coefficients(f=lambda x: coeffs.f(x)[:, :1], g=coeffs.g),
+                  Coefficients(f=coeffs.f, g=lambda x: coeffs.g(x)[:, 0])],
+        "not finite": [Coefficients(f=lambda x: coeffs.f(x) / 0.0, g=coeffs.g),
+                       Coefficients(f=coeffs.f, g=nan_in_last_row)],
+    }
+    for match, variants in bad.items():
+        for variant in variants:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                with pytest.raises(CoefficientEvaluationFailure, match=match):
+                    euler_batch([dataclasses.replace(p, coeffs=variant) for p in problems], 64)
+
+
+def test_batch_requires_one_coefficients_object():
+    problems = preset_batch(3)
+    # equal, but another object: one batch evaluates one f and one g
+    other = dataclasses.replace(problems[2], coeffs=coefficient_preset("tanh", 2))
+    with pytest.raises(InvalidParameter, match="Coefficients"):
+        euler_batch(problems[:2] + [other], 64)
+    with pytest.raises(InvalidParameter):
+        euler_batch([], 64)
+
+
+def test_batch_step_cap_counts_every_replicate():
+    prob = fbm_problem(2, n_driver=64)
+    # 4 replicates of 8 uniform steps each are 32 steps
+    assert len(euler_batch([prob] * 4, 8, "uniform", step_cap=32)) == 4
+    with pytest.raises(PartitionOverflow):
+        euler_batch([prob] * 5, 8, "uniform", step_cap=32)
+
+
+def test_batch_overflow_raises_before_allocating():
+    # each partition has 5000 steps, far below the cap; 2001 of them are not
+    prob = fbm_problem(2, n_driver=64)
+    assert (STEP_CAP // 5000 + 1) * 5000 > STEP_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(PartitionOverflow):
+            euler_batch([prob] * (STEP_CAP // 5000 + 1), 5000, "uniform")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
 # refinement control
 # ---------------------------------------------------------------------------
 
@@ -410,10 +563,13 @@ def test_dimension_decoupling_block_diagonal():
     a = make_fv_driver("linear", horizon=1.0, steps=16)
 
     def g2(x):
-        return np.diag([np.cos(x[0]), 1.0 + 0.5 * np.tanh(x[1])])
+        out = np.zeros((len(x), 2, 2))
+        out[:, 0, 0] = np.cos(x[:, 0])
+        out[:, 1, 1] = 1.0 + 0.5 * np.tanh(x[:, 1])
+        return out
 
     def f2(x):
-        return np.array([0.3 * np.tanh(x[0]), -0.2 * np.tanh(x[1])])
+        return np.stack([0.3 * np.tanh(x[:, 0]), -0.2 * np.tanh(x[:, 1])], axis=-1)
 
     coeffs2 = Coefficients(f=f2, g=g2)
     l2 = make_barrier("constant", dim=2, level=(-0.5, -0.25), horizon=1.0)
@@ -423,10 +579,10 @@ def test_dimension_decoupling_block_diagonal():
     joint = euler_uniform(prob2, 32)
 
     for i in range(2):
-        gi = [lambda x: np.array([[np.cos(x[0])]]),
-              lambda x: np.array([[1.0 + 0.5 * np.tanh(x[0])]])][i]
-        fi = [lambda x: np.array([0.3 * np.tanh(x[0])]),
-              lambda x: np.array([-0.2 * np.tanh(x[0])])][i]
+        gi = [lambda x: np.cos(x)[:, :, None],
+              lambda x: (1.0 + 0.5 * np.tanh(x))[:, :, None]][i]
+        fi = [lambda x: 0.3 * np.tanh(x),
+              lambda x: -0.2 * np.tanh(x)][i]
         prob1 = Problem(
             x0=[[0.2, 0.4][i]], a=a, z=z.component(i),
             l=make_barrier("constant", dim=1, level=[-0.5, -0.25][i], horizon=1.0),
