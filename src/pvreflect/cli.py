@@ -31,7 +31,8 @@ import numpy as np
 
 from . import campaigns
 from .errors import NoConvergence, PvreflectError
-from .pathcore import CSV_FLOAT_FORMAT, STEP_CAP, p_variation, read_path_csv, write_path_csv
+from .pathcore import (CSV_FLOAT_FORMAT, STEP_CAP, _write_rows, p_variation, read_path_csv,
+                       write_path_csv)
 from .drivers import FbmSpec, sample_fbm
 from .presets import PROBLEM_PRESETS, ProblemPreset, build_problem
 from .sde import Solution, euler_batch, refinement_ladder, solve, with_vbar_p_x
@@ -127,22 +128,6 @@ def _solution_header(dim: int, with_rep: bool) -> str:
     return ",".join(prefix + ["t"] + cols)
 
 
-#: rows of a solution converted to Python floats at a time
-_CSV_CHUNK_ROWS = 1024
-
-
-def _solution_rows(fh, solution: Solution, replicate: int | None = None) -> None:
-    r = solution.reflection
-    prefix = "" if replicate is None else f"{replicate},"
-    row = prefix + ",".join([CSV_FLOAT_FORMAT] * (1 + 2 * r.x.dim)) + "\n"
-    table = np.column_stack([r.x.times, r.x.values, r.k.values])
-    # formatted from Python floats a chunk at a time: a float object and its
-    # list slot take 32 bytes against the array's 8
-    for start in range(0, len(table), _CSV_CHUNK_ROWS):
-        chunk = table[start:start + _CSV_CHUNK_ROWS].tolist()
-        fh.writelines(row % tuple(cells) for cells in chunk)
-
-
 def _write_diagnostics(fh, solution: Solution, replicate: int | None = None) -> None:
     tag = f" rep={replicate}" if replicate is not None else ""
     fh.write(f"#{tag} scheme={solution.scheme} n={solution.n}\n")
@@ -182,13 +167,14 @@ def cmd_simulate(args, cfg) -> int:
         coeffs = problems[0].coeffs
         problems = [dataclasses.replace(problem, coeffs=coeffs) for problem in problems]
         solutions = euler_batch(problems, n, scheme)
-    solutions = [with_vbar_p_x(sol, problem.p) for sol, problem in zip(solutions, problems)]
+    solutions = with_vbar_p_x(solutions, problems[0].p)
     # a single replicate is written without the rep column and tags
     tags = [None] if replicates == 1 else range(replicates)
     with _open_out(out_path) as fh:
         fh.write(_solution_header(solutions[0].x.dim, with_rep=replicates > 1) + "\n")
         for rep, sol in zip(tags, solutions):
-            _solution_rows(fh, sol, replicate=rep)
+            _write_rows(fh, np.column_stack([sol.x.times, sol.x.values, sol.k.values]),
+                        "" if rep is None else f"{rep},")
         for rep, sol in zip(tags, solutions):
             _write_diagnostics(fh, sol, replicate=rep)
     return 0
@@ -253,8 +239,8 @@ def cmd_pvar(args, cfg) -> int:
     if src is None:
         raise UsageError("pvar requires --input <csv>")
     p = float(_setting(args, cfg, "pvar", "p", 1.0, float))
-    if p < 1.0:
-        raise UsageError(f"p must be >= 1, got {p}")
+    if not 1.0 <= p < np.inf:
+        raise UsageError(f"p must be finite and >= 1, got {p}")
     a = _setting(args, cfg, "pvar", "a", None, float)
     b = _setting(args, cfg, "pvar", "b", None, float)
     path = read_path_csv(src)

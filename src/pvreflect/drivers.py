@@ -16,6 +16,7 @@ not depend on scheduling or worker counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -113,22 +114,31 @@ def _fgn_autocov(count: int, hurst: float) -> np.ndarray:
     Lag ``j >= 1`` is ``0.5 (|j+1|^2H - 2 j^2H + |j-1|^2H)``, written as
     ``0.5 j^2H (expm1(2H log1p(1/j)) + expm1(2H log1p(-1/j)))``: the direct
     second difference of powers near ``j^2H`` loses up to ``2 log10(j)``
-    digits to cancellation, this form about ``log10(j)``.
+    digits to cancellation, this form about ``log10(j)``.  Each lag is
+    computed with the C library's ``expm1``, ``log1p`` and ``pow``, whose
+    results do not depend on the SIMD kernels numpy dispatches to.
     """
-    j = np.arange(1, count, dtype=float)
     two_h = 2.0 * hurst
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at lag 1, expm1 -> -1
-        tail = 0.5 * j ** two_h * (np.expm1(two_h * np.log1p(1.0 / j))
-                                   + np.expm1(two_h * np.log1p(-1.0 / j)))
-    return np.concatenate([[1.0], tail])
+    expm1, log1p = math.expm1, math.log1p
+    # lag 1: log1p(-1) = -inf and expm1(-inf) = -1
+    gamma = [1.0, 0.5 * (expm1(two_h * log1p(1.0)) - 1.0)]
+    gamma += [0.5 * j ** two_h * (expm1(two_h * log1p(1.0 / j)) + expm1(two_h * log1p(-1.0 / j)))
+              for j in map(float, range(2, count))]
+    return np.asarray(gamma[:count])
 
 
+@lru_cache(maxsize=4)  # 2m floats each; every replicate of a run shares one
 def _circulant_eigenvalues(n: int, hurst: float) -> np.ndarray:
-    """Eigenvalues of the circulant embedding of ``n`` fGn increments, length 2m."""
+    """Eigenvalues of the circulant embedding of ``n`` fGn increments, length 2m.
+
+    Cached and read-only: every path of one size and Hurst index uses them.
+    """
     m = 1 << max(n - 1, 1).bit_length()
     gamma = _fgn_autocov(m + 1, hurst)
     row = np.concatenate([gamma, gamma[-2:0:-1]])  # circulant first row, length 2m
-    return np.fft.fft(row).real
+    lam = np.fft.fft(row).real
+    lam.setflags(write=False)
+    return lam
 
 
 def _fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
@@ -239,8 +249,8 @@ def empirical_pvar_profile(path: StepPath, p: float, levels) -> np.ndarray:
     small-scale contributions) and grows without bound for ``p < 1/H``; for
     ``p = 1`` it is nondecreasing in the level by the triangle inequality.
     """
-    if p < 1.0:
-        raise InvalidParameter(f"p must be >= 1, got {p}")
+    if not 1.0 <= p < np.inf:
+        raise InvalidParameter(f"p must be finite and >= 1, got {p}")
     n_steps = len(path.times) - 1
     out = []
     for level in levels:

@@ -13,14 +13,24 @@ breakpoint subsequences, which the dynamic program below computes.
 `jump_adapted_times` is the one "advance by mesh, stop at big jumps"
 partition, shared by `coarsen_jump_adapted` and both Euler schemes.
 
-The dynamic program is one kernel for every caller.  For a scalar window and
-p > 1 it first reduces the window to its end points and strict local extrema,
-dropping repeated values; this is exact, because an interior point of a
-monotone run only splits an increment into two of the same sign, and
-``|a + b|^p >= |a|^p + |b|^p`` for same-sign ``a, b`` and ``p >= 1``
+The dynamic program is one kernel for every caller, over a stack of windows;
+`p_variation` and `variation_norm` are its one-window case.  For a scalar
+window and p > 1 it first reduces the window to its end points and strict
+local extrema, dropping repeated values; this is exact, because an interior
+point of a monotone run only splits an increment into two of the same sign,
+and ``|a + b|^p >= |a|^p + |b|^p`` for same-sign ``a, b`` and ``p >= 1``
 (Butkus & Norvaisa, "Computation of p-variation", Lith. Math. J. 2018).
-It then advances a block of rows at a time, holding at most
-``_PVAR_BLOCK_CELLS`` point pairs in memory at once.
+The windows are then padded to the longest with copies of their last point,
+which adds zero increments and so leaves each window's result unchanged, and
+the stack advances a block of rows at a time, holding at most
+``_PVAR_BLOCK_CELLS`` point pairs in memory at once.  Earlier points far
+enough back come in chunks of 32 with a bounding ball (centre ``c``, radius
+``rho``; Frobenius for matrices, which bounds the operator norm).  Every
+candidate of row ``v_j`` in a chunk is at most the chunk's largest ``best``
+plus ``(|v_j - c| + rho)^p``; a chunk whose bound, raised by a rounding
+margin, stays below a candidate the row already reaches for every row of
+the block is skipped.  It cannot hold a row's maximum, and every kept cell
+is computed by the same operations, so results are the same to the last bit.
 
 Conventions:
 
@@ -38,6 +48,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -65,6 +76,7 @@ __all__ = [
     "p_variation",
     "p_variation_brute",
     "variation_norm",
+    "variation_norms",
     "running_max",
     "oscillation",
     "sup_norm",
@@ -313,10 +325,23 @@ def _window_values(path, window, include_right: bool = True) -> np.ndarray:
 # p-variation
 # ---------------------------------------------------------------------------
 
-#: most point pairs (block rows x earlier points) the DP holds at once
+#: most point pairs the DP holds at once, for one window or a stack of them
 _PVAR_BLOCK_CELLS = 1 << 14
 #: rows the DP advances per block; the rest of the cap goes to columns
 _PVAR_BLOCK_ROWS = 64
+#: most windows advanced together; each holds a block of rows x (rows + 2)
+#: distances while its rows advance
+_PVAR_STACK_WINDOWS = 64
+#: earlier points per ball of the branch and bound
+_PVAR_CHUNK = 32
+#: the bound applies to row blocks with more earlier points than this; with
+#: fewer, computing every pair costs less than bounding them
+_PVAR_BOUND_FROM = 256
+#: absolute slack of the bound: covers squares that underflow in a distance
+#: (at most ``sqrt(D) * 2^-537``) and sums that round in the subnormal range
+_PVAR_BOUND_FLOOR = 2.0 ** -500
+#: distances below this have no square that overflows
+_PVAR_BOUND_REACH = 2.0 ** 510
 
 
 def _pvar_block_shape(m: int) -> tuple[int, int]:
@@ -337,54 +362,197 @@ def _local_extrema(vals: np.ndarray) -> np.ndarray:
     return vals[np.concatenate(([0], idx[turns], [idx[-1]]))]
 
 
-def _pvar_dp(vals: np.ndarray, p: float) -> float:
-    """Max of sum |increments|^p over subsequences anchored at both ends.
+def _chunk_balls(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre and radius of each full ``_PVAR_CHUNK``-point chunk of ``(..., m, D)`` points.
 
-    ``best[j] = max_{i<j} best[i] + |v_j - v_i|^p`` with ``best[0] = 0``.
-    Rows are advanced a block at a time: first against every earlier point
-    outside the block, one column chunk at a time, then one row at a time
-    against the rows of the block before it.  Each distance is the norm of
-    the increment raised to ``p`` and each sum adds one distance to one
-    ``best``, as a row-by-row loop would, so the result does not depend on
-    the blocking.
+    The centre is the midpoint of the chunk's bounding box; the radius is the
+    largest Euclidean (for matrices: Frobenius) distance of a point to it.
     """
-    m = vals.shape[0]
-    if m < 2:
-        return 0.0
-    matrix = vals.ndim == 3
-    if p == 1.0:
-        # triangle equality: keep every breakpoint
-        return float(np.sum(_increment_norms(np.diff(vals, axis=0), matrix)))
-    if vals[0].size == 1:
-        vals = _local_extrema(vals)
-        m = vals.shape[0]
+    q = flat.shape[-2] // _PVAR_CHUNK
+    pts = flat[..., : q * _PVAR_CHUNK, :].reshape(*flat.shape[:-2], q, _PVAR_CHUNK, flat.shape[-1])
+    # halves first: the midpoint of two finite values stays finite
+    centres = 0.5 * pts.min(axis=-2) + 0.5 * pts.max(axis=-2)
+    radii = _increment_norms(pts - centres[..., None, :]).max(axis=-1)
+    return centres, radii
+
+
+def _chunk_bounds(rows: np.ndarray, centres: np.ndarray, radii: np.ndarray,
+                  top: np.ndarray, p: float) -> np.ndarray:
+    """Upper bounds ``(..., n, Q)`` on the DP candidates of rows against chunks.
+
+    Row ``v_j`` (``rows`` is ``(..., n, D)``) against a chunk with ball
+    ``(c, rho)`` and largest ``best`` value ``top``: every candidate
+    ``best[i] + |v_j - v_i|^p`` is at most ``top + (|v_j - c| + rho)^p``, by
+    the triangle inequality and because the operator norm is at most the
+    Frobenius norm.  The bound is raised by a relative margin that covers
+    the rounding of both sides, which grows with ``p`` and the component
+    count ``D``, and by ``_PVAR_BOUND_FLOOR`` for the subnormal range.
+    Where a distance could overflow in its squares the bound is infinite.
+    """
+    slack = 16.0 * (p + 1.0) * (rows.shape[-1] + 4) * np.finfo(float).eps
+    reach = _increment_norms(rows[..., :, None, :] - centres[..., None, :, :])
+    reach += radii[..., None, :] + _PVAR_BOUND_FLOOR
+    bound = np.where(reach < _PVAR_BOUND_REACH, top[..., None, :] + reach ** p, np.inf)
+    return bound * (1.0 + slack) + _PVAR_BOUND_FLOOR
+
+
+def _kept_chunks(points: np.ndarray, rows: np.ndarray, best: np.ndarray, centres: np.ndarray,
+                 radii: np.ndarray, p: float, shape: tuple[int, ...]) -> np.ndarray:
+    """Mask ``(B, Q)`` of the full chunks of earlier points that a row block may need.
+
+    ``points`` ``(B, r0, D)`` are the earlier points with their final
+    ``best``, ``rows`` ``(B, n, D)`` the block's.  ``best`` never decreases
+    along a window, because the previous point is always a candidate, so a
+    chunk's largest ``best`` is at its last point.  Each row's candidate
+    from the last point of every chunk and from the last earlier point is
+    a value the row reaches.  A chunk whose bound stays below that for
+    every row of the block cannot hold a row's maximum.
+    """
+    full = radii.shape[1]
+    at = np.append(np.arange(1, full + 1) * _PVAR_CHUNK - 1, points.shape[1] - 1)
+    # the same differences, norms, powers and sums as the DP's own cells
+    diffs = rows[:, :, None, :] - points[:, None, at, :]
+    reached = _increment_norms(diffs.reshape(*diffs.shape[:3], *shape), len(shape) == 2) ** p
+    reached += best[:, None, at]
+    bound = _chunk_bounds(rows, centres, radii, best[:, at[:-1]], p)
+    return (bound >= reached.max(axis=2)[..., None]).any(axis=1)
+
+
+def _slices(n: int, step: int) -> list[slice]:
+    """``0..n`` in slices of at most ``step``."""
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def _dist_p(here: np.ndarray, there: np.ndarray, p: float, shape: tuple[int, ...]) -> np.ndarray:
+    """``|v_j - v_i|^p`` of components ``(B, D, n)`` against ``(B, D, C)``, ``(B, n, C)``."""
+    diffs = (here[..., :, None] - there[..., None, :]).transpose(0, 2, 3, 1)
+    return _increment_norms(diffs.reshape(*diffs.shape[:3], *shape), len(shape) == 2) ** p
+
+
+def _column_max(here: np.ndarray, there: np.ndarray, prior: np.ndarray, p: float,
+                shape: tuple[int, ...]) -> np.ndarray:
+    """Each row's best candidate ``prior[i] + |v_j - v_i|^p`` over the columns ``there``."""
+    sums = _dist_p(here, there, p, shape)
+    sums += prior[:, None, :]
+    return np.maximum.reduce(sums, axis=2)
+
+
+def _pvar_stack(windows: list[np.ndarray], p: float) -> list[float]:
+    """``best[m - 1]`` of each window of one value shape, longest window first.
+
+    The windows are padded to the longest with copies of their last point:
+    a repeated point adds a zero increment, so ``best`` at a padded row
+    equals ``best[m - 1]`` bit for bit, and rows after a window's end feed
+    none of its own rows.  A window drops out of the stack once its rows
+    are done, so the windows still running form a prefix.
+    """
+    shape = windows[0].shape[1:]
+    ends = [w.shape[0] for w in windows]
+    flat = np.empty((len(windows), ends[0], math.prod(shape)))
+    for b, w in enumerate(windows):
+        flat[b, : ends[b]] = w.reshape(ends[b], -1)
+        if ends[b] < ends[0]:
+            flat[b, ends[b] :] = flat[b, ends[b] - 1]
     # one row per component keeps each component's block differences contiguous
-    comps = np.ascontiguousarray(vals.reshape(m, -1).T)
-
-    def dist_p(r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-        diffs = (comps[:, r0:r1, None] - comps[:, None, c0:c1]).transpose(1, 2, 0)
-        diffs = diffs.reshape(r1 - r0, c1 - c0, *vals.shape[1:])
-        return _increment_norms(diffs, matrix) ** p
-
-    rows, cols = _pvar_block_shape(m)
-    best = np.zeros(m)
-    for r0 in range(1, m, rows):
-        r1 = min(r0 + rows, m)
-        # column 0: best over the points before the block; then the block itself
-        block = np.empty((r1 - r0, r1 - r0 + 1))
+    comps = np.ascontiguousarray(flat.transpose(0, 2, 1))
+    if ends[0] > _PVAR_BOUND_FROM:
+        centres, radii = _chunk_balls(flat)
+    rows, cols = _pvar_block_shape(ends[0])
+    best = np.zeros(flat.shape[:2])
+    live = len(ends)
+    for r0 in range(1, ends[0], rows):
+        r1 = min(r0 + rows, ends[0])
+        while ends[live - 1] <= r0:
+            live -= 1
+        here = comps[:live, :, r0:r1]
+        # block[k, 0] is row r0 + k's best over the points before r0 - 1 and
+        # block[k, 1 + i] its distance to point r0 - 1 + i; the last axis is
+        # the window
+        block = np.empty((r1 - r0, r1 - r0 + 2, live))
         block[:, 0] = -np.inf
-        for c0 in range(0, r0, cols):
-            c1 = min(c0 + cols, r0)
-            sums = dist_p(r0, r1, c0, c1)
-            sums += best[c0:c1]
-            np.maximum(block[:, 0], sums.max(axis=1), out=block[:, 0])
-        block[:, 1:] = dist_p(r0, r1, r0, r1)
-        # head[0] = 0 passes column 0 through; head[1 + k] is best[r0 + k]
-        head = np.zeros(r1 - r0 + 1)
+        first = block[:, 0].T
+        start = 0
+        if r0 > _PVAR_BOUND_FROM:
+            # kept (window, chunk) pairs in window order, a bounded number at a time
+            full = (r0 - 1) // _PVAR_CHUNK
+            start = full * _PVAR_CHUNK
+            step = max(_PVAR_BLOCK_CELLS // ((r1 - r0) * (full + 1)), 1)
+            wins, chunks = np.nonzero(np.concatenate([_kept_chunks(
+                flat[w, :r0], flat[w, r0:r1], best[w, :r0], centres[w, :full], radii[w, :full],
+                p, shape) for w in _slices(live, step)]))
+            pts = comps[:live, :, :start].reshape(live, -1, full, _PVAR_CHUNK)
+            prior = best[:live, :start].reshape(live, full, _PVAR_CHUNK)
+            step = max(cols // _PVAR_CHUNK, 1)
+            for k in range(0, wins.size, step):
+                b, q = wins[k : k + step], chunks[k : k + step]
+                top = _column_max(here[b], pts[b, :, q], prior[b, q], p, shape)
+                hit, at = np.unique(b, return_index=True)
+                first[hit] = np.maximum(first[hit], np.maximum.reduceat(top, at, axis=0))
+        width = max(cols // live, 1)
+        for c0 in range(start, r0 - 1, width):
+            c1 = min(c0 + width, r0 - 1)
+            top = _column_max(here, comps[:live, :, c0:c1], best[:live, c0:c1], p, shape)
+            np.maximum(first, top, out=first)
+        for w in _slices(live, max(_PVAR_BLOCK_CELLS // ((r1 - r0) * (r1 - r0 + 1)), 1)):
+            dist = _dist_p(here[w], comps[w, :, r0 - 1 : r1], p, shape)
+            block[:, 1:, w] = dist.transpose(1, 2, 0)
+        # head[0] = 0 passes column 0 through, head[1 + i] is best[r0 - 1 + i];
+        # axis and out go by position, as keywords cost a tenth of a row
+        head = np.zeros((r1 - r0 + 2, live))
+        head[1] = best[:live, r0 - 1]
         for k in range(r1 - r0):
-            head[k + 1] = (head[: k + 1] + block[k, : k + 1]).max()
-        best[r0:r1] = head[1:]
-    return float(best[-1])
+            np.maximum.reduce(head[: k + 2] + block[k, : k + 2], 0, None, head[k + 2])
+        best[:live, r0:r1] = head[2:].T
+    return [float(best[b, end - 1]) for b, end in enumerate(ends)]
+
+
+def _pvar_dp(windows: Sequence[np.ndarray], p: float) -> list[float]:
+    """Max of sum |increments|^p over subsequences anchored at both ends, per window.
+
+    ``best[j] = max_{i<j} best[i] + |v_j - v_i|^p`` with ``best[0] = 0``, for
+    every window of one value shape.  Scalar windows with p > 1 are first
+    reduced to their extrema.  Up to ``_PVAR_STACK_WINDOWS`` windows are
+    stacked, longest first, and rows are advanced a block of
+    ``_PVAR_BLOCK_ROWS`` at a time for the whole stack, in pieces of at most
+    ``_PVAR_BLOCK_CELLS`` point pairs:
+
+    * against the earlier points before the block's previous point.  Once
+      a block has more than ``_PVAR_BOUND_FROM`` of them they come in
+      chunks of ``_PVAR_CHUNK``, and a chunk is skipped by branch and bound
+      (see `_kept_chunks`) when no row of the block can reach a candidate
+      already computed;
+    * then against the block's previous point and its own rows, one row at
+      a time for all windows at once.
+
+    Each distance is the norm of the increment raised to ``p`` and each sum
+    adds one distance to one ``best``, as a row-by-row loop would, and a
+    skipped chunk cannot hold a row's maximum.  So the result depends
+    neither on the blocking, nor on the stack, nor on the pruning.
+    """
+    out = [0.0] * len(windows)
+    stack = []
+    for b, vals in enumerate(windows):
+        if p == 1.0:
+            # triangle equality: keep every breakpoint
+            out[b] = float(np.sum(_increment_norms(np.diff(vals, axis=0), vals.ndim == 3)))
+            continue
+        if vals[0].size == 1:
+            vals = _local_extrema(vals)
+        if vals.shape[0] > 1:
+            stack.append((b, vals))
+    # longest first: the windows still running at a row are a prefix
+    stack.sort(key=lambda item: -item[1].shape[0])
+    for g0 in range(0, len(stack), _PVAR_STACK_WINDOWS):
+        ids, vals = zip(*stack[g0 : g0 + _PVAR_STACK_WINDOWS])
+        for b, value in zip(ids, _pvar_stack(list(vals), p)):
+            out[b] = value
+    return out
+
+
+def _check_p(p) -> float:
+    if not 1.0 <= p < np.inf:
+        raise InvalidP(f"p must be finite and >= 1, got {p}")
+    return float(p)
 
 
 def p_variation(path, p: float, window=None) -> float:
@@ -397,12 +565,16 @@ def p_variation(path, p: float, window=None) -> float:
     interior point of a monotone run splits an increment into two of the
     same sign, and ``|a + b|^p >= |a|^p + |b|^p`` for those (Butkus &
     Norvaisa, "Computation of p-variation", Lith. Math. J. 2018), so n counts
-    the extrema only.  The program holds at most ``_PVAR_BLOCK_CELLS`` point
-    pairs at a time.  Degenerate windows yield 0.
+    the extrema only.  Earlier points far enough back are then grouped in
+    chunks of ``_PVAR_CHUNK`` inside a ball (Frobenius for matrices).  A
+    chunk whose bound, raised by a rounding margin, stays below a candidate
+    that every row of a block already reaches is skipped, which cannot
+    change the maximum (see `_kept_chunks`).  This is the one-window case of
+    the stacked program that `variation_norms` runs on several paths.  The
+    program holds at most ``_PVAR_BLOCK_CELLS`` point pairs at a time.
+    Degenerate windows yield 0.  ``p`` must be finite and at least 1.
     """
-    if p < 1.0:
-        raise InvalidP(f"p must be >= 1, got {p}")
-    return _pvar_dp(_window_values(path, window), float(p))
+    return _pvar_dp([_window_values(path, window)], _check_p(p))[0]
 
 
 def p_variation_brute(path, p: float, window=None) -> float:
@@ -413,8 +585,7 @@ def p_variation_brute(path, p: float, window=None) -> float:
     in the window size; windows with more than 16 points are refused.  Kept
     as an independent cross-check for the dynamic program.
     """
-    if p < 1.0:
-        raise InvalidP(f"p must be >= 1, got {p}")
+    p = _check_p(p)
     vals = _window_values(path, window)
     m = vals.shape[0]
     if m > 16:
@@ -438,17 +609,27 @@ def p_variation_brute(path, p: float, window=None) -> float:
     return best
 
 
+def variation_norms(paths, p: float, window=None, include_right: bool = True) -> list[float]:
+    """Variation norm ``(v_p)^(1/p) + |x_a|`` of each path over one window.
+
+    One stacked dynamic program serves every path; the paths must share a
+    value shape.  Each norm equals `variation_norm` of its path bit for bit.
+    """
+    p = _check_p(p)
+    windows = [_window_values(path, window, include_right=include_right) for path in paths]
+    if len({vals.shape[1:] for vals in windows}) > 1:
+        raise LengthMismatch("paths of one stacked DP must share a value shape")
+    return [pvar ** (1.0 / p) + float(_increment_norms(vals[0], vals.ndim == 3))
+            for vals, pvar in zip(windows, _pvar_dp(windows, p))]
+
+
 def variation_norm(path, p: float, window=None, include_right: bool = True) -> float:
     """Variation norm ``(v_p)^(1/p) + |x_a|`` over the window.
 
     ``include_right=False`` computes the half-open variant on ``[a, b)``,
     used for integrand norms in the Stieltjes bound.
     """
-    if p < 1.0:
-        raise InvalidP(f"p must be >= 1, got {p}")
-    vals = _window_values(path, window, include_right=include_right)
-    anchor = float(_increment_norms(vals[0], vals.ndim == 3))
-    return _pvar_dp(vals, float(p)) ** (1.0 / p) + anchor
+    return variation_norms([path], p, window, include_right)[0]
 
 
 def running_max(path: StepPath) -> StepPath:
@@ -567,15 +748,23 @@ def coarsen_jump_adapted(path: StepPath, delta: float, mesh: float) -> StepPath:
 # CSV path format: header t,x1,...,xd; one row per breakpoint, sorted by t
 # ---------------------------------------------------------------------------
 
+#: table rows held as Python floats at a time (32 bytes each against 8)
+_CSV_CHUNK_ROWS = 1024
+
+
+def _write_rows(fh, table: np.ndarray, prefix: str = "") -> None:
+    """Write each row of a 2-D table as ``prefix`` and its cells, one format per row."""
+    row = prefix + ",".join([CSV_FLOAT_FORMAT] * table.shape[1]) + "\n"
+    for start in range(0, len(table), _CSV_CHUNK_ROWS):
+        fh.writelines(row % tuple(cells) for cells in table[start : start + _CSV_CHUNK_ROWS].tolist())
+
+
 def write_path_csv(path: StepPath, dest) -> None:
     """Write a path as ``t,x1,...,xd`` rows with 17 significant digits."""
 
     def _write(fh) -> None:
-        header = "t," + ",".join(f"x{i + 1}" for i in range(path.dim))
-        fh.write(header + "\n")
-        for t, row in zip(path.times, path.values):
-            cells = [CSV_FLOAT_FORMAT % t] + [CSV_FLOAT_FORMAT % v for v in row]
-            fh.write(",".join(cells) + "\n")
+        fh.write("t," + ",".join(f"x{i + 1}" for i in range(path.dim)) + "\n")
+        _write_rows(fh, np.column_stack([path.times, path.values]))
 
     if hasattr(dest, "write"):
         _write(dest)

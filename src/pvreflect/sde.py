@@ -46,7 +46,7 @@ from .errors import (
     PartitionOverflow,
 )
 from .pathcore import (STEP_CAP, StepPath, TimeGrid, _increment_norms, jump_adapted_times,
-                       sup_norm, variation_norm)
+                       sup_norm, variation_norm, variation_norms)
 from .skorokhod import Reflection
 
 __all__ = [
@@ -97,8 +97,8 @@ class Problem:
     def __post_init__(self) -> None:
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         object.__setattr__(self, "x0", x0)
-        if self.p < 1.0:
-            raise InvalidP(f"p must be >= 1, got {self.p}")
+        if not 1.0 <= self.p < np.inf:
+            raise InvalidP(f"p must be finite and >= 1, got {self.p}")
         if self.a.dim != 1:
             raise DimensionMismatch("finite-variation driver a must be scalar")
         d = x0.size
@@ -291,15 +291,18 @@ def solution_gap(fine: Solution, coarse: Solution) -> float:
     return max(gaps)
 
 
-def with_vbar_p_x(solution: Solution, p: float) -> Solution:
-    """The solution with ``vbar_p_x``, the variation norm of x, in its diagnostics.
+def with_vbar_p_x(solutions, p: float) -> list[Solution]:
+    """The solutions with ``vbar_p_x``, the variation norm of x, in their diagnostics.
 
-    The schemes leave it out, because `solve` discards every level but the
-    last and a refinement ladder reports none; callers compute it only for
-    the solutions they report.
+    One stacked p-variation DP serves every solution.  The schemes leave the
+    norm out, because `solve` discards every level but the last and a
+    refinement ladder reports none; callers compute it only for the
+    solutions they report.
     """
-    diagnostics = dict(solution.diagnostics, vbar_p_x=variation_norm(solution.x, p))
-    return replace(solution, diagnostics=diagnostics)
+    solutions = list(solutions)
+    norms = variation_norms([solution.x for solution in solutions], p)
+    return [replace(solution, diagnostics=dict(solution.diagnostics, vbar_p_x=norm))
+            for solution, norm in zip(solutions, norms)]
 
 
 def refinement_ladder(problem: Problem, n0: int, step_cap: int = STEP_CAP):

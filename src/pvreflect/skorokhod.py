@@ -29,7 +29,7 @@ import numpy as np
 
 from .checks import InequalityCheck, check
 from .errors import BarrierAboveStart, DimensionMismatch
-from .pathcore import StepPath, align, sup_norm, variation_norm
+from .pathcore import StepPath, align, sup_norm, variation_norms
 
 __all__ = ["Reflection", "EstimateReport", "solve_sp", "check_estimates"]
 
@@ -153,17 +153,18 @@ def check_estimates(y: StepPath, l: StepPath, y2: StepPath, l2: StepPath,
     dy = ya - y2a
     dl = la - l2a
 
-    vb = lambda path: variation_norm(path, p)
+    # the paths share one grid and dimension, so one stacked DP serves them
+    vb_dx, vb_dk, vb_dy, vb_dl, vb_k1, vb_k2 = variation_norms([dx, dk, dy, dl, r1.k, r2.k], p)
     checks = (
-        check("state_vbar_lipschitz", vb(dx), (d + 1) * vb(dy) + d * vb(dl)),
-        check("regulator_vbar_lipschitz", vb(dk), d * vb(dy) + d * vb(dl)),
+        check("state_vbar_lipschitz", vb_dx, (d + 1) * vb_dy + d * vb_dl),
+        check("regulator_vbar_lipschitz", vb_dk, d * vb_dy + d * vb_dl),
         check("state_sup_lipschitz", _uniform_norm(dx),
               2.0 * _uniform_norm(dy) + _uniform_norm(dl)),
         check("regulator_sup_lipschitz", _uniform_norm(dk),
               _uniform_norm(dy) + _uniform_norm(dl)),
-        check("regulator_vbar_bound", vb(r1.k),
+        check("regulator_vbar_bound", vb_k1,
               d * (sup_norm(ya) + sup_norm(la))),
-        check("regulator_vbar_bound_2", vb(r2.k),
+        check("regulator_vbar_bound_2", vb_k2,
               d * (sup_norm(y2a) + sup_norm(l2a))),
     )
     return EstimateReport(p=float(p), dim=d, checks=checks)

@@ -51,8 +51,8 @@ class YoungBound:
 
     @classmethod
     def for_exponents(cls, p: float, q: float) -> "YoungBound":
-        if p < 1.0 or q < 1.0:
-            raise InvalidExponents(f"exponents must be >= 1, got p={p}, q={q}")
+        if not (1.0 <= p < np.inf and 1.0 <= q < np.inf):
+            raise InvalidExponents(f"exponents must be finite and >= 1, got p={p}, q={q}")
         s = 1.0 / p + 1.0 / q
         if s <= 1.0:
             return cls(p=float(p), q=float(q), constant=float("nan"), valid=False)

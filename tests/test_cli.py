@@ -175,14 +175,12 @@ def test_simulate_replicates_workers_identical(tmp_path):
 
 
 #: sha256 of ``simulate --preset fbm-reflected --replicates 16 --n 1024 --seed S``
-#: as written when every replicate ran its own Euler loop.  fBm sampling's
-#: exp/expm1/log1p round differently on numpy's AVX-512 and AVX2 kernels, so
-#: each seed has the bytes of both.
+#: as written when every replicate ran its own Euler loop, with the fGn
+#: covariance from the C library's expm1/log1p/pow: the same bytes whatever
+#: SIMD kernels numpy dispatches to.
 GOLDEN_REPLICATES_16 = {
-    1: {"22771b89201dae6d7600e43843f194d5d3b0a83d8a3af2fcec96fbc106a0d847",
-        "75321d9fba51fbe9efcae87a93fcb4119aebe85796b8571fdd95185f00d249ad"},
-    2: {"4230dd3005e90ac7bcbfe0f031c9a8299a3ffacaa41d28cda3dea86a1f534bdd",
-        "82aeceecf788b61823a25761b4705808cb78ac808bf389496f92c44e898b8679"},
+    1: "75321d9fba51fbe9efcae87a93fcb4119aebe85796b8571fdd95185f00d249ad",
+    2: "82aeceecf788b61823a25761b4705808cb78ac808bf389496f92c44e898b8679",
 }
 
 
@@ -192,7 +190,7 @@ def test_simulate_replicates_batch_bytes_are_golden(tmp_path, seed):
     rc = run_cli(["simulate", "--preset", "fbm-reflected", "--replicates", "16",
                   "--n", "1024", "--seed", str(seed), "--out", str(out)])
     assert rc == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() in GOLDEN_REPLICATES_16[seed]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPLICATES_16[seed]
 
 
 def test_problem_field_overrides_from_config(tmp_path, capsys):
@@ -210,6 +208,16 @@ def test_problem_field_overrides_from_config(tmp_path, capsys):
     assert run_cli(["simulate", "--config", str(bad),
                     "--out", str(tmp_path / "x.csv")]) == 2
     assert "error=UnknownKind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", ["nan", "inf", "0.5"])
+def test_simulate_non_finite_or_small_p_exits_2(tmp_path, capsys, p):
+    cfg = tmp_path / "p.ini"
+    cfg.write_text(f"[problem]\npreset = linear-reflected\np = {p}\nn = 16\n")
+    out = tmp_path / "p.csv"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "error=InvalidP" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -285,8 +293,9 @@ def test_pvar_of_bundled_zigzag(capsys):
 
 def test_pvar_rejects_bad_exponent_and_csv(tmp_path, capsys):
     fixture = resources.files("pvreflect") / "data" / "zigzag.csv"
-    assert run_cli(["pvar", "--input", str(fixture), "--p", "0.5"]) == 2
-    assert "error=UsageError" in capsys.readouterr().err
+    for bad in ("0.5", "nan", "inf"):
+        assert run_cli(["pvar", "--input", str(fixture), "--p", bad]) == 2
+        assert "error=UsageError" in capsys.readouterr().err
     bad = tmp_path / "bad.csv"
     bad.write_text("nope\n1,2\n")
     assert run_cli(["pvar", "--input", str(bad), "--p", "1"]) == 2
@@ -323,6 +332,26 @@ def test_verify_small_run_passes(tmp_path):
     lines = out.read_text().splitlines()
     body = [l for l in lines[1:] if not l.startswith("summary")]
     assert all(l.endswith(",1") for l in body)
+
+
+#: sha256 of ``verify --cases 20 --seed S``, which runs the p-variation DP on
+#: scalar, vector (d = 2, 3) and matrix windows.  numpy's AVX-512 ``pow``
+#: rounds ``x ** 1.5`` differently from the AVX2 one in the last bit, which
+#: moves a few printed digits of the p = 1.5 checks, so each seed has the
+#: bytes of both.
+GOLDEN_VERIFY_20 = {
+    1: {"da2f7e9163aaa9557e00925cb7321416b7767f68772b8be57ddef4a023c50f78",
+        "9e83080d933c4abe7223b8d725604e2ab66255b1da5d6038878ad8fe8b85633a"},
+    2: {"9889257d2020b11bf3985667d4518bee78951717cc0826011caa4c1df5b155af",
+        "e6c6ecd57ecece76ba86559ed78d856060cfdfc5169e49c6e5c42d0457089d9d"},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_VERIFY_20))
+def test_verify_bytes_are_golden(tmp_path, seed):
+    out = tmp_path / "v.csv"
+    assert run_cli(["verify", "--cases", "20", "--seed", str(seed), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() in GOLDEN_VERIFY_20[seed]
 
 
 def test_verify_corrupted_solver_exits_1(tmp_path, monkeypatch):

@@ -134,6 +134,14 @@ def test_circulant_spectrum_nonnegative_on_grid():
     assert worst >= -1e-10
 
 
+def test_circulant_spectrum_is_cached_read_only():
+    lam = _circulant_eigenvalues(1000, 0.7)
+    assert _circulant_eigenvalues(1000, 0.7) is lam
+    assert not lam.flags.writeable
+    with pytest.raises(ValueError):
+        lam[0] = 0.0
+
+
 def test_near_unit_hurst_uses_the_circulant_sampler():
     spec = FbmSpec(hurst=1 - 1e-7, steps=4096, seed=8)
     path = sample_fbm(spec)
@@ -236,6 +244,9 @@ def test_profile_divisibility_validation():
     path = make_path(np.linspace(0, 1, 8), np.zeros(8))  # 7 steps
     with pytest.raises(InvalidParameter):
         empirical_pvar_profile(path, 2.0, levels=[1])
+    for bad in (0.5, np.nan, np.inf):
+        with pytest.raises(InvalidParameter):
+            empirical_pvar_profile(path, bad, levels=[0])
 
 
 def test_profile_regimes_for_noise_path():

@@ -22,6 +22,7 @@ from pvreflect import (
     variation_norm,
     write_path_csv,
 )
+from pvreflect.pathcore import variation_norms
 from pvreflect.errors import (
     InvalidP,
     InvalidParameter,
@@ -31,12 +32,17 @@ from pvreflect.errors import (
     NonFiniteValue,
     NonMonotoneGrid,
 )
+from pvreflect import pathcore
 from pvreflect.drivers import FbmSpec, sample_fbm
 from pvreflect.pathcore import (
     _PVAR_BLOCK_CELLS,
+    _PVAR_CHUNK,
+    _chunk_balls,
+    _chunk_bounds,
     _increment_norms,
     _local_extrema,
     _pvar_block_shape,
+    _pvar_dp,
 )
 from conftest import random_step_path
 
@@ -128,9 +134,23 @@ def test_pvariation_zigzag():
 
 def test_pvariation_invalid_p_and_empty_window():
     p = make_path([0, 1], [0, 1])
-    with pytest.raises(InvalidP):
-        p_variation(p, 0.5)
+    for bad in (0.5, math.nan, math.inf):
+        for func in (p_variation, p_variation_brute, variation_norm):
+            with pytest.raises(InvalidP):
+                func(p, bad)
     assert p_variation(p, 2.0, Interval(0.5, 0.5)) == 0.0
+
+
+def test_variation_norms_stack_paths_of_one_value_shape():
+    zig = make_path([0, 1, 2], [0, 1, 0])
+    line = make_path([0, 1], [2, 4])
+    assert variation_norms([zig, line, zig], 2.0) == [
+        variation_norm(zig, 2.0), variation_norm(line, 2.0), variation_norm(zig, 2.0)]
+    assert variation_norms([], 2.0) == []
+    with pytest.raises(LengthMismatch):
+        variation_norms([zig, make_path([0, 1], [(0, 0), (1, 1)])], 2.0)
+    with pytest.raises(LengthMismatch):
+        variation_norms([make_path([0.0], [1.0]), make_matrix_path([0.0], 1.0)], 2.0)
 
 
 def test_variation_norm_examples():
@@ -185,16 +205,85 @@ def _pvar_row_by_row(vals, p):
     return float(best[-1])
 
 
+@pytest.fixture
+def kept_chunks(monkeypatch):
+    """Kept and bounded (row block, chunk) pairs of the DP's branch and bound."""
+    counts = [0, 0]
+    bound = pathcore._kept_chunks
+
+    def spy(*args):
+        mask = bound(*args)
+        counts[0] += int(mask.sum())
+        counts[1] += mask.size
+        return mask
+
+    monkeypatch.setattr(pathcore, "_kept_chunks", spy)
+    return counts
+
+
 @pytest.mark.parametrize("shape", [(2,), (3,), (2, 2)])
 @pytest.mark.parametrize("p", [1.5, 2.0])
-def test_pvariation_blocks_match_row_by_row_dp(shape, p, rng):
+def test_pvariation_blocks_match_row_by_row_dp(shape, p, rng, kept_chunks):
     rows, cols = _pvar_block_shape(10 ** 6)
-    # several row blocks, and more earlier points than one column chunk holds
+    # several row blocks, more earlier points than one column chunk holds,
+    # and row blocks with enough earlier points for the bound
     m = cols + 2 * rows + 3
     vals = np.cumsum(rng.normal(size=(m, *shape)), axis=0)
     build = make_path if len(shape) == 1 else make_matrix_path
     path = build(np.arange(m, dtype=float), vals)
     assert p_variation(path, p) == _pvar_row_by_row(vals, p)
+    assert 0 < kept_chunks[0] < kept_chunks[1]
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (3,), (2, 2)])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_pvariation_stack_matches_per_window_dp(shape, p, rng, kept_chunks):
+    # ragged lengths: windows the bound prunes, one of a single row block,
+    # and windows of two points and of one
+    windows = [np.cumsum(rng.normal(size=(m, *shape)), axis=0)
+               for m in (700, 451, 300, 90, 2, 1)]
+    stacked = _pvar_dp(windows, p)
+    if len(shape) > 1 or shape[0] > 1:
+        assert 0 < kept_chunks[0] < kept_chunks[1]
+    assert stacked == [_pvar_dp([w], p)[0] for w in windows]
+    # the DP runs on a scalar window's extrema
+    reduced = [_local_extrema(w) if w[0].size == 1 else w for w in windows]
+    assert stacked == [_pvar_row_by_row(w, p) for w in reduced]
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-165, 1e153, 1e200])
+@pytest.mark.parametrize("shape", [(2,), (2, 2)])
+def test_pvariation_pruning_is_exact_where_squares_underflow_or_overflow(scale, shape, rng):
+    # squares of increments fall into the subnormal range or overflow to inf
+    vals = np.cumsum(rng.normal(size=(420, *shape)), axis=0) * scale
+    with np.errstate(over="ignore", under="ignore"):
+        for p in (1.5, 2.0):
+            assert _pvar_dp([vals], p) == [_pvar_row_by_row(vals, p)]
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (3,), (2, 2)])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_chunk_bounds_cover_every_candidate(shape, p, rng):
+    # On one line the triangle inequality is an equality, so the bound on a
+    # chunk is tight but for rounding; the rows lie past every chunk and the
+    # point farthest from them holds the chunk's largest best.  Matrices on
+    # one line have rank one, where the operator and Frobenius norms agree.
+    if len(shape) == 2:
+        direction = np.outer(rng.normal(size=shape[0]), rng.normal(size=shape[1])).ravel()
+    else:
+        direction = rng.normal(size=shape[0])
+    chunks, rows = 40, 64
+    along = rng.uniform(-1.0, 1.0, size=(chunks * _PVAR_CHUNK, 1))
+    points = rng.normal(size=direction.size) + along * direction
+    here = points[:1] + rng.uniform(2.0, 3.0, size=(rows, 1)) * direction
+    best = np.abs(rng.normal(size=chunks * _PVAR_CHUNK)) + (1.0 - along[:, 0])
+    centres, radii = _chunk_balls(points)
+    top = best.reshape(chunks, _PVAR_CHUNK).max(axis=1)
+    bound = _chunk_bounds(here, centres, radii, top, p)
+    # every candidate as the DP computes it
+    diffs = here[:, None, :] - points[None, :, :]
+    cand = _increment_norms(diffs.reshape(rows, -1, *shape), len(shape) == 2) ** p + best
+    assert (bound >= cand.reshape(rows, chunks, _PVAR_CHUNK).max(axis=2)).all()
 
 
 @pytest.mark.parametrize("m", [2, 100, 70_000])

@@ -30,6 +30,7 @@ from pvreflect.errors import (
     CoefficientEvaluationFailure,
     DimensionMismatch,
     InadmissibleStart,
+    InvalidP,
     InvalidParameter,
     NoConvergence,
     PartitionOverflow,
@@ -77,6 +78,9 @@ def test_problem_validation():
     with pytest.raises(DimensionMismatch):
         Problem(x0=[0.0], a=make_path([0, 1], [(0, 0), (1, 1)]), z=z, l=l,
                 coeffs=identity_coeffs(), p=2.0)
+    for bad in (0.5, math.nan, math.inf):
+        with pytest.raises(InvalidP):
+            Problem(x0=[1.0], a=zero_a(), z=z, l=l, coeffs=identity_coeffs(), p=bad)
     # horizon inferred from driver end times
     prob = Problem(x0=[1.0], a=zero_a(2.0), z=z, l=l, coeffs=identity_coeffs(), p=2.0)
     assert prob.horizon == 2.0
@@ -477,11 +481,26 @@ def test_solve_geometric_converges():
     assert abs(sol.x.eval(1.0)[0] - math.e) < 1e-2
 
 
+def test_vbar_p_x_stacked_equals_each_solution_alone():
+    # fBm replicates stop at different big jumps, so the windows are ragged,
+    # and long enough for the DP's bound
+    problems = [fbm_problem(seed=7, d=2, n_driver=512)]
+    coeffs = problems[0].coeffs
+    problems += [dataclasses.replace(fbm_problem(seed=s, d=2, n_driver=512), coeffs=coeffs)
+                 for s in (8, 9, 10)]
+    solutions = euler_batch(problems, 200)
+    assert len({sol.x.values.shape[0] for sol in solutions}) > 1
+    reported = with_vbar_p_x(solutions, 2.0)
+    for sol, rep in zip(solutions, reported):
+        assert rep.diagnostics["vbar_p_x"] == variation_norm(sol.x, 2.0)
+        assert rep.reflection is sol.reflection
+
+
 def test_vbar_p_x_only_for_the_reported_solution():
     prob = fbm_problem(seed=5, d=2)
     sol = solve(prob, tol=1e-2, n0=16)
     assert "vbar_p_x" not in sol.diagnostics
-    reported = with_vbar_p_x(sol, prob.p)
+    (reported,) = with_vbar_p_x([sol], prob.p)
     assert reported.diagnostics["vbar_p_x"] == variation_norm(sol.x, prob.p)
     assert reported.diagnostics["cauchy_gap"] == sol.diagnostics["cauchy_gap"]
     assert reported.reflection is sol.reflection

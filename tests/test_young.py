@@ -69,6 +69,11 @@ def test_young_bound_exponents():
     assert not bad.valid
     with pytest.raises(InvalidExponents):
         YoungBound.for_exponents(0.5, 1.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidExponents):
+            YoungBound.for_exponents(bad, 1.5)
+        with pytest.raises(InvalidExponents):
+            YoungBound.for_exponents(1.5, bad)
 
 
 # ---------------------------------------------------------------------------
