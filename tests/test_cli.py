@@ -193,6 +193,22 @@ def test_simulate_replicates_batch_bytes_are_golden(tmp_path, seed):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPLICATES_16[seed]
 
 
+#: sha256 of the benchmark's ``refine`` run: ``simulate --preset fbm-reflected
+#: --dimension 1 --driver-steps 8192 --tol 1e-4 --n 64 --seed 1``, an 8-level
+#: refinement ladder of single-replicate Euler runs, as written by the
+#: one-step-at-a-time recursion, with AVX-512 dispatch on and off.
+GOLDEN_REFINE = "58d304b77c90377ffd41cb671610e5d0c59579ba22277ee72f387cd405bda3c7"
+
+
+def test_simulate_refine_bytes_are_golden(tmp_path):
+    out = tmp_path / "refine.csv"
+    rc = run_cli(["simulate", "--preset", "fbm-reflected", "--dimension", "1",
+                  "--driver-steps", "8192", "--tol", "1e-4", "--n", "64", "--seed", "1",
+                  "--out", str(out)])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REFINE
+
+
 def test_problem_field_overrides_from_config(tmp_path, capsys):
     cfg = tmp_path / "custom.ini"
     cfg.write_text(
