@@ -256,8 +256,16 @@ def cmd_pvar(args, cfg) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise `UsageError`, so that they exit 2
+    with an ``error=`` line like every other usage error."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}\n{self.format_usage().rstrip()}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pvreflect",
         description="reflected differential equations driven by bounded "
                     "p-variation paths",
@@ -317,9 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _load_config(args.config)
         return args.func(args, cfg)
     except NoConvergence as exc:

@@ -3,7 +3,7 @@
 Presets keep the command line free of expression parsing: every simulate or
 convergence run names a coefficient preset, a barrier preset and a driver
 preset, all of which are plain Python factories below.  Coefficient presets
-take states of shape ``(R, d)``, as `sde.Coefficients` describes.
+take states of shape ``(N, d)``, as `sde.Coefficients` describes.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ __all__ = [
 
 
 def _diag(v: np.ndarray) -> np.ndarray:
-    """``np.diag`` of each row: ``(R, d) -> (R, d, d)``, exactly 0 off the diagonal."""
+    """``np.diag`` of each row: ``(N, d) -> (N, d, d)``, exactly 0 off the diagonal."""
     d = v.shape[-1]
     out = np.zeros((len(v), d * d))
     out[:, :: d + 1] = v
@@ -50,10 +50,10 @@ def _geometric_coeffs(dim: int) -> Coefficients:
 
 
 def _tanh_coeffs(dim: int) -> Coefficients:
-    eye = np.eye(dim)
+    # I + 0.3 diag(tanh x), adding only on the diagonal: 0 + 0.3 * 0 is 0
     return Coefficients(
         f=lambda x: 0.5 * np.tanh(x),
-        g=lambda x: eye + 0.3 * _diag(np.tanh(x)),
+        g=lambda x: _diag(1.0 + 0.3 * np.tanh(x)),
     )
 
 

@@ -17,11 +17,18 @@ quantity with exact additivity in floating point.
 
 Both schemes advance by mesh 1/n on `pathcore.jump_adapted_times`; the
 adaptive one also stops at every driver/barrier jump larger than 1/n.
-`euler_batch` runs the recursion for R problems at once on an ``(R, d)``
-state: each time step is one numpy step, with one call of ``f`` and one of
-``g`` on the rows of every replicate whose own partition is not yet done, so
-each replicate gets exactly the values it would get alone.
-`euler_uniform` and `euler_adaptive` are its R = 1 case.
+`euler_batch` runs the recursion for R problems at once, in sweeps that
+each call ``f`` and ``g`` once on a window of rows of every replicate: its
+last exact row, then guessed rows.  The step ``max(x + dy, l)`` from a row
+is exact when the row is, and a replicate commits its rows up to the first
+guess that differs in its bits from the step from the row before it.  The
+map ``x = Gamma(x0 + sum f(x) da + g(x) dz)``, with ``Gamma`` the running-max
+reflection, contracts on windows where the driver varies little (the
+source paper's Lipschitz estimate for ``Gamma`` in p-variation), so the
+guesses, rebuilt each sweep from the new increments, settle a window at a
+time; a sweep commits at least one row of each replicate whatever they do.
+Each replicate therefore gets, bit for bit, the values the one-step loop
+gives it alone.  `euler_uniform` and `euler_adaptive` are its R = 1 case.
 `refinement_ladder` runs it at n0, 2*n0, ... with the sup-distance between
 successive iterates (on the coarser grid); `solve` stops the ladder once that
 drops below a tolerance.  No convergence rate is assumed.
@@ -69,13 +76,17 @@ __all__ = [
 class Coefficients:
     """Drift ``f: R^d -> R^d`` and noise ``g: R^d -> R^(d x d)``, on batches.
 
-    Both take states of shape ``(R, d)``, one row per replicate, with any
-    ``R >= 1``.  ``f`` returns ``(R, d)`` and ``g`` returns ``(R, d, d)``, row
-    ``r`` being the value at state row ``r``; a row's value must not depend
-    on the other rows.  Nothing about their regularity is assumed or
-    verified: every batch of values is checked for shape and finiteness when
-    the scheme evaluates it, and the solver simply reports non-convergence
-    when the functions are too rough.
+    Both take states of shape ``(N, d)``, one row per state, with any
+    ``N >= 1``.  ``f`` returns ``(N, d)`` and ``g`` returns ``(N, d, d)``, row
+    ``i`` being the value at state row ``i``.  A row's value must not depend
+    on the other rows, bit for bit: the scheme evaluates the same state in
+    batches of different sizes.  The scheme also evaluates them at guessed
+    states that are not on the solution's path, so both must be defined on
+    all of R^d; a value that is not finite there is never used.  Nothing
+    about their regularity is assumed or verified: every batch is checked
+    for shape, a value that is not finite at a state of the path raises
+    `CoefficientEvaluationFailure`, and the solver simply reports
+    non-convergence when the functions are too rough.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -155,6 +166,10 @@ def _partition(horizon: float, n: int, jumps: np.ndarray, step_cap: int) -> np.n
     return np.append(times, horizon) if times[-1] < horizon else times
 
 
+#: the most rows one sweep of `_run_recursion` evaluates, over all replicates
+_SWEEP_ROWS = 1024
+
+
 def _eval_coefficient(func, states: np.ndarray, shape: tuple[int, ...], label: str):
     value = np.asarray(func(states), dtype=float)
     if value.shape != shape:
@@ -162,62 +177,147 @@ def _eval_coefficient(func, states: np.ndarray, shape: tuple[int, ...], label: s
             f"{label} returned shape {value.shape} on states of shape "
             f"{states.shape}, expected {shape}"
         )
-    if not np.isfinite(value).all():
-        raise CoefficientEvaluationFailure(f"{label} is not finite on states {states}")
     return value
+
+
+def _next_width(width: int, replicates: int, commit: int) -> int:
+    """Double the window after a sweep that commits a sixteenth of its rows,
+    halve it after one that commits less than a sixty-fourth; a sweep
+    evaluates at most `_SWEEP_ROWS` rows, or one per replicate."""
+    rows = width * replicates
+    if commit * 16 >= rows:
+        return min(2 * width, max(1, _SWEEP_ROWS // replicates))
+    return max(width // 2, 1) if commit * 64 < rows else width
+
+
+def _sweep_guesses(start: np.ndarray, step: np.ndarray, l_rows: np.ndarray):
+    """The guesses a sweep leaves, ``(R, W, d)``: each replicate's increments
+    summed from its exact row and reflected at the barrier by the running
+    maximum of the deficit, as the Skorokhod map does.  Also whether any sum
+    fell below the barrier; until one does, the guesses are the loop's steps
+    bit for bit.  Sums in ``step``."""
+    step[:, 0] += start
+    sums = np.add.accumulate(step, axis=1, out=step)
+    deficit = l_rows - sums
+    reflected = (deficit > 0.0).any()
+    if reflected:
+        sums += np.maximum(np.maximum.accumulate(deficit, axis=1, out=deficit), 0.0)
+    return np.maximum(sums, l_rows, out=sums), reflected
 
 
 def _run_recursion(problems: list[Problem], partitions: list[np.ndarray],
                    scheme: str, n: int) -> list[Solution]:
+    """The Euler recursion of every problem, bit for bit, in sweeps.
+
+    A sweep evaluates ``f`` and ``g`` once, on a window of ``width`` rows of
+    every replicate not yet done: its last exact row, then the guesses that
+    earlier sweeps left, then copies of its last guess.  From each evaluated
+    row it takes the loop's step ``max(x + dy, l)``, which is exact whenever
+    that row is.  A replicate commits its rows up to the first guess that
+    differs in its bits from the step taken from its predecessor (the step
+    itself is still exact), so every sweep commits at least one row per
+    replicate.  The uncommitted rows get new guesses from the running sums
+    of the new increments.  `_next_width` sizes the windows from what the
+    sweeps commit.
+    """
     d = problems[0].dim
+    count = len(problems)
     sizes = np.array([times.size for times in partitions])
-    # slots hold the replicates longest partition first: at step j the
-    # replicates still running are the first c slots, c = #{sizes > j}
-    order = np.argsort(-sizes, kind="stable")
-    ends = sizes[order].tolist()
-    m = ends[0]
-    # row j - 1 holds the increments of step j and the barrier at its end
-    da = np.zeros((m - 1, len(problems), 1))
-    dz = np.zeros((m - 1, len(problems), d, 1))
-    l_end = np.zeros((m - 1, len(problems), d))
-    x = np.zeros((m, len(problems), d))
+    m = int(sizes.max())
+    # replicate r owns rows r * m .. r * m + m - 1; its row j holds x_j, dy_j,
+    # and the increments of step j + 1 with the barrier at its end.  The row
+    # after them all takes what windows reaching past a replicate's end write
+    scratch = count * m
+    da = np.zeros((scratch + 1, 1))
+    dz = np.zeros((scratch + 1, d, 1))
+    l_next = np.zeros((scratch + 1, d))
+    x = np.zeros((scratch + 1, d))
+    dy = np.zeros((scratch + 1, d))
     barriers = []
-    for slot, r in enumerate(order):
-        problem, times = problems[r], partitions[r]
+    for r, (problem, times) in enumerate(zip(problems, partitions)):
         l_s = problem.l.eval(times)
-        da[: times.size - 1, slot, 0] = np.diff(problem.a.eval(times)[:, 0])
-        dz[: times.size - 1, slot, :, 0] = np.diff(problem.z.eval(times), axis=0)
-        l_end[: times.size - 1, slot] = l_s[1:]
-        x[0, slot] = problem.x0
+        steps = slice(r * m, r * m + times.size - 1)
+        da[steps, 0] = np.diff(problem.a.eval(times)[:, 0])
+        dz[steps, :, 0] = np.diff(problem.z.eval(times), axis=0)
+        l_next[steps] = l_s[1:]
+        x[r * m] = dy[r * m] = problem.x0
         barriers.append(l_s)
-    y = x.copy()
     f, g = problems[0].coeffs.f, problems[0].coeffs.g
-    start = 1
-    for c in range(len(problems), 0, -1):
-        # steps start .. ends[c - 1] - 1 advance exactly the first c slots
-        xs, ys, das, dzs, ls = x[:, :c], y[:, :c], da[:, :c], dz[:, :c], l_end[:, :c]
-        for j in range(start, ends[c - 1]):
-            prev = xs[j - 1]
-            fv = _eval_coefficient(f, prev, (c, d), "f")
-            gv = _eval_coefficient(g, prev, (c, d, d), "g")
-            dy = fv * das[j - 1] + (gv @ dzs[j - 1])[..., 0]
-            np.maximum(prev + dy, ls[j - 1], out=xs[j])
-            np.add(ys[j - 1], dy, out=ys[j])
-        start = ends[c - 1]
-    solutions = [None] * len(problems)
-    for slot, r in enumerate(order):
-        size = partitions[r].size
-        grid = TimeGrid(partitions[r])
-        xs, ys = x[:size, slot], y[:size, slot]
+    # one opaque item per row, so that copying rows by index moves each once
+    row = np.dtype((np.void, x.itemsize * d))
+    x_rows, dy_rows = x.view(row)[:, 0], dy.view(row)[:, 0]
+    # the replicates not yet done: rows up to done hold the exact recursion,
+    # rows past held hold no value yet, and last is the row of the last step
+    last = np.arange(count) * m + sizes - 2
+    done = last - sizes + 2
+    held = done.copy()
+    width = 1
+    while done.size:
+        rows = done[:, None] + np.arange(width)
+        targets = rows + 1
+        overrun = (done + (width - 1) > last).any()
+        if overrun:
+            targets[rows > last[:, None]] = scratch
+            np.minimum(rows, last[:, None], out=rows)
+        states = x.take(np.minimum(rows, held[:, None]).ravel(), axis=0)
+        fv = _eval_coefficient(f, states, (rows.size, d), "f")
+        gv = _eval_coefficient(g, states, (rows.size, d, d), "g")
+        # the arithmetic on guessed rows may overflow; the sequential
+        # recursion only ever sees the committed rows
+        with np.errstate(all="ignore"):
+            flat = rows.ravel()
+            step = fv * da.take(flat, axis=0) + (gv @ dz.take(flat, axis=0))[..., 0]
+            l_rows = l_next.take(flat, axis=0)
+            exact = np.maximum(states + step, l_rows)
+            # differs[r, j]: the guess of row j + 1 is not the step from row j
+            differs = np.ones(states.size, dtype=bool)
+            np.not_equal(states.view(np.int64).ravel()[d:],
+                         exact.view(np.int64).ravel()[:-d], out=differs[:-d])
+            differs = differs.reshape(*rows.shape, d)
+            stop = differs[..., 0]
+            for i in range(1, d):
+                stop = stop | differs[..., i]
+            if overrun:
+                stop = stop | (rows == last[:, None])
+            stop[:, -1] = True
+            commit = stop.argmax(axis=1) + 1
+            committed = np.arange(width) < commit[:, None]
+            if not np.isfinite(fv.sum() + gv.sum()):
+                finite = np.isfinite(fv).all(axis=1)
+                bad = np.flatnonzero(committed.ravel()
+                                     & ~(finite & np.isfinite(gv).all(axis=(1, 2))))
+                if bad.size:
+                    raise CoefficientEvaluationFailure(
+                        f"{'g' if finite[bad[0]] else 'f'} is not finite on state "
+                        f"{states[bad[0]]}")
+            exact, step = exact.reshape(*rows.shape, d), step.reshape(*rows.shape, d)
+            dy_rows[targets[committed]] = step[committed].view(row)[:, 0]
+            guess, reflected = _sweep_guesses(x.take(done, axis=0), step,
+                                              l_rows.reshape(*rows.shape, d))
+            if reflected:
+                guess[committed] = exact[committed]
+            x_rows[targets.ravel()] = guess.reshape(-1, d).view(row)[:, 0]
+        held = np.maximum(held, np.minimum(done + width, last + 1))
+        done = done + commit
+        width = _next_width(width, done.size, int(commit.sum()))
+        running = done <= last
+        if not running.all():
+            done, held, last = done[running], held[running], last[running]
+    x, y = x[:scratch].reshape(count, m, d), dy[:scratch].reshape(count, m, d)
+    np.add.accumulate(y, axis=1, out=y)  # the running sums of dy from y_0 = x0
+    solutions = [None] * count
+    for r, times in enumerate(partitions):
+        grid = TimeGrid(times)
+        xs, ys = x[r, :times.size], y[r, :times.size]
         reflection = Reflection(
             x=StepPath(grid, xs),
             k=StepPath(grid, xs - ys),
             y=StepPath(grid, ys),
-            l=StepPath(grid, barriers[slot]),
+            l=StepPath(grid, barriers[r]),
         )
         diagnostics = {
             "sup_k": sup_norm(reflection.k),
-            "steps": float(size),
+            "steps": float(times.size),
         }
         solutions[r] = Solution(reflection=reflection, scheme=scheme, n=n,
                                 diagnostics=diagnostics)
@@ -230,12 +330,16 @@ def euler_batch(problems, n: int, scheme: str = "adaptive",
 
     Each problem runs on its own partition of ``scheme`` (``"adaptive"`` or
     ``"uniform"``) and gets the solution `euler_adaptive` or `euler_uniform`
-    gives it alone, bit for bit.  A time step advances every replicate whose
-    partition is not yet done with one call of ``f`` and one of ``g`` on
-    their ``(R, d)`` states, so every problem must carry the same
-    `Coefficients` object.  Raises :class:`PartitionOverflow` before the
-    batch arrays are allocated when R times the longest partition's step
-    count exceeds ``step_cap``.
+    gives it alone, bit for bit: the one-step loop's.  Each sweep of the
+    recursion (see `_run_recursion`) makes one call of ``f`` and one of
+    ``g`` on a window of rows of every replicate not yet done, so every
+    problem must carry the same `Coefficients` object; there are at most as
+    many sweeps as the longest partition has steps.  Raises
+    :class:`PartitionOverflow` before the batch arrays are allocated when R
+    times the longest partition's step count exceeds ``step_cap``, and
+    :class:`CoefficientEvaluationFailure` when ``f`` or ``g`` returns the
+    wrong shape, or a value that is not finite at a state of a solution,
+    where the loop would stop.
     """
     problems = list(problems)
     if n < 1:

@@ -320,6 +320,30 @@ def test_pvar_rejects_bad_exponent_and_csv(tmp_path, capsys):
     assert "error=FileNotFoundError" in capsys.readouterr().err
 
 
+ZIGZAG = str(resources.files("pvreflect") / "data" / "zigzag.csv")
+
+
+@pytest.mark.parametrize("argv", [
+    ["pvar", "--input", ZIGZAG, "--p", "-inf"],  # argparse reads -inf as an option
+    ["pvar", "--input", ZIGZAG, "--p", "abc"],
+    ["simulate", "--no-such-flag"],
+    [],
+], ids=["p-minus-inf", "p-not-a-number", "unknown-flag", "no-subcommand"])
+def test_argument_errors_exit_2_with_error_line(argv, capsys):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == "error=UsageError"
+    assert "usage: pvreflect" in err
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["pvar", "--help"]):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(argv)
+        assert exit_info.value.code == 0
+        assert "usage: pvreflect" in capsys.readouterr().out
+
+
 def test_pvar_window(tmp_path, capsys):
     fixture = resources.files("pvreflect") / "data" / "zigzag.csv"
     rc = run_cli(["pvar", "--input", str(fixture), "--p", "1",

@@ -1,7 +1,7 @@
 import dataclasses
 import math
+import re
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -374,29 +374,135 @@ def test_batch_equals_per_replicate_runs_every_preset(coefficients, dim, scheme)
         assert {0.4, 0.7} <= set(batch[0].x.times.tolist())
 
 
-def test_batch_evaluates_exactly_the_per_replicate_states():
+def recording(coeffs, calls, seen=None):
+    """``coeffs`` with every call's row count in ``calls`` and, if given,
+    the bytes of every evaluated state in ``seen``."""
+    def wrap(func):
+        def call(x):
+            calls.append(len(x))
+            if seen is not None:
+                seen.update(row.tobytes() for row in x)
+            return func(x)
+        return call
+    return Coefficients(f=wrap(coeffs.f), g=wrap(coeffs.g))
+
+
+def test_batch_evaluates_every_path_state():
     problems = preset_batch(6)
-    coeffs = problems[0].coeffs
-
-    def counting(seen, calls):
-        def wrap(label, func):
-            def call(x):
-                calls.append(len(x))
-                seen.extend((label, *row) for row in x.tolist())
-                return func(x)
-            return call
-        return Coefficients(f=wrap("f", coeffs.f), g=wrap("g", coeffs.g))
-
-    alone, alone_calls = [], []
-    for problem in problems:
-        euler_adaptive(dataclasses.replace(problem, coeffs=counting(alone, alone_calls)), 64)
-    batched, batched_calls = [], []
-    shared = counting(batched, batched_calls)
+    calls, seen = [], set()
+    shared = recording(problems[0].coeffs, calls, seen)
     batch = euler_batch([dataclasses.replace(p, coeffs=shared) for p in problems], 64)
-    assert Counter(batched) == Counter(alone)
+    for problem, sol in zip(problems, batch):
+        # each committed row is the loop's step from its own path state ...
+        x, k = _reference_euler(problem, sol.x.times)
+        assert sol.x.values.tobytes() == x.tobytes()
+        assert sol.k.values.tobytes() == k.tobytes()
+        # ... and that state is among the rows f and g saw
+        assert all(state.tobytes() in seen for state in x[:-1])
     longest = max(sol.x.times.size for sol in batch)
-    assert len(batched_calls) == 2 * (longest - 1)
-    assert sum(batched_calls) == sum(alone_calls) == len(alone)
+    assert len(calls) % 2 == 0 and len(calls) // 2 <= longest - 1
+
+
+# ---------------------------------------------------------------------------
+# the sweeps: bit for bit the loop, wherever the guesses go
+# ---------------------------------------------------------------------------
+
+def assert_sweeps_are_the_loop(problems, n, scheme="adaptive"):
+    """Each problem's batched solution is `_reference_euler` bit for bit, in
+    no more sweeps (one f and one g call each) than the longest run's steps."""
+    calls = []
+    shared = recording(problems[0].coeffs, calls)
+    batch = euler_batch([dataclasses.replace(p, coeffs=shared) for p in problems], n, scheme)
+    for problem, sol in zip(problems, batch):
+        x, k = _reference_euler(problem, sol.x.times)
+        assert sol.x.values.tobytes() == x.tobytes()
+        assert sol.k.values.tobytes() == k.tobytes()
+    sweeps = len(calls) // 2
+    assert sweeps <= max(sol.x.times.size for sol in batch) - 1
+    return batch, sweeps
+
+
+def test_sweeps_on_a_chattering_batch():
+    # the solutions keep touching the barrier, each at its own steps
+    problems = preset_batch(16, coefficients="tanh", dim=2, barrier="zero", x0=0.05)
+    batch, sweeps = assert_sweeps_are_the_loop(problems, 4096)
+    touches = [int((np.diff(sol.k.values, axis=0) > 0).any(axis=1).sum()) for sol in batch]
+    assert sum(touches) > 2000 and sum(t > 0 for t in touches) >= 12
+    assert sweeps < 4096 // 4
+
+
+def test_sweeps_through_a_long_stretch_pinned_at_the_barrier():
+    n = 512
+    coeffs = Coefficients(f=lambda x: -4.0 - 0.1 * np.tanh(x),
+                          g=lambda x: np.full((len(x), 1, 1), 0.02))
+    rng = philox_stream(15)
+    z = make_path(np.linspace(0.0, 1.0, n + 1), np.cumsum(rng.normal(size=n + 1)) / np.sqrt(n))
+    prob = Problem(x0=[0.3], a=make_fv_driver("linear", horizon=1.0, steps=n), z=z,
+                   l=make_barrier("sine", dim=1, base=-0.5, amplitude=0.25, period=1.0,
+                                  horizon=1.0, steps=128),
+                   coeffs=coeffs, p=2.0)
+    (sol,), _ = assert_sweeps_are_the_loop([prob], n, "uniform")
+    pinned = sol.x.values[:, 0] == sol.reflection.l.values[:, 0]
+    runs = np.diff(np.flatnonzero(np.diff(np.r_[False, pinned, False])))[::2]
+    assert runs.max() >= 100
+
+
+def test_sweeps_tell_the_signed_zeros_apart():
+    # the barrier alternates between +0.0 and -0.0 and the drift, which takes
+    # the sign of the state, pins the path to it: a guess that compared equal
+    # to the exact state but not in its bits would commit the wrong step
+    n = 256
+    times = np.linspace(0.0, 1.0, n + 1)
+    barrier = make_path(times, np.where(np.arange(n + 1) % 3 == 0, 0.0, -0.0))
+    coeffs = Coefficients(f=lambda x: -1.0 + np.copysign(0.5, x),
+                          g=lambda x: np.full((len(x), 1, 1), 0.3))
+    rng = philox_stream(16)
+    z = make_path(times, np.cumsum(rng.normal(size=n + 1)) / np.sqrt(n))
+    prob = Problem(x0=[0.0], a=make_fv_driver("linear", horizon=1.0, steps=n), z=z,
+                   l=barrier, coeffs=coeffs, p=2.0)
+    (sol,), _ = assert_sweeps_are_the_loop([prob], n, "uniform")
+    zeros = sol.x.values[sol.x.values == 0.0]
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+
+def test_sweeps_evaluate_guesses_that_are_not_path_states():
+    problems = preset_batch(3, dim=2, driver_steps=256)
+    reference = euler_batch(problems, 128)
+    path_states = {state.tobytes() for sol in reference for state in sol.x.values[:-1]}
+    base = problems[0].coeffs
+
+    def off_path_nan(func):
+        def call(x):
+            out = func(x).copy()
+            out[[row.tobytes() not in path_states for row in x]] = np.nan
+            return out
+        return call
+
+    nan_off_path = Coefficients(f=off_path_nan(base.f), g=off_path_nan(base.g))
+    batch = euler_batch([dataclasses.replace(p, coeffs=nan_off_path) for p in problems], 128)
+    for got, expected in zip(batch, reference):
+        assert_same_solution(got, expected)
+
+    # NaN on one path state raises, at the step from that state
+    x = reference[1].x.values
+    bad = x[x.shape[0] // 2].tobytes()
+
+    def nan_at_bad(x):
+        out = base.f(x)
+        out[[row.tobytes() == bad for row in x]] = np.nan
+        return out
+
+    nan_on_path = Coefficients(f=nan_at_bad, g=base.g)
+    with pytest.raises(CoefficientEvaluationFailure,
+                       match=re.escape(f"f is not finite on state {x[x.shape[0] // 2]}")):
+        euler_batch([dataclasses.replace(p, coeffs=nan_on_path) for p in problems], 128)
+
+
+def test_sweeps_are_few_on_a_smooth_long_run():
+    preset = dataclasses.replace(PROBLEM_PRESETS["fbm-reflected"], dim=1, driver_steps=8192)
+    prob = build_problem(preset, seed=5)
+    _, sweeps = assert_sweeps_are_the_loop([prob], 8192)
+    assert sweeps * 16 <= 8192
 
 
 def test_batch_coefficient_failures_are_reported():
