@@ -255,8 +255,8 @@ def _run_recursion(problems: list[Problem], partitions: list[np.ndarray],
     while done.size:
         rows = done[:, None] + np.arange(width)
         targets = rows + 1
-        overrun = (done + (width - 1) > last).any()
-        if overrun:
+        if (done + (width - 1) > last).any():
+            # rows past a replicate's last step repeat it and write to scratch
             targets[rows > last[:, None]] = scratch
             np.minimum(rows, last[:, None], out=rows)
         states = x.take(np.minimum(rows, held[:, None]).ravel(), axis=0)
@@ -269,19 +269,17 @@ def _run_recursion(problems: list[Problem], partitions: list[np.ndarray],
             step = fv * da.take(flat, axis=0) + (gv @ dz.take(flat, axis=0))[..., 0]
             l_rows = l_next.take(flat, axis=0)
             exact = np.maximum(states + step, l_rows)
-            # differs[r, j]: the guess of row j + 1 is not the step from row j
-            differs = np.ones(states.size, dtype=bool)
+            # differs[r, j]: the guess of row j + 1 is not the step from row j;
+            # the window's last row ends a commit
+            differs = np.empty(states.size, dtype=bool)
             np.not_equal(states.view(np.int64).ravel()[d:],
                          exact.view(np.int64).ravel()[:-d], out=differs[:-d])
             differs = differs.reshape(*rows.shape, d)
-            stop = differs[..., 0]
-            for i in range(1, d):
-                stop = stop | differs[..., i]
-            if overrun:
-                stop = stop | (rows == last[:, None])
-            stop[:, -1] = True
-            commit = stop.argmax(axis=1) + 1
+            differs[:, -1, 0] = True
+            commit = differs.reshape(len(rows), -1).argmax(axis=1) // d + 1
             committed = np.arange(width) < commit[:, None]
+            # a value that is not finite stops the loop only at a state it
+            # evaluates: here, a row that is committed
             if not np.isfinite(fv.sum() + gv.sum()):
                 finite = np.isfinite(fv).all(axis=1)
                 bad = np.flatnonzero(committed.ravel()
@@ -290,8 +288,10 @@ def _run_recursion(problems: list[Problem], partitions: list[np.ndarray],
                     raise CoefficientEvaluationFailure(
                         f"{'g' if finite[bad[0]] else 'f'} is not finite on state "
                         f"{states[bad[0]]}")
+            # every sweep writes all its rows; the one that commits a row
+            # writes it last
+            dy_rows[targets.ravel()] = step.view(row)[:, 0]
             exact, step = exact.reshape(*rows.shape, d), step.reshape(*rows.shape, d)
-            dy_rows[targets[committed]] = step[committed].view(row)[:, 0]
             guess, reflected = _sweep_guesses(x.take(done, axis=0), step,
                                               l_rows.reshape(*rows.shape, d))
             if reflected:
@@ -308,7 +308,9 @@ def _run_recursion(problems: list[Problem], partitions: list[np.ndarray],
     solutions = [None] * count
     for r, times in enumerate(partitions):
         grid = TimeGrid(times)
-        xs, ys = x[r, :times.size], y[r, :times.size]
+        # copies: views would keep the batch arrays alive, and a caller's
+        # p-variation DP would then fault in fresh pages for its own
+        xs, ys = x[r, :times.size].copy(), y[r, :times.size].copy()
         reflection = Reflection(
             x=StepPath(grid, xs),
             k=StepPath(grid, xs - ys),
