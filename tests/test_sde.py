@@ -387,40 +387,34 @@ def recording(coeffs, calls, seen=None):
     return Coefficients(f=wrap(coeffs.f), g=wrap(coeffs.g))
 
 
-def test_batch_evaluates_every_path_state():
-    problems = preset_batch(6)
-    calls, seen = [], set()
-    shared = recording(problems[0].coeffs, calls, seen)
-    batch = euler_batch([dataclasses.replace(p, coeffs=shared) for p in problems], 64)
-    for problem, sol in zip(problems, batch):
-        # each committed row is the loop's step from its own path state ...
-        x, k = _reference_euler(problem, sol.x.times)
-        assert sol.x.values.tobytes() == x.tobytes()
-        assert sol.k.values.tobytes() == k.tobytes()
-        # ... and that state is among the rows f and g saw
-        assert all(state.tobytes() in seen for state in x[:-1])
-    longest = max(sol.x.times.size for sol in batch)
-    assert len(calls) % 2 == 0 and len(calls) // 2 <= longest - 1
-
-
-# ---------------------------------------------------------------------------
-# the sweeps: bit for bit the loop, wherever the guesses go
-# ---------------------------------------------------------------------------
-
-def assert_sweeps_are_the_loop(problems, n, scheme="adaptive"):
+def assert_sweeps_are_the_loop(problems, n, scheme="adaptive", seen=None):
     """Each problem's batched solution is `_reference_euler` bit for bit, in
     no more sweeps (one f and one g call each) than the longest run's steps."""
     calls = []
-    shared = recording(problems[0].coeffs, calls)
+    shared = recording(problems[0].coeffs, calls, seen)
     batch = euler_batch([dataclasses.replace(p, coeffs=shared) for p in problems], n, scheme)
     for problem, sol in zip(problems, batch):
         x, k = _reference_euler(problem, sol.x.times)
         assert sol.x.values.tobytes() == x.tobytes()
         assert sol.k.values.tobytes() == k.tobytes()
+    assert len(calls) % 2 == 0
     sweeps = len(calls) // 2
     assert sweeps <= max(sol.x.times.size for sol in batch) - 1
     return batch, sweeps
 
+
+def test_batch_evaluates_every_path_state():
+    # each committed row is the loop's step from its own path state, and
+    # that state is among the rows f and g saw
+    problems, seen = preset_batch(6), set()
+    batch, _ = assert_sweeps_are_the_loop(problems, 64, seen=seen)
+    for sol in batch:
+        assert all(state.tobytes() in seen for state in sol.x.values[:-1])
+
+
+# ---------------------------------------------------------------------------
+# the sweeps: bit for bit the loop, wherever the guesses go
+# ---------------------------------------------------------------------------
 
 def test_sweeps_on_a_chattering_batch():
     # the solutions keep touching the barrier, each at its own steps
