@@ -227,12 +227,12 @@ def _run_recursion(problems: list[Problem], partitions: list[np.ndarray],
     # replicate r owns rows r * m .. r * m + m - 1; its row j holds x_j, dy_j,
     # and the increments of step j + 1 with the barrier at its end.  The row
     # after them all takes what windows reaching past a replicate's end write
-    scratch = count * m
-    da = np.zeros((scratch + 1, 1))
-    dz = np.zeros((scratch + 1, d, 1))
-    l_next = np.zeros((scratch + 1, d))
-    x = np.zeros((scratch + 1, d))
-    dy = np.zeros((scratch + 1, d))
+    spare = count * m
+    da = np.zeros((spare + 1, 1))
+    dz = np.zeros((spare + 1, d, 1))
+    l_next = np.zeros((spare + 1, d))
+    x = np.zeros((spare + 1, d))
+    dy = np.zeros((spare + 1, d))
     barriers = []
     for r, (problem, times) in enumerate(zip(problems, partitions)):
         l_s = problem.l.eval(times)
@@ -256,8 +256,8 @@ def _run_recursion(problems: list[Problem], partitions: list[np.ndarray],
         rows = done[:, None] + np.arange(width)
         targets = rows + 1
         if (done + (width - 1) > last).any():
-            # rows past a replicate's last step repeat it and write to scratch
-            targets[rows > last[:, None]] = scratch
+            # rows past a replicate's last step repeat it and write to the spare row
+            targets[rows > last[:, None]] = spare
             np.minimum(rows, last[:, None], out=rows)
         states = x.take(np.minimum(rows, held[:, None]).ravel(), axis=0)
         fv = _eval_coefficient(f, states, (rows.size, d), "f")
@@ -303,7 +303,7 @@ def _run_recursion(problems: list[Problem], partitions: list[np.ndarray],
         running = done <= last
         if not running.all():
             done, held, last = done[running], held[running], last[running]
-    x, y = x[:scratch].reshape(count, m, d), dy[:scratch].reshape(count, m, d)
+    x, y = x[:spare].reshape(count, m, d), dy[:spare].reshape(count, m, d)
     np.add.accumulate(y, axis=1, out=y)  # the running sums of dy from y_0 = x0
     solutions = [None] * count
     for r, times in enumerate(partitions):
