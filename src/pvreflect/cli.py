@@ -248,7 +248,8 @@ def cmd_pvar(args, cfg) -> int:
     if a is not None or b is not None:
         window = (float(a or 0.0), float(b if b is not None else path.end_time))
     value = p_variation(path, p, window) ** (1.0 / p)
-    print(CSV_FLOAT_FORMAT % value)
+    with _open_out(_setting(args, cfg, "run", "out", None)) as fh:
+        fh.write(CSV_FLOAT_FORMAT % value + "\n")
     return 0
 
 
@@ -272,9 +273,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, seed=True):
         sp.add_argument("--config", help="INI config file; flags override it")
-        sp.add_argument("--seed", type=int, help="64-bit unsigned RNG seed")
+        if seed:
+            sp.add_argument("--seed", type=int, help="64-bit unsigned RNG seed")
         sp.add_argument("--out", help="output CSV path (default stdout)")
 
     sp = sub.add_parser("simulate", help="run one reflected simulation")
@@ -314,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("pvar", help="variation norm of a CSV path")
-    common(sp)
+    common(sp, seed=False)
     sp.add_argument("--input")
     sp.add_argument("--p", type=float)
     sp.add_argument("--a", type=float)

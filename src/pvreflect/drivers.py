@@ -7,7 +7,8 @@ power of two) and diagonalized by FFT.  The embedding of fractional Gaussian
 noise is nonnegative (Dietrich & Newsam 1997; Craigmile 2003), and the
 covariance is computed in a form that keeps it so in floating point.  A dense
 Cholesky sampler of at most ``CHOLESKY_MAX_STEPS`` steps is the independent
-oracle: the test-suite cross-checks both laws with a two-sample KS test.
+oracle, its Toeplitz covariance built with numpy: the test-suite cross-checks
+both laws with a two-sample KS test.
 
 Reproducibility contract: every sampled path derives its stream from the
 counter-based Philox generator keyed by ``(seed, path_index)``, so results do
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -167,7 +167,10 @@ CHOLESKY_MAX_STEPS = 4096
 @lru_cache(maxsize=2)  # factors are O(n^2) memory; callers loop per (n, hurst)
 def _cholesky_factor(n: int, hurst: float) -> np.ndarray:
     try:
-        factor = np.linalg.cholesky(scipy.linalg.toeplitz(_fgn_autocov(n, hurst)))
+        gamma = _fgn_autocov(n, hurst)
+        # row i of the symmetric Toeplitz covariance is gamma[|i - j|], j = 0..n-1
+        rows = np.lib.stride_tricks.sliding_window_view(np.concatenate((gamma[:0:-1], gamma)), n)
+        factor = np.linalg.cholesky(rows[::-1])
     except np.linalg.LinAlgError as exc:
         raise EmbeddingFailure("increment covariance not positive definite") from exc
     factor.setflags(write=False)

@@ -88,7 +88,7 @@ class CoefficientEvaluationFailure(PvreflectError):
 
 
 class InadmissibleStart(PvreflectError):
-    """Initial point below the barrier."""
+    """Initial point not finite or below the barrier."""
 
 
 class PartitionOverflow(PvreflectError):

@@ -117,8 +117,8 @@ class Problem:
             raise DimensionMismatch(
                 f"x0 has dim {d}, z dim {self.z.dim}, l dim {self.l.dim}"
             )
-        if np.any(x0 < self.l.eval(0.0)):
-            raise InadmissibleStart("x0 must start at or above the barrier")
+        if not (np.isfinite(x0).all() and (x0 >= self.l.eval(0.0)).all()):
+            raise InadmissibleStart("x0 must be finite and at or above the barrier")
         horizon = self.horizon
         if horizon is None:
             horizon = max(self.a.end_time, self.z.end_time, self.l.end_time)
@@ -436,7 +436,7 @@ def solve(problem: Problem, tol: float, n0: int,
     Raises :class:`NoConvergence` after ``max_doublings`` refinements, which
     signals non-regular coefficients or an unreachable tolerance.
     """
-    if tol < 0.0:
+    if not tol >= 0.0:  # NaN fails this too
         raise InvalidParameter("tol must be >= 0")
     ladder = refinement_ladder(problem, n0, step_cap)
     for cur, gap in itertools.islice(ladder, 1, max_doublings + 1):

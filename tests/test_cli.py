@@ -1,11 +1,16 @@
 import hashlib
 import io
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import pvreflect
 from pvreflect import read_path_csv, write_path_csv
 from pvreflect.cli import CORRUPT_ENV, main
 from pvreflect.drivers import FBM_MAX_STEPS
@@ -115,6 +120,47 @@ def test_simulate_tol_without_uniform_scheme_runs(tmp_path, scheme):
     text = out.read_text()
     assert "# scheme=adaptive" in text
     assert "cauchy_gap=" in text
+
+
+@pytest.mark.parametrize("by_config", [False, True])
+def test_simulate_nan_tol_exits_2_before_any_level(tmp_path, capsys, monkeypatch, by_config):
+    # NaN fails every gap < tol, so unchecked it would run the whole ladder
+    def no_ladder(*args, **kwargs):
+        raise AssertionError("the refinement ladder ran")
+
+    monkeypatch.setattr("pvreflect.sde.refinement_ladder", no_ladder)
+    out = tmp_path / "x.csv"
+    if by_config:
+        cfg = tmp_path / "nan.ini"
+        cfg.write_text("[problem]\npreset = geometric\ntol = nan\nn = 16\n")
+        args = ["simulate", "--config", str(cfg)]
+    else:
+        args = ["simulate", "--preset", "geometric", "--tol", "nan", "--n", "16"]
+    assert run_cli([*args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == "error=InvalidParameter"
+    assert not out.exists()
+
+
+def test_simulate_unreachable_tol_exits_3(tmp_path, capsys):
+    # the constant preset's iterates agree exactly, so no gap is below 0
+    out = tmp_path / "x.csv"
+    rc = run_cli(["simulate", "--preset", "constant", "--tol", "0", "--n", "1",
+                  "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.splitlines()[0] == "error=NoConvergence"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset", ["geometric", "linear-reflected"])
+@pytest.mark.parametrize("x0", ["nan", "inf"])
+def test_simulate_non_finite_start_exits_2(tmp_path, capsys, preset, x0):
+    # rejected up front, not later as a coefficient or non-finite-value error
+    cfg = tmp_path / "x0.ini"
+    cfg.write_text(f"[problem]\npreset = {preset}\nx0 = {x0}\nn = 16\n")
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == "error=InadmissibleStart"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("by_config", [False, True])
@@ -300,11 +346,15 @@ def test_fbm_csv_round_trip_and_determinism(tmp_path):
     assert buf.getvalue() == out1.read_text()
 
 
-def test_pvar_of_bundled_zigzag(capsys):
+def test_pvar_of_bundled_zigzag(tmp_path, capsys):
     fixture = resources.files("pvreflect") / "data" / "zigzag.csv"
     rc = run_cli(["pvar", "--input", str(fixture), "--p", "1"])
     assert rc == 0
-    assert float(capsys.readouterr().out.strip()) == 2.0
+    assert capsys.readouterr().out == "2\n"
+    out = tmp_path / "v.txt"
+    assert run_cli(["pvar", "--input", str(fixture), "--p", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == "2\n"
 
 
 def test_pvar_rejects_bad_exponent_and_csv(tmp_path, capsys):
@@ -326,9 +376,10 @@ ZIGZAG = str(resources.files("pvreflect") / "data" / "zigzag.csv")
 @pytest.mark.parametrize("argv", [
     ["pvar", "--input", ZIGZAG, "--p", "-inf"],  # argparse reads -inf as an option
     ["pvar", "--input", ZIGZAG, "--p", "abc"],
+    ["pvar", "--input", ZIGZAG, "--p", "1", "--seed", "1"],  # pvar reads no seed
     ["simulate", "--no-such-flag"],
     [],
-], ids=["p-minus-inf", "p-not-a-number", "unknown-flag", "no-subcommand"])
+], ids=["p-minus-inf", "p-not-a-number", "pvar-seed", "unknown-flag", "no-subcommand"])
 def test_argument_errors_exit_2_with_error_line(argv, capsys):
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
@@ -399,3 +450,40 @@ def test_verify_corrupted_solver_exits_1(tmp_path, monkeypatch):
     out = tmp_path / "v.csv"
     rc = run_cli(["verify", "--cases", "3", "--seed", "7", "--out", str(out)])
     assert rc == 1
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies
+# ---------------------------------------------------------------------------
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import pvreflect
+from pvreflect import FbmSpec, sample_fbm
+from pvreflect.cli import main
+sample_fbm(FbmSpec(hurst=0.7, steps=64), method="cholesky")
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # the runtime needs numpy alone; scipy serves only the test oracles
+    runs = [
+        ["simulate", "--preset", "fbm-reflected", "--replicates", "2", "--n", "16",
+         "--driver-steps", "64", "--out", str(tmp_path / "s.csv")],
+        ["convergence", "--preset", "geometric", "--levels", "2",
+         "--out", str(tmp_path / "c.csv")],
+        ["fbm", "--steps", "64", "--out", str(tmp_path / "f.csv")],
+        ["verify", "--cases", "5", "--out", str(tmp_path / "v.csv")],
+        ["pvar", "--input", ZIGZAG, "--p", "2", "--out", str(tmp_path / "p.txt")],
+    ]
+    src = os.path.dirname(os.path.dirname(pvreflect.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("s.csv", "c.csv", "f.csv", "v.csv", "p.txt"):
+        assert (tmp_path / name).stat().st_size > 0

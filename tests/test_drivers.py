@@ -3,6 +3,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 
 from pvreflect import (
@@ -18,7 +19,7 @@ from pvreflect import (
     sample_fbm,
 )
 from pvreflect.drivers import (CHOLESKY_MAX_STEPS, FBM_MAX_STEPS, _circulant_eigenvalues,
-                               _fgn_autocov)
+                               _cholesky_factor, _fgn_autocov)
 from pvreflect.errors import (
     DimensionMismatch,
     GridMismatch,
@@ -100,6 +101,16 @@ def test_fbm_samplers_agree_in_distribution_light():
     circ = np.array([sample_fbm(spec, "circulant", i).values[-1, 0] for i in range(200)])
     chol = np.array([sample_fbm(spec, "cholesky", 1000 + i).values[-1, 0] for i in range(200)])
     assert scipy.stats.ks_2samp(circ, chol).pvalue >= 0.01
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 1024])
+@pytest.mark.parametrize("hurst", [0.51, 0.75, 0.99])
+def test_cholesky_factor_matches_scipy_toeplitz_bit_for_bit(n, hurst):
+    # the oracle builds its Toeplitz covariance with numpy alone
+    ref = np.linalg.cholesky(scipy.linalg.toeplitz(_fgn_autocov(n, hurst)))
+    factor = _cholesky_factor(n, hurst)
+    assert factor.shape == ref.shape
+    assert factor.tobytes() == ref.tobytes()
 
 
 def _decimal_fgn_autocov(lag: int, hurst: float) -> float:

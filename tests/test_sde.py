@@ -71,8 +71,9 @@ def fbm_problem(seed, d=1, coeffs="tanh", n_driver=256, barrier_level=0.0):
 def test_problem_validation():
     z = make_path([0, 1], [0, 1])
     l = make_barrier("constant", dim=1, level=0.0, horizon=1.0)
-    with pytest.raises(InadmissibleStart):
-        Problem(x0=[-1.0], a=zero_a(), z=z, l=l, coeffs=identity_coeffs(), p=2.0)
+    for x0 in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(InadmissibleStart, match="finite and at or above"):
+            Problem(x0=[x0], a=zero_a(), z=z, l=l, coeffs=identity_coeffs(), p=2.0)
     with pytest.raises(DimensionMismatch):
         Problem(x0=[0.0, 0.0], a=zero_a(), z=z, l=l, coeffs=identity_coeffs(), p=2.0)
     with pytest.raises(DimensionMismatch):
@@ -640,6 +641,20 @@ def test_refinement_ladder_is_lazy_and_feeds_solve(monkeypatch):
     assert sol.n == 64
     assert sol.diagnostics["cauchy_gap"] == gaps[-1]
     assert np.array_equal(sol.x.values, levels[3][0].x.values)
+
+
+def test_solve_rejects_nan_tolerance_before_any_level(monkeypatch):
+    prob = Problem(x0=[1.0], a=zero_a(), z=make_path([0, 1], [0, 1]),
+                   l=make_barrier("constant", level=0.0, horizon=1.0),
+                   coeffs=identity_coeffs(), p=2.0)
+
+    def no_ladder(*args, **kwargs):
+        raise AssertionError("the ladder ran")
+
+    monkeypatch.setattr("pvreflect.sde.refinement_ladder", no_ladder)
+    for tol in (float("nan"), -1e-300, -float("inf")):
+        with pytest.raises(InvalidParameter):
+            solve(prob, tol=tol, n0=16)
 
 
 def test_solve_unreachable_tolerance():
