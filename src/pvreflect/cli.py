@@ -8,7 +8,8 @@ Subcommands:
 * ``fbm``          write one sampled fractional-Brownian-motion path;
 * ``verify``       randomized inequality campaigns, CSV report, exit 1 on any
                    violation;
-* ``pvar``         print the variation norm of a CSV path over a window.
+* ``pvar``         print the p-variation seminorm ``v_p(x)^(1/p)`` of a CSV
+                   path over a window.
 
 Configuration comes from an INI file (``--config``) overridden by flags;
 flags always win.  Every command is deterministic given its full
@@ -61,19 +62,30 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
     return cfg
 
 
-def _setting(args, cfg: configparser.ConfigParser, section: str, key: str,
-             default=None, cast=str):
-    """Flag value if given, else config value, else default."""
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if cfg.has_option(section, key):
-        raw = cfg.get(section, key)
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise UsageError(f"bad value for [{section}] {key}: {raw!r}") from exc
-    return default
+#: a setting is (name, config section, type, default, flag help); ``--name``
+#: is its flag and ``name`` its key in the section
+_SEED = ("seed", "run", int, 0, "64-bit unsigned RNG seed")
+_OUT = ("out", "run", str, None, "output CSV path (default stdout)")
+_PRESET = ("preset", "problem", str, "linear-reflected", ", ".join(sorted(PROBLEM_PRESETS)))
+#: by field: the [problem] keys that override the named preset's fields
+_PROBLEM = {f.name: ("dimension" if f.name == "dim" else f.name.replace("_", "-"),
+                     "problem", type(f.default), None, None)
+            for f in dataclasses.fields(ProblemPreset)}
+
+
+def _settings(args, cfg: configparser.ConfigParser, rows) -> dict:
+    """Each setting's flag if given, else its config key, else its default."""
+    values = {}
+    for name, section, cast, default, _ in rows:
+        value = getattr(args, name.replace("-", "_"), None)
+        if value is None and cfg.has_option(section, name):
+            raw = cfg.get(section, name)
+            try:
+                value = cast(raw)
+            except ValueError as exc:
+                raise UsageError(f"bad value for [{section}] {name}: {raw!r}") from exc
+        values[name] = default if value is None else value
+    return values
 
 
 def _positive_int(name: str, value: int, cap: int | None = None) -> int:
@@ -84,35 +96,16 @@ def _positive_int(name: str, value: int, cap: int | None = None) -> int:
     return int(value)
 
 
-#: [problem] keys that override the named preset's fields
-_PROBLEM_FIELDS = (
-    ("dimension", "dim", int),
-    ("coefficients", "coefficients", str),
-    ("barrier", "barrier", str),
-    ("driver", "driver", str),
-    ("a-driver", "a_driver", str),
-    ("sigma", "sigma", str),
-    ("hurst", "hurst", float),
-    ("horizon", "horizon", float),
-    ("driver-steps", "driver_steps", int),
-    ("x0", "x0", float),
-    ("p", "p", float),
-)
-
-
-def _resolve_preset(args, cfg) -> ProblemPreset:
+def _resolve_preset(s: dict) -> ProblemPreset:
     """Named problem preset with per-field [problem] / flag overrides."""
-    name = _setting(args, cfg, "problem", "preset", "linear-reflected")
-    if name not in PROBLEM_PRESETS:
-        raise UsageError(f"unknown problem preset {name!r}")
-    overrides = {}
-    for key, field, cast in _PROBLEM_FIELDS:
-        value = _setting(args, cfg, "problem", key, None, cast)
-        if value is not None:
-            overrides[field] = cast(value)
-    preset = dataclasses.replace(PROBLEM_PRESETS[name], **overrides)
+    if s["preset"] not in PROBLEM_PRESETS:
+        raise UsageError(f"unknown problem preset {s['preset']!r}")
+    overrides = {field: s[key] for field, (key, *_) in _PROBLEM.items() if s[key] is not None}
+    preset = dataclasses.replace(PROBLEM_PRESETS[s["preset"]], **overrides)
     _positive_int("dimension", preset.dim)
     _positive_int("driver-steps", preset.driver_steps, STEP_CAP)
+    if not 0.0 < preset.horizon < np.inf:
+        raise UsageError(f"horizon must be finite and positive, got {preset.horizon}")
     return preset
 
 
@@ -139,17 +132,12 @@ def _write_diagnostics(fh, solution: Solution, replicate: int | None = None) -> 
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args, cfg) -> int:
-    preset = _resolve_preset(args, cfg)
-    seed = int(_setting(args, cfg, "run", "seed", 0, int))
-    replicates = _positive_int(
-        "replicates", int(_setting(args, cfg, "run", "replicates", 1, int)))
+def cmd_simulate(s: dict) -> int:
+    preset = _resolve_preset(s)
+    replicates = _positive_int("replicates", s["replicates"])
     # validated but unused: replicates run as one batch in one thread
-    _positive_int("workers", int(_setting(args, cfg, "run", "workers", 1, int)))
-    out_path = _setting(args, cfg, "run", "out", None)
-    n = int(_setting(args, cfg, "problem", "n", 256, int))
-    tol = _setting(args, cfg, "problem", "tol", None, float)
-    scheme = _setting(args, cfg, "problem", "scheme", "adaptive")
+    _positive_int("workers", s["workers"])
+    n, tol, scheme = s["n"], s["tol"], s["scheme"]
     if scheme not in ("adaptive", "uniform"):
         raise UsageError(f"scheme must be adaptive or uniform, got {scheme!r}")
     if tol is not None and scheme == "uniform":
@@ -159,9 +147,10 @@ def cmd_simulate(args, cfg) -> int:
     if replicates * preset.driver_steps > STEP_CAP:
         raise UsageError(f"replicates x driver-steps must be <= {STEP_CAP}, "
                          f"got {replicates} x {preset.driver_steps}")
-    problems = [build_problem(preset, seed=seed, replicate=rep) for rep in range(replicates)]
+    problems = [build_problem(preset, seed=s["seed"], replicate=rep)
+                for rep in range(replicates)]
     if tol is not None:
-        solutions = [solve(problem, tol=float(tol), n0=n) for problem in problems]
+        solutions = [solve(problem, tol=tol, n0=n) for problem in problems]
     else:
         # one batch evaluates one Coefficients object
         coeffs = problems[0].coeffs
@@ -170,7 +159,7 @@ def cmd_simulate(args, cfg) -> int:
     solutions = with_vbar_p_x(solutions, problems[0].p)
     # a single replicate is written without the rep column and tags
     tags = [None] if replicates == 1 else range(replicates)
-    with _open_out(out_path) as fh:
+    with _open_out(s["out"]) as fh:
         fh.write(_solution_header(solutions[0].x.dim, with_rep=replicates > 1) + "\n")
         for rep, sol in zip(tags, solutions):
             _write_rows(fh, np.column_stack([sol.x.times, sol.x.values, sol.k.values]),
@@ -180,16 +169,19 @@ def cmd_simulate(args, cfg) -> int:
     return 0
 
 
-def cmd_convergence(args, cfg) -> int:
-    preset = _resolve_preset(args, cfg)
-    seed = int(_setting(args, cfg, "run", "seed", 0, int))
-    out_path = _setting(args, cfg, "run", "out", None)
-    n0 = _positive_int("n0", int(_setting(args, cfg, "convergence", "n0", 16, int)))
-    levels = _positive_int(
-        "levels", int(_setting(args, cfg, "convergence", "levels", 6, int)))
+def cmd_convergence(s: dict) -> int:
+    preset = _resolve_preset(s)
+    n0 = _positive_int("n0", s["n0"])
+    levels = _positive_int("levels", s["levels"])
+    # the last level has about n0 * 2**(levels-1) * horizon steps, exact in
+    # integers; as horizon >= 2**-1074, 1100 doublings are over the cap anyway
+    num, den = preset.horizon.as_integer_ratio()
+    if (n0 * num) << min(levels - 1, 1100) > STEP_CAP * den:
+        raise UsageError(f"n0 x 2^(levels-1) x horizon must be <= {STEP_CAP}, "
+                         f"got n0={n0}, levels={levels}, horizon={preset.horizon}")
 
-    problem = build_problem(preset, seed=seed)
-    with _open_out(out_path) as fh:
+    problem = build_problem(preset, seed=s["seed"])
+    with _open_out(s["out"]) as fh:
         fh.write("n,gap,runtime_s\n")
         ladder = refinement_ladder(problem, n0)
         for _ in range(levels):
@@ -202,30 +194,22 @@ def cmd_convergence(args, cfg) -> int:
     return 0
 
 
-def cmd_fbm(args, cfg) -> int:
-    hurst = float(_setting(args, cfg, "fbm", "hurst", 0.75, float))
-    steps = _positive_int(
-        "steps", int(_setting(args, cfg, "fbm", "steps", 1024, int)), STEP_CAP)
-    horizon = float(_setting(args, cfg, "fbm", "horizon", 1.0, float))
-    seed = int(_setting(args, cfg, "run", "seed", 0, int))
-    out_path = _setting(args, cfg, "run", "out", None)
-    spec = FbmSpec(hurst=hurst, horizon=horizon, steps=steps, seed=seed)
+def cmd_fbm(s: dict) -> int:
+    steps = _positive_int("steps", s["steps"], STEP_CAP)
+    spec = FbmSpec(hurst=s["hurst"], horizon=s["horizon"], steps=steps, seed=s["seed"])
     path = sample_fbm(spec)
-    with _open_out(out_path) as fh:
+    with _open_out(s["out"]) as fh:
         write_path_csv(path, fh)
     return 0
 
 
-def cmd_verify(args, cfg) -> int:
-    cases = int(_setting(args, cfg, "verify", "cases", 1000, int))
-    if cases < 0:
+def cmd_verify(s: dict) -> int:
+    if s["cases"] < 0:
         raise UsageError("cases must be >= 0")
-    seed = int(_setting(args, cfg, "run", "seed", 0, int))
-    out_path = _setting(args, cfg, "run", "out", None)
     corrupt = bool(os.environ.get(CORRUPT_ENV))
-    rows = campaigns.run_all_campaigns(cases, seed, corrupt=corrupt)
+    rows = campaigns.run_all_campaigns(s["cases"], s["seed"], corrupt=corrupt)
     failures = sum(not r.passed for r in rows)
-    with _open_out(out_path) as fh:
+    with _open_out(s["out"]) as fh:
         fh.write(",".join(campaigns.CAMPAIGN_CSV_HEADER) + "\n")
         for row in rows:
             fh.write(",".join(row.csv_row()) + "\n")
@@ -234,21 +218,18 @@ def cmd_verify(args, cfg) -> int:
     return 0 if failures == 0 else 1
 
 
-def cmd_pvar(args, cfg) -> int:
-    src = _setting(args, cfg, "pvar", "input", None)
-    if src is None:
+def cmd_pvar(s: dict) -> int:
+    if s["input"] is None:
         raise UsageError("pvar requires --input <csv>")
-    p = float(_setting(args, cfg, "pvar", "p", 1.0, float))
+    p, a, b = s["p"], s["a"], s["b"]
     if not 1.0 <= p < np.inf:
         raise UsageError(f"p must be finite and >= 1, got {p}")
-    a = _setting(args, cfg, "pvar", "a", None, float)
-    b = _setting(args, cfg, "pvar", "b", None, float)
-    path = read_path_csv(src)
+    path = read_path_csv(s["input"])
     window = None
     if a is not None or b is not None:
         window = (float(a or 0.0), float(b if b is not None else path.end_time))
     value = p_variation(path, p, window) ** (1.0 / p)
-    with _open_out(_setting(args, cfg, "run", "out", None)) as fh:
+    with _open_out(s["out"]) as fh:
         fh.write(CSV_FLOAT_FORMAT % value + "\n")
     return 0
 
@@ -256,6 +237,38 @@ def cmd_pvar(args, cfg) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
+
+#: each command: its function, its help and its settings, one flag each
+_COMMANDS = {
+    "simulate": (cmd_simulate, "run one reflected simulation", (
+        _SEED, _OUT, _PRESET,
+        ("replicates", "run", int, 1, None),
+        ("workers", "run", int, 1,
+         "accepted and checked (>= 1); replicates run as one batch in one thread"),
+        ("n", "problem", int, 256, "resolution parameter"),
+        ("tol", "problem", float, None, "refine the adaptive scheme until this Cauchy gap"),
+        ("scheme", "problem", str, "adaptive", "adaptive or uniform"),
+        _PROBLEM["hurst"], _PROBLEM["dim"], _PROBLEM["driver_steps"])),
+    "convergence": (cmd_convergence, "dyadic refinement ladder", (
+        _SEED, _OUT, _PRESET,
+        ("n0", "convergence", int, 16, None),
+        ("levels", "convergence", int, 6, None),
+        _PROBLEM["hurst"])),
+    "fbm": (cmd_fbm, "sample one fractional Brownian path", (
+        _SEED, _OUT,
+        ("hurst", "fbm", float, 0.75, None),
+        ("steps", "fbm", int, 1024, None),
+        ("horizon", "fbm", float, 1.0, None))),
+    "verify": (cmd_verify, "randomized inequality campaigns", (
+        _SEED, _OUT, ("cases", "verify", int, 1000, None))),
+    "pvar": (cmd_pvar, "p-variation seminorm v_p(x)^(1/p) of a CSV path", (
+        _OUT,
+        ("input", "pvar", str, None, None),
+        ("p", "pvar", float, 1.0, None),
+        ("a", "pvar", float, None, None),
+        ("b", "pvar", float, None, None))),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors raise `UsageError`, so that they exit 2
@@ -272,57 +285,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "p-variation paths",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, seed=True):
+    for name, (func, summary, rows) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("--config", help="INI config file; flags override it")
-        if seed:
-            sp.add_argument("--seed", type=int, help="64-bit unsigned RNG seed")
-        sp.add_argument("--out", help="output CSV path (default stdout)")
-
-    sp = sub.add_parser("simulate", help="run one reflected simulation")
-    common(sp)
-    sp.add_argument("--preset", choices=sorted(PROBLEM_PRESETS))
-    sp.add_argument("--replicates", type=int)
-    sp.add_argument("--workers", type=int,
-                    help="accepted and checked (>= 1); replicates run as one batch "
-                         "in one thread")
-    sp.add_argument("--n", type=int, help="resolution parameter")
-    sp.add_argument("--tol", type=float,
-                    help="refine the adaptive scheme until this Cauchy gap")
-    sp.add_argument("--scheme", choices=["adaptive", "uniform"])
-    sp.add_argument("--hurst", type=float)
-    sp.add_argument("--dimension", type=int)
-    sp.add_argument("--driver-steps", type=int)
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("convergence", help="dyadic refinement ladder")
-    common(sp)
-    sp.add_argument("--preset", choices=sorted(PROBLEM_PRESETS))
-    sp.add_argument("--n0", type=int)
-    sp.add_argument("--levels", type=int)
-    sp.add_argument("--hurst", type=float)
-    sp.set_defaults(func=cmd_convergence)
-
-    sp = sub.add_parser("fbm", help="sample one fractional Brownian path")
-    common(sp)
-    sp.add_argument("--hurst", type=float)
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--horizon", type=float)
-    sp.set_defaults(func=cmd_fbm)
-
-    sp = sub.add_parser("verify", help="randomized inequality campaigns")
-    common(sp)
-    sp.add_argument("--cases", type=int)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("pvar", help="variation norm of a CSV path")
-    common(sp, seed=False)
-    sp.add_argument("--input")
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--a", type=float)
-    sp.add_argument("--b", type=float)
-    sp.set_defaults(func=cmd_pvar)
-
+        for key, _, cast, _, text in rows:
+            sp.add_argument(f"--{key}", type=cast, help=text)
+        if _PRESET in rows:  # every [problem] key overrides the preset, flag or not
+            rows += tuple(_PROBLEM.values())
+        sp.set_defaults(func=func, rows=rows)
     return parser
 
 
@@ -330,7 +300,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _load_config(args.config)
-        return args.func(args, cfg)
+        return args.func(_settings(args, cfg, args.rows))
     except NoConvergence as exc:
         print(f"error={type(exc).__name__}", file=sys.stderr)
         print(str(exc), file=sys.stderr)

@@ -77,6 +77,8 @@ class FbmSpec:
             raise InvalidHurst(f"Hurst index must lie in (1/2, 1), got {self.hurst}")
         if self.horizon <= 0.0:
             raise InvalidParameter("horizon must be positive")
+        if not self.horizon < np.inf:  # NaN fails this too
+            raise InvalidParameter("horizon must be finite")
         if self.steps < 1:
             raise InvalidParameter("steps must be >= 1")
         if not (0 <= int(self.seed) < _U64):

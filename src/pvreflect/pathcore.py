@@ -716,14 +716,19 @@ def jump_adapted_times(horizon: float, n: float, jumps: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def align(paths: Sequence[StepPath]) -> list[StepPath]:
-    """Resample every path onto the union of all grids, preserving values."""
+    """Resample every path onto the union of all grids, preserving values.
+
+    Paths that already share one grid object come back as they are; else
+    every output shares one new grid.
+    """
     paths = list(paths)
-    if not paths:
-        return []
+    if all(p.grid is paths[0].grid for p in paths):
+        return paths
     merged = paths[0].times
     for p in paths[1:]:
         merged = np.union1d(merged, p.times)
-    return [StepPath(TimeGrid(merged), p.eval(merged)) for p in paths]
+    grid = TimeGrid(merged)
+    return [StepPath(grid, p.eval(merged)) for p in paths]
 
 
 def coarsen_jump_adapted(path: StepPath, delta: float, mesh: float) -> StepPath:

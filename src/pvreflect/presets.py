@@ -197,7 +197,7 @@ def build_problem(preset: ProblemPreset, seed: int, replicate: int = 0) -> Probl
     elif preset.a_driver == "linear":
         a = make_fv_driver("linear", horizon=horizon, steps=steps)
     else:
-        a = make_fv_driver(preset.a_driver, horizon=horizon)
+        raise UnknownKind(f"unknown a-driver preset {preset.a_driver!r}")
     z = z_driver_preset(
         preset.driver, dim, horizon, steps, preset.hurst, preset.sigma, seed, replicate
     )

@@ -1,10 +1,12 @@
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from importlib import resources
 
 import numpy as np
@@ -68,10 +70,49 @@ def test_simulate_invalid_hurst_exits_2(tmp_path, capsys):
     assert "error=InvalidHurst" in capsys.readouterr().err
 
 
-def test_simulate_unknown_preset_exits_2(tmp_path, capsys):
+def test_simulate_missing_config_exits_2(tmp_path, capsys):
     rc = run_cli(["simulate", "--config", str(tmp_path / "none.ini")])
     assert rc == 2
     assert "error=UsageError" in capsys.readouterr().err
+
+
+def test_simulate_unknown_preset_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "nope.ini"
+    cfg.write_text("[problem]\npreset = nope\n")
+    out = tmp_path / "x.csv"
+    for args in (["--preset", "nope"], ["--config", str(cfg)]):
+        assert run_cli(["simulate", *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines()[0] == "error=UsageError"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("a_driver", ["constant", "jump", "cubic"])
+def test_simulate_unknown_a_driver_exits_2(tmp_path, capsys, a_driver):
+    # only zero and linear are a-driver presets; the others used to build the
+    # zero path
+    cfg = tmp_path / "a.ini"
+    cfg.write_text(f"[problem]\npreset = geometric\na-driver = {a_driver}\nn = 16\n")
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == "error=UnknownKind"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("horizon", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["simulate", "fbm"])
+def test_non_finite_horizon_exits_2_before_any_warning(tmp_path, capsys, command, horizon):
+    # a numpy warning from building the grid used to come before the error line
+    out = tmp_path / "x.csv"
+    if command == "fbm":
+        args, error = ["fbm", "--horizon", horizon, "--steps", "8"], "InvalidParameter"
+    else:
+        cfg = tmp_path / "h.ini"
+        cfg.write_text(f"[problem]\npreset = fbm-reflected\nhorizon = {horizon}\n")
+        args, error = ["simulate", "--config", str(cfg)], "UsageError"
+    assert run_cli([*args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == f"error={error}"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -328,6 +369,30 @@ def test_convergence_geometric_gaps_shrink(tmp_path):
         assert b / a == pytest.approx(0.5, abs=0.2)
 
 
+def test_convergence_levels_past_step_cap_exit_2_before_allocating(tmp_path, capsys):
+    # the 21st level of n0 = 16 would need 16 * 2**20 > STEP_CAP steps
+    out = tmp_path / "x.csv"
+    rc, peak = run_cli_peak(["convergence", "--preset", "geometric", "--levels", "30",
+                             "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[0] == "error=UsageError"
+    assert not out.exists()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("levels, rc", [("20", 0), ("21", 2), ("1000000", 2)])
+def test_convergence_levels_bound(tmp_path, monkeypatch, levels, rc):
+    def ladder(problem, n0):
+        for level in itertools.count():
+            yield types.SimpleNamespace(n=n0 * 2**level), None if level == 0 else 0.0
+
+    monkeypatch.setattr("pvreflect.cli.refinement_ladder", ladder)
+    out = tmp_path / "x.csv"
+    assert run_cli(["convergence", "--preset", "geometric", "--n0", "16",
+                    "--levels", levels, "--out", str(out)]) == rc
+    assert out.exists() == (rc == 0)
+
+
 # ---------------------------------------------------------------------------
 # fbm / pvar
 # ---------------------------------------------------------------------------
@@ -450,6 +515,71 @@ def test_verify_corrupted_solver_exits_1(tmp_path, monkeypatch):
     out = tmp_path / "v.csv"
     rc = run_cli(["verify", "--cases", "3", "--seed", "7", "--out", str(out)])
     assert rc == 1
+
+
+# ---------------------------------------------------------------------------
+# settings: every flag is also a config key, and the flag wins
+# ---------------------------------------------------------------------------
+
+#: every setting of each command but --out: (name, section, value, another value)
+SETTINGS = {
+    "simulate": [
+        ("seed", "run", "3", "4"), ("replicates", "run", "2", "3"),
+        ("workers", "run", "2", "1"), ("preset", "problem", "fbm-reflected", "geometric"),
+        ("n", "problem", "16", "32"), ("tol", "problem", "1e-3", "1e-2"),
+        ("scheme", "problem", "adaptive", "uniform"), ("hurst", "problem", "0.8", "0.6"),
+        ("dimension", "problem", "2", "1"), ("driver-steps", "problem", "64", "32"),
+    ],
+    "convergence": [
+        ("seed", "run", "3", "4"), ("preset", "problem", "fbm-reflected", "constant"),
+        ("n0", "convergence", "4", "8"), ("levels", "convergence", "3", "2"),
+        ("hurst", "problem", "0.8", "0.6"),
+    ],
+    "fbm": [
+        ("seed", "run", "3", "4"), ("hurst", "fbm", "0.7", "0.8"),
+        ("steps", "fbm", "32", "64"), ("horizon", "fbm", "2", "3"),
+    ],
+    "verify": [("seed", "run", "3", "4"), ("cases", "verify", "4", "2")],
+    "pvar": [
+        ("input", "pvar", ZIGZAG, "missing.csv"), ("p", "pvar", "2", "1.5"),
+        ("a", "pvar", "0", "0.5"), ("b", "pvar", "1", "2"),
+    ],
+}
+
+
+def _settings_ini(path, rows, column, out):
+    sections = {"run": [f"out = {out}"]}
+    for row in rows:
+        sections.setdefault(row[1], []).append(f"{row[0]} = {row[column]}")
+    path.write_text("".join(f"[{name}]\n" + "\n".join(lines) + "\n\n"
+                            for name, lines in sections.items()))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(SETTINGS))
+def test_every_setting_reads_the_same_as_flag_and_config_key(tmp_path, command):
+    rows = SETTINGS[command]
+    flags = [arg for name, _, value, _ in rows for arg in (f"--{name}", value)]
+    by_flag, by_key, both, ignored = (tmp_path / f"{name}.csv"
+                                      for name in ("flag", "key", "both", "ignored"))
+    assert run_cli([command, *flags, "--out", str(by_flag)]) == 0
+    assert run_cli([command, "--config",
+                    _settings_ini(tmp_path / "key.ini", rows, 2, by_key)]) == 0
+    # a config that contradicts every flag: the flags win
+    assert run_cli([command, "--config",
+                    _settings_ini(tmp_path / "other.ini", rows, 3, ignored),
+                    *flags, "--out", str(both)]) == 0
+    assert not ignored.exists()
+
+    def stable(path):
+        # convergence's runtime_s column is the one that varies between runs
+        data = path.read_bytes()
+        if command == "convergence":
+            return [line.rsplit(b",", 1)[0] for line in data.splitlines()]
+        return data
+
+    assert stable(by_key) == stable(by_flag)
+    assert stable(both) == stable(by_flag)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,13 @@ def test_fbm_spec_validation():
         FbmSpec(hurst=0.75, horizon=0.0)
 
 
+@pytest.mark.parametrize("horizon", [np.inf, np.nan, -np.inf])
+def test_fbm_spec_rejects_non_finite_horizon(horizon):
+    # unchecked, the grid and the scaling are built before any value check
+    with pytest.raises(InvalidParameter):
+        FbmSpec(hurst=0.75, horizon=horizon)
+
+
 def test_fbm_deterministic_given_seed():
     spec = FbmSpec(hurst=0.7, horizon=2.0, steps=256, seed=99)
     a = sample_fbm(spec)

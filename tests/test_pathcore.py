@@ -443,6 +443,22 @@ def test_align_merges_grids_preserving_values():
     assert np.array_equal(a2.values.ravel(), [2, 3, 3])
 
 
+def test_align_returns_paths_on_one_grid_unchanged():
+    p1 = make_path([0, 0.5, 1], [0, 1, 2])
+    p2 = StepPath(p1.grid, [3.0, 4.0, 5.0])
+    out = align([p1, p2, p1])
+    assert all(a is b for a, b in zip(out, [p1, p2, p1]))
+    assert align([]) == []
+
+
+def test_align_gives_every_output_one_grid():
+    # equal times on distinct grid objects are merged like any other grids
+    paths = [make_path([0, 1], [0, 1]), make_path([0, 0.5], [2, 3]), make_path([0, 1], [4, 5])]
+    out = align(paths)
+    assert all(a.grid is out[0].grid for a in out)
+    assert np.array_equal(out[0].times, [0, 0.5, 1])
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_align_agrees_with_eval_everywhere(data):
