@@ -31,7 +31,7 @@ import time
 import numpy as np
 
 from . import campaigns
-from .errors import NoConvergence, PvreflectError
+from .errors import NoConvergence, PartitionOverflow, PvreflectError
 from .pathcore import (CSV_FLOAT_FORMAT, STEP_CAP, _write_rows, p_variation, read_path_csv,
                        write_path_csv)
 from .drivers import FbmSpec, sample_fbm
@@ -53,12 +53,28 @@ class UsageError(PvreflectError):
 # configuration plumbing
 # ---------------------------------------------------------------------------
 
-def _load_config(path: str | None) -> configparser.ConfigParser:
+def _load_config(path: str | None, rows) -> configparser.ConfigParser:
+    """The INI file at ``path``.  Each key of a section that a setting reads
+    must name a setting of it, and each ``[DEFAULT]`` key, which configparser
+    offers to every section, a setting of any of them."""
     cfg = configparser.ConfigParser()
+    # with no default section, a section's options are its own keys only
+    own = configparser.ConfigParser(default_section="", interpolation=None)
     if path:
         if not os.path.exists(path):
             raise UsageError(f"config file not found: {path}")
-        cfg.read(path)
+        try:
+            cfg.read(path)
+            own.read(path)
+        except configparser.Error as exc:
+            raise UsageError(f"malformed config file: {exc}") from exc
+    known = {cfg.default_section: {row[0] for row in rows}}
+    for name, section, *_ in rows:
+        known.setdefault(section, set()).add(name)
+    for section in filter(known.__contains__, own.sections()):
+        unknown = sorted(set(own.options(section)) - known[section])
+        if unknown:
+            raise UsageError(f"[{section}] {unknown[0]} is no setting of this command")
     return cfg
 
 
@@ -79,11 +95,10 @@ def _settings(args, cfg: configparser.ConfigParser, rows) -> dict:
     for name, section, cast, default, _ in rows:
         value = getattr(args, name.replace("-", "_"), None)
         if value is None and cfg.has_option(section, name):
-            raw = cfg.get(section, name)
             try:
-                value = cast(raw)
-            except ValueError as exc:
-                raise UsageError(f"bad value for [{section}] {name}: {raw!r}") from exc
+                value = cast(cfg.get(section, name))
+            except (ValueError, configparser.Error) as exc:
+                raise UsageError(f"bad value for [{section}] {name}: {exc}") from exc
         values[name] = default if value is None else value
     return values
 
@@ -137,7 +152,12 @@ def cmd_simulate(s: dict) -> int:
     replicates = _positive_int("replicates", s["replicates"])
     # validated but unused: replicates run as one batch in one thread
     _positive_int("workers", s["workers"])
-    n, tol, scheme = s["n"], s["tol"], s["scheme"]
+    n, tol, scheme = _positive_int("n", s["n"]), s["tol"], s["scheme"]
+    # the first partition has at least n x horizon points, exact in integers
+    num, den = preset.horizon.as_integer_ratio()
+    if n * num > STEP_CAP * den:
+        raise PartitionOverflow(f"n x horizon must be <= {STEP_CAP}, got n={n}, "
+                                f"horizon={preset.horizon}")
     if scheme not in ("adaptive", "uniform"):
         raise UsageError(f"scheme must be adaptive or uniform, got {scheme!r}")
     if tol is not None and scheme == "uniform":
@@ -299,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        cfg = _load_config(args.config)
+        cfg = _load_config(args.config, args.rows)
         return args.func(_settings(args, cfg, args.rows))
     except NoConvergence as exc:
         print(f"error={type(exc).__name__}", file=sys.stderr)

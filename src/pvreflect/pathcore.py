@@ -14,11 +14,12 @@ breakpoint subsequences, which the dynamic program below computes.
 partition, shared by `coarsen_jump_adapted` and both Euler schemes.
 
 The dynamic program is one kernel for every caller, over a stack of windows;
-`p_variation` and `variation_norm` are its one-window case.  For a scalar
-window and p > 1 it first reduces the window to its end points and strict
-local extrema, dropping repeated values; this is exact, because an interior
-point of a monotone run only splits an increment into two of the same sign,
-and ``|a + b|^p >= |a|^p + |b|^p`` for same-sign ``a, b`` and ``p >= 1``
+`p_variation` and `variation_norm` are its one-window case.  For p > 1 it
+first drops each point equal to its predecessor, of every value shape (such
+a point is as far from every other as its predecessor), and then keeps only
+a scalar window's end points and strict local extrema: an interior point of
+a monotone run only splits an increment into two of the same sign, and
+``|a + b|^p >= |a|^p + |b|^p`` for same-sign ``a, b`` and ``p >= 1``
 (Butkus & Norvaisa, "Computation of p-variation", Lith. Math. J. 2018).
 The windows are then padded to the longest with copies of their last point,
 which adds zero increments and so leaves each window's result unchanged, and
@@ -39,8 +40,9 @@ Conventions:
 * increments of vector paths are measured in the Euclidean norm, increments
   of matrix paths in the operator (spectral) norm;
 * a window ``[a, b]`` uses ``eval(a)`` as left anchor and the values at all
-  breakpoints in ``(a, b]``; for a step path the value at ``b`` itself is
-  already covered by the last breakpoint at or before ``b``.
+  breakpoints in ``(a, b]``, one slice of ``values``; for a step path the
+  value at ``b`` itself is already covered by the last breakpoint at or
+  before ``b``.
 """
 
 from __future__ import annotations
@@ -308,17 +310,13 @@ def _resolve_window(path, window) -> tuple[float, float]:
 
 
 def _window_values(path, window, include_right: bool = True) -> np.ndarray:
-    """Anchor value at ``a`` followed by breakpoint values in ``(a, b]`` (or ``(a, b)``)."""
+    """Anchor value at ``a`` and breakpoint values in ``(a, b]`` (or ``(a, b)``), uncopied."""
     a, b = _resolve_window(path, window)
-    if b <= a:
-        # empty/degenerate window: a single anchor point
-        return path.eval(a)[None]
-    times = path.times
-    if include_right:
-        sel = (times > a) & (times <= b)
-    else:
-        sel = (times > a) & (times < b)
-    return np.concatenate([path.eval(a)[None], path.values[sel]], axis=0)
+    # the step containing a: times[0] = 0 <= a, so there is one
+    first = int(np.searchsorted(path.times, a, side="right")) - 1
+    stop = int(np.searchsorted(path.times, b, side="right" if include_right else "left"))
+    # a degenerate window is its anchor alone
+    return path.values[first : max(stop, first + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +348,18 @@ def _pvar_block_shape(m: int) -> tuple[int, int]:
     return min(_PVAR_BLOCK_ROWS, span), min(_PVAR_BLOCK_CELLS // _PVAR_BLOCK_ROWS, span)
 
 
-def _local_extrema(vals: np.ndarray) -> np.ndarray:
-    """End points and strict local extrema of a scalar window, repeats dropped."""
-    x = vals.reshape(-1)
-    idx = np.concatenate(([0], np.flatnonzero(x[1:] != x[:-1]) + 1))
+def _reduce_window(vals: np.ndarray) -> np.ndarray:
+    """A window without repeated points (uncopied if none); of a scalar one, its ends and turns."""
+    flat = vals.reshape(vals.shape[0], -1)
+    moves = flat[1:] != flat[:-1]
+    if flat.shape[1] > 1:
+        moves = moves.any(axis=1)
+        return vals if moves.all() else vals[np.concatenate(([True], moves))]
+    idx = np.concatenate(([0], np.flatnonzero(moves) + 1))
     if idx.size < 3:
         return vals[idx]
     # increments between kept points are nonzero, so their sign bits tell turns
-    down = np.signbit(np.diff(x[idx]))
+    down = np.signbit(np.diff(flat[idx, 0]))
     turns = np.flatnonzero(down[:-1] != down[1:]) + 1
     return vals[np.concatenate(([0], idx[turns], [idx[-1]]))]
 
@@ -510,11 +512,12 @@ def _pvar_dp(windows: Sequence[np.ndarray], p: float) -> list[float]:
     """Max of sum |increments|^p over subsequences anchored at both ends, per window.
 
     ``best[j] = max_{i<j} best[i] + |v_j - v_i|^p`` with ``best[0] = 0``, for
-    every window of one value shape.  Scalar windows with p > 1 are first
-    reduced to their extrema.  Up to ``_PVAR_STACK_WINDOWS`` windows are
-    stacked, longest first, and rows are advanced a block of
-    ``_PVAR_BLOCK_ROWS`` at a time for the whole stack, in pieces of at most
-    ``_PVAR_BLOCK_CELLS`` point pairs:
+    every window of one value shape.  For p > 1 each window first drops its
+    repeated points, and a scalar one keeps only its end points and turns
+    (`_reduce_window`).  Up to ``_PVAR_STACK_WINDOWS`` windows are stacked,
+    longest first, and rows are advanced a block of ``_PVAR_BLOCK_ROWS`` at
+    a time for the whole stack, in pieces of at most ``_PVAR_BLOCK_CELLS``
+    point pairs:
 
     * against the earlier points before the block's previous point.  Once
       a block has more than ``_PVAR_BOUND_FROM`` of them they come in
@@ -533,11 +536,10 @@ def _pvar_dp(windows: Sequence[np.ndarray], p: float) -> list[float]:
     stack = []
     for b, vals in enumerate(windows):
         if p == 1.0:
-            # triangle equality: keep every breakpoint
+            # triangle equality; dropping zeros would regroup np.sum's pairs
             out[b] = float(np.sum(_increment_norms(np.diff(vals, axis=0), vals.ndim == 3)))
             continue
-        if vals[0].size == 1:
-            vals = _local_extrema(vals)
+        vals = _reduce_window(vals)
         if vals.shape[0] > 1:
             stack.append((b, vals))
     # longest first: the windows still running at a row are a prefix
@@ -560,19 +562,14 @@ def p_variation(path, p: float, window=None) -> float:
 
     Computed by an O(n^2) dynamic program over the breakpoints inside the
     window; on step paths this equals the supremum over all subdivisions.
-    For a scalar path and p > 1 the window is first reduced to its end points
-    and strict local extrema, repeated values dropped.  This is exact: an
-    interior point of a monotone run splits an increment into two of the
-    same sign, and ``|a + b|^p >= |a|^p + |b|^p`` for those (Butkus &
-    Norvaisa, "Computation of p-variation", Lith. Math. J. 2018), so n counts
-    the extrema only.  Earlier points far enough back are then grouped in
-    chunks of ``_PVAR_CHUNK`` inside a ball (Frobenius for matrices).  A
-    chunk whose bound, raised by a rounding margin, stays below a candidate
-    that every row of a block already reaches is skipped, which cannot
-    change the maximum (see `_kept_chunks`).  This is the one-window case of
-    the stacked program that `variation_norms` runs on several paths.  The
-    program holds at most ``_PVAR_BLOCK_CELLS`` point pairs at a time.
-    Degenerate windows yield 0.  ``p`` must be finite and at least 1.
+    For p > 1 the window first drops each point equal to its predecessor,
+    of every value shape, and a scalar window keeps only its end points and
+    strict local extrema; chunks of earlier points that cannot hold a row's
+    maximum are skipped.  Both are exact to the last bit (see the module
+    docstring).  This is the one-window case of the stacked program that
+    `variation_norms` runs on several paths, which holds at most
+    ``_PVAR_BLOCK_CELLS`` point pairs at a time.  Degenerate windows yield
+    0.  ``p`` must be finite and at least 1.
     """
     return _pvar_dp([_window_values(path, window)], _check_p(p))[0]
 

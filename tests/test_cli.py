@@ -323,6 +323,64 @@ def test_simulate_non_finite_or_small_p_exits_2(tmp_path, capsys, p):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", [[], ["--tol", "1e-3"]])
+@pytest.mark.parametrize("n, error", [
+    (0, "UsageError"), (-3, "UsageError"),
+    (2**1024, "PartitionOverflow"), (10**400, "PartitionOverflow"),
+], ids=["0", "-3", "2^1024", "10^400"])
+def test_simulate_bad_n_exits_2_before_any_work(tmp_path, capsys, monkeypatch, n, error, tol):
+    # 1.0 / n used to raise OverflowError, a traceback and exit 1, and n < 1
+    # was refused only after every driver had been sampled
+    def no_problem(*args, **kwargs):
+        raise AssertionError("a problem was built")
+
+    monkeypatch.setattr("pvreflect.cli.build_problem", no_problem)
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", f"--n={n}", *tol, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == f"error={error}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "[problem]\ndimensoin = 2\n",
+    "[run]\nsed = 5\n",
+    # a setting, but of another section
+    "[problem]\nseed = 5\n",
+    "[DEFAULT]\nsed = 5\n",
+])
+def test_config_key_of_no_setting_exits_2(tmp_path, capsys, text):
+    # such keys used to be ignored, so the run went on as 1-d with seed 0
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text(text)
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == "error=UsageError"
+    assert not out.exists()
+
+
+def test_config_default_keys_reach_every_section(tmp_path):
+    # configparser offers a [DEFAULT] key to every section in the file, so
+    # this seed is read through [run]; a section no setting of the command
+    # reads is left alone, so one file can serve several commands
+    cfg = tmp_path / "shared.ini"
+    cfg.write_text("[DEFAULT]\nseed = 5\n\n[run]\n\n[convergence]\nlevels = 3\n")
+    by_key, by_flag = tmp_path / "key.csv", tmp_path / "flag.csv"
+    common = ["--n", "16", "--driver-steps", "32"]
+    assert run_cli(["simulate", "--config", str(cfg), *common, "--out", str(by_key)]) == 0
+    assert run_cli(["simulate", "--seed", "5", *common, "--out", str(by_flag)]) == 0
+    assert by_key.read_bytes() == by_flag.read_bytes()
+
+
+@pytest.mark.parametrize("text", ["seed = 5\n", "[run]\nseed = %(x)s\n"])
+def test_malformed_config_exits_2(tmp_path, capsys, text):
+    # a line before any section, and an interpolation of no key, used to end
+    # in a configparser traceback and exit 1
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == "error=UsageError"
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(

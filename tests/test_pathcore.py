@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -40,9 +41,10 @@ from pvreflect.pathcore import (
     _chunk_balls,
     _chunk_bounds,
     _increment_norms,
-    _local_extrema,
     _pvar_block_shape,
     _pvar_dp,
+    _reduce_window,
+    _window_values,
 )
 from conftest import random_step_path
 
@@ -187,13 +189,13 @@ def test_pvariation_matches_brute_force(data, n, shape, ties, p):
 
 def test_pvariation_extrema_pruning_is_bit_identical():
     path = sample_fbm(FbmSpec(hurst=0.75, steps=4096, seed=11))
-    assert _local_extrema(path.values).shape[0] < path.values.shape[0] // 2
+    assert _reduce_window(path.values).shape[0] < path.values.shape[0] // 2
     # a zero second component changes no increment norm but skips the pruning
     lifted = make_path(path.times, np.column_stack([path.values[:, 0], np.zeros(4097)]))
     for p in (1.5, 2.0, 3.0):
         assert p_variation(path, p) == p_variation(lifted, p)
     ties = np.array([0.0, 1.0, 1.0, 2.0, 1.0, 1.0, 3.0, 2.0, 2.0, 0.0])[:, None]
-    assert np.array_equal(_local_extrema(ties)[:, 0], [0.0, 2.0, 1.0, 3.0, 0.0])
+    assert np.array_equal(_reduce_window(ties)[:, 0], [0.0, 2.0, 1.0, 3.0, 0.0])
 
 
 def _pvar_row_by_row(vals, p):
@@ -246,9 +248,68 @@ def test_pvariation_stack_matches_per_window_dp(shape, p, rng, kept_chunks):
     if len(shape) > 1 or shape[0] > 1:
         assert 0 < kept_chunks[0] < kept_chunks[1]
     assert stacked == [_pvar_dp([w], p)[0] for w in windows]
-    # the DP runs on a scalar window's extrema
-    reduced = [_local_extrema(w) if w[0].size == 1 else w for w in windows]
+    # the DP runs on each window without repeats, and on a scalar one's extrema
+    reduced = [_reduce_window(w) for w in windows]
     assert stacked == [_pvar_row_by_row(w, p) for w in reduced]
+
+
+def _with_repeats(rng, m, shape):
+    """A random walk of ``m`` points whose steps are zero in runs of one to five."""
+    steps = rng.normal(size=(m, *shape))
+    still = np.zeros(m, dtype=bool)
+    for start in rng.choice(m, size=m // 8, replace=False):
+        still[start : start + rng.integers(1, 6)] = True
+    steps[still] = 0.0
+    return np.cumsum(steps, axis=0)
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (2, 2)])
+def test_pvariation_drops_repeated_points_exactly(shape, rng):
+    # windows the bound prunes and windows of one row block, with runs of
+    # repeated points, a zero that repeats as -0.0 and a repeated last point
+    windows = [_with_repeats(rng, m, shape) for m in (420, 90)]
+    signed = np.zeros((4, *shape))
+    signed[1] = -0.0
+    signed[3] = 1.0
+    windows += [signed, np.concatenate([signed, signed[-1:]])]
+    for vals in windows:
+        kept = _reduce_window(vals)
+        assert kept.shape[0] < vals.shape[0]
+        assert not np.any(np.all((kept[1:] == kept[:-1]).reshape(len(kept) - 1, -1), axis=1))
+        for p in (1.5, 2.0, 3.0):
+            assert _pvar_dp([vals], p) == [_pvar_row_by_row(vals, p)]
+        # p = 1 sums every increment, the zeros too, in numpy's pairwise order
+        norms = _increment_norms(np.diff(vals, axis=0), vals.ndim == 3)
+        assert _pvar_dp([vals], 1.0) == [float(np.sum(norms))]
+    # points that repeat in some components only are kept, uncopied
+    distinct = np.cumsum(rng.normal(size=(50, *shape)), axis=0)
+    distinct.reshape(50, -1)[10:15, 0] = distinct.reshape(50, -1)[9, 0]
+    assert _reduce_window(distinct) is distinct
+
+
+def _window_values_by_masks(path, a, b, include_right):
+    """The anchor ``eval(a)`` joined to the masked breakpoints, the reference slice."""
+    if b <= a:
+        return path.eval(a)[None]
+    times = path.times
+    sel = (times > a) & ((times <= b) if include_right else (times < b))
+    return np.concatenate([path.eval(a)[None], path.values[sel]], axis=0)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_window_values_slice_equals_masks(d, rng):
+    for _ in range(20):
+        path = random_step_path(rng, max_points=30, d=d, horizon=2.0)
+        times = path.times
+        inner = rng.uniform(0.0, 2.0, size=2)
+        points = [0.0, times[1], times[len(times) // 2], times[-1], *inner, 2.5]
+        for a, b in itertools.product(points, repeat=2):
+            if a > b:
+                continue
+            for right in (True, False):
+                got = _window_values(path, (a, b), include_right=right)
+                assert np.array_equal(got, _window_values_by_masks(path, a, b, right))
+                assert got.base is not None
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e-165, 1e153, 1e200])
