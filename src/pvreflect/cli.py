@@ -153,11 +153,13 @@ def cmd_simulate(s: dict) -> int:
     # validated but unused: replicates run as one batch in one thread
     _positive_int("workers", s["workers"])
     n, tol, scheme = _positive_int("n", s["n"]), s["tol"], s["scheme"]
-    # the first partition has at least n x horizon points, exact in integers
+    # a partition has at least n x horizon steps, exact in integers, and a
+    # batch without tol holds every replicate's partition at once
     num, den = preset.horizon.as_integer_ratio()
-    if n * num > STEP_CAP * den:
-        raise PartitionOverflow(f"n x horizon must be <= {STEP_CAP}, got n={n}, "
-                                f"horizon={preset.horizon}")
+    batch = replicates if tol is None else 1
+    if batch * n * num > STEP_CAP * den:
+        raise PartitionOverflow(f"{batch} partition(s) of n x horizon steps exceed {STEP_CAP}, "
+                                f"got n={n}, horizon={preset.horizon}")
     if scheme not in ("adaptive", "uniform"):
         raise UsageError(f"scheme must be adaptive or uniform, got {scheme!r}")
     if tol is not None and scheme == "uniform":

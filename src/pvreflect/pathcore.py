@@ -13,7 +13,7 @@ breakpoint subsequences, which the dynamic program below computes.
 `jump_adapted_times` is the one "advance by mesh, stop at big jumps"
 partition, shared by `coarsen_jump_adapted` and both Euler schemes.
 
-The dynamic program is one kernel for every caller, over a stack of windows;
+The dynamic program serves every caller, over a stack of windows;
 `p_variation` and `variation_norm` are its one-window case.  For p > 1 it
 first drops each point equal to its predecessor, of every value shape (such
 a point is as far from every other as its predecessor), and then keeps only
@@ -33,6 +33,15 @@ margin, stays below a candidate the row already reaches for every row of
 the block is skipped.  It cannot hold a row's maximum, and every kept cell
 is computed by the same operations, so results are the same to the last bit.
 
+A scalar window alone in its call, with more than ``_PVAR_BOUND_FROM`` points
+left, takes an exact pruned kernel instead (`_pvar_pairs`); a stack keeps the
+kernel above, whose row step serves all its windows at once.  Candidate ``i``
+of row ``j`` cannot win when a point ``k`` between has ``|v_k - v_i| >= |v_j -
+v_i|`` (so ``best[k] >= best[i] + d(i, j)``) or ``|v_j - v_k| >= |v_j - v_i|``
+(and ``best[k] >= best[i]``), as rounded differences and sums, the square root
+and numpy's power (a test pins it) are monotone.  That leaves exactly the
+``i`` whose points between lie strictly between ``v_i`` and ``v_j``.
+
 Conventions:
 
 * value arrays are always 2-D ``(n, d)`` for vector paths and 3-D
@@ -47,12 +56,11 @@ Conventions:
 
 from __future__ import annotations
 
+import array
 import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -508,29 +516,122 @@ def _pvar_stack(windows: list[np.ndarray], p: float) -> list[float]:
     return [float(best[b, end - 1]) for b, end in enumerate(ends)]
 
 
+def _min_table(w: np.ndarray) -> np.ndarray:
+    """``table[l, k]``: the least of ``w[k], w[k + 2], ...``, ``2^l`` entries, where all exist."""
+    table = np.repeat(w[None], max(w.size - 1, 1).bit_length(), axis=0)
+    for level in range(1, len(table)):
+        shift = 1 << level
+        np.minimum(table[level - 1, :-shift], table[level - 1, shift:], out=table[level, :-shift])
+    return table
+
+
+def _last_at_most(w: np.ndarray, ends: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Per query, the last ``k < ends[q]`` of its parity with ``w[k] <= caps[q]``, or -1."""
+    table = _min_table(w)
+    pos = ends.copy()
+    for level in reversed(range(len(table))):
+        size = 2 << level
+        pos -= size * ((pos >= size) & (table[level, np.maximum(pos - size, 0)] > caps))
+    return np.maximum(pos - 2, -1)
+
+
+def _pvar_pairs(vals: np.ndarray, p: float) -> float:
+    """``best[m - 1]`` of one scalar window of turns, over the pairs that can win.
+
+    Row ``j`` keeps the chain from ``j - 1`` up the forest of previous
+    strictly lower minima (previous higher maxima after a down-step), cut at
+    its stop, the last earlier point at or beyond ``v_j`` (module docstring).
+    A chain's nodes past a cut lie deeper than all others of their kind
+    there, so a range minimum of depths counts them, and its node at depth
+    ``D`` is the last of its kind at that depth up to ``j - 1``.  Rows advance
+    a block at a time: a stack of those last nodes gives the pairs from
+    before the block in pieces of ``_PVAR_BLOCK_CELLS``, one maximum per row;
+    then each row adds its few pairs inside the block one by one.
+    """
+    v, m = vals[:, 0], vals.shape[0]
+    nodes = np.arange(m)
+    # maxima negated: a point's previous lower point of its kind (its parent)
+    # and its stop are then one query on w
+    w = v.copy()
+    w[int(v[1] > v[0]) :: 2] *= -1.0
+    found = _last_at_most(w, np.tile(nodes, 2), np.concatenate((np.nextafter(w, -np.inf), w)))
+    # depths by pointer doubling, a root at depth 1
+    depth, up = (found[:m] >= 0) + 1, found[:m].copy()
+    live = np.flatnonzero(up >= 0)
+    while live.size:
+        depth[live] += depth[up[live]] - 1
+        up[live] = up[up[live]]
+        live = live[up[live] >= 0]
+    # row j's chain starts at j - 1: its lowest depth past the stop, and past
+    # the edge, the point before the row's block (none for its first row)
+    heads = np.tile(nodes[:-1], 2)
+    edge = nodes[:-1] // _PVAR_BLOCK_ROWS * _PVAR_BLOCK_ROWS
+    cut = np.concatenate((found[m + 1 :], np.maximum(found[m + 1 :], edge)))
+    after = np.minimum(cut + 1 + (cut + 1 - heads) % 2, heads)
+    span = np.frexp((heads - after) // 2 + 1)[1] - 1
+    table = _min_table(depth.astype(np.int32))
+    lowest = np.minimum(table[span, after], table[span, heads + 2 - (2 << span)])
+    lowest[cut >= heads] = depth[heads[cut >= heads]] + 1
+    low, inner = lowest[: m - 1], lowest[m - 1 :]
+    del table, heads, cut, after, span
+    # nodes sorted by depth, kind and index: one depth up is 2m down in key
+    keys = (depth * 2 + nodes % 2) * m + nodes
+    ordered = np.sort(keys)
+    stack, stack_v, stack_best = np.full(2 * m, -1), np.zeros(2 * m), np.zeros(2 * m)
+    best = np.zeros(m)
+    for r0 in range(1, m, _PVAR_BLOCK_ROWS):
+        r1 = min(r0 + _PVAR_BLOCK_ROWS, m)
+        h = slice(r0 - 1, r1 - 1)
+        pushed = nodes[max(r0 - _PVAR_BLOCK_ROWS, 0) : r0]
+        slots = pushed % 2 * m + depth[pushed] - 1
+        np.maximum.at(stack, slots, pushed)
+        stack_v[slots], stack_best[slots] = v[stack[slots]], best[stack[slots]]
+        top = np.full(r1 - r0, -np.inf)
+        spans = inner[h] - low[h]
+        ends = np.cumsum(spans)
+        lead = nodes[h] % 2 * m + inner[h] - 1 - ends
+        for q0 in range(0, int(ends[-1]), _PVAR_BLOCK_CELLS):
+            q1 = min(q0 + _PVAR_BLOCK_CELLS, int(ends[-1]))
+            count = np.maximum(np.minimum(ends, q1) - np.maximum(ends - spans, q0), 0)
+            slot = np.arange(q0, q1) + np.repeat(lead, count)
+            dist = _increment_norms((np.repeat(v[r0:r1], count) - stack_v[slot])[:, None]) ** p
+            hit = np.flatnonzero(count)
+            top[hit] = np.maximum(top[hit], np.maximum.reduceat(
+                stack_best[slot] + dist, (np.cumsum(count) - count)[hit]))
+        # inside the block: the node ``t`` steps up the chain of the row's head
+        count = depth[h] - inner[h] + 1
+        row = np.repeat(np.arange(r1 - r0), count)
+        t = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+        col = ordered[np.searchsorted(ordered, keys[r0 - 1 + row] - 2 * m * t, "right") - 1] % m
+        dist = _increment_norms((np.repeat(v[r0:r1], count) - v[col])[:, None]) ** p
+        rows, cols, dists = row.tolist() + [-1], (col - r0).tolist(), dist.tolist()
+        block, k = [], 0
+        for r, reach in enumerate(top.tolist()):
+            while rows[k] == r:
+                here = block[cols[k]] + dists[k]
+                if here > reach:
+                    reach = here
+                k += 1
+            block.append(reach)
+        best[r0:r1] = block
+    return float(best[-1])
+
+
 def _pvar_dp(windows: Sequence[np.ndarray], p: float) -> list[float]:
     """Max of sum |increments|^p over subsequences anchored at both ends, per window.
 
     ``best[j] = max_{i<j} best[i] + |v_j - v_i|^p`` with ``best[0] = 0``, for
     every window of one value shape.  For p > 1 each window first drops its
     repeated points, and a scalar one keeps only its end points and turns
-    (`_reduce_window`).  Up to ``_PVAR_STACK_WINDOWS`` windows are stacked,
-    longest first, and rows are advanced a block of ``_PVAR_BLOCK_ROWS`` at
-    a time for the whole stack, in pieces of at most ``_PVAR_BLOCK_CELLS``
-    point pairs:
-
-    * against the earlier points before the block's previous point.  Once
-      a block has more than ``_PVAR_BOUND_FROM`` of them they come in
-      chunks of ``_PVAR_CHUNK``, and a chunk is skipped by branch and bound
-      (see `_kept_chunks`) when no row of the block can reach a candidate
-      already computed;
-    * then against the block's previous point and its own rows, one row at
-      a time for all windows at once.
-
-    Each distance is the norm of the increment raised to ``p`` and each sum
-    adds one distance to one ``best``, as a row-by-row loop would, and a
-    skipped chunk cannot hold a row's maximum.  So the result depends
-    neither on the blocking, nor on the stack, nor on the pruning.
+    (`_reduce_window`).  A scalar window alone in the call with more than
+    ``_PVAR_BOUND_FROM`` points left then goes to `_pvar_pairs`.  The others
+    are stacked, up to ``_PVAR_STACK_WINDOWS`` and longest first, and advance
+    a block of ``_PVAR_BLOCK_ROWS`` rows at a time in pieces of at most
+    ``_PVAR_BLOCK_CELLS`` point pairs (`_pvar_stack`): against chunks of
+    earlier points that branch and bound may skip (`_kept_chunks`), then one
+    row at a time for all windows.  Both kernels compute each cell they keep
+    as a row-by-row loop would and skip only cells that cannot hold a row's
+    maximum, so the result depends on neither, nor on the blocking.
     """
     out = [0.0] * len(windows)
     stack = []
@@ -540,7 +641,9 @@ def _pvar_dp(windows: Sequence[np.ndarray], p: float) -> list[float]:
             out[b] = float(np.sum(_increment_norms(np.diff(vals, axis=0), vals.ndim == 3)))
             continue
         vals = _reduce_window(vals)
-        if vals.shape[0] > 1:
+        if len(windows) == 1 and vals.shape[1:] == (1,) and vals.shape[0] > _PVAR_BOUND_FROM:
+            out[b] = _pvar_pairs(vals, p)
+        elif vals.shape[0] > 1:
             stack.append((b, vals))
     # longest first: the windows still running at a row are a prefix
     stack.sort(key=lambda item: -item[1].shape[0])
@@ -560,16 +663,15 @@ def _check_p(p) -> float:
 def p_variation(path, p: float, window=None) -> float:
     """Exact p-variation ``v_p(x)`` of a step path over a window.
 
-    Computed by an O(n^2) dynamic program over the breakpoints inside the
-    window; on step paths this equals the supremum over all subdivisions.
-    For p > 1 the window first drops each point equal to its predecessor,
-    of every value shape, and a scalar window keeps only its end points and
-    strict local extrema; chunks of earlier points that cannot hold a row's
-    maximum are skipped.  Both are exact to the last bit (see the module
-    docstring).  This is the one-window case of the stacked program that
-    `variation_norms` runs on several paths, which holds at most
-    ``_PVAR_BLOCK_CELLS`` point pairs at a time.  Degenerate windows yield
-    0.  ``p`` must be finite and at least 1.
+    Computed by a dynamic program over the breakpoints inside the window; on
+    step paths this equals the supremum over all subdivisions.  For p > 1 the
+    window drops repeated points and, if scalar, keeps only its turns, and the
+    program skips only candidates that cannot win (module docstring), so the
+    result is exact to the last bit.  All pairs of points cost O(n^2); a long
+    scalar window keeps 24 pairs a row at 3k turns of fBm, 100 at 95k.
+    Memory is bounded by ``_PVAR_BLOCK_CELLS`` pairs at a time, plus tables of
+    ``O(n log n)`` for a long scalar window.  Degenerate windows yield 0.
+    ``p`` must be finite and at least 1.
     """
     return _pvar_dp([_window_values(path, window)], _check_p(p))[0]
 
@@ -776,28 +878,24 @@ def write_path_csv(path: StepPath, dest) -> None:
 
 
 def read_path_csv(src) -> StepPath:
-    """Parse the ``t,x1,...,xd`` format back into a :class:`StepPath`."""
-    if hasattr(src, "read"):
-        text = src.read()
-    else:
-        text = Path(src).read_text()
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
-    if not rows:
+    """Parse the ``t,x1,...,xd`` format back into a :class:`StepPath`, row by row."""
+    if not hasattr(src, "read"):
+        with open(src, newline="") as fh:
+            return read_path_csv(fh)
+    rows = (r for r in csv.reader(src) if any(map(str.strip, r)))
+    header = [c.strip() for c in next(rows, [])]
+    if not header:
         raise MalformedCsv("empty path file")
-    header = [c.strip() for c in rows[0]]
     if len(header) < 2 or header[0] != "t":
         raise MalformedCsv(f"expected header 't,x1,...,xd', got {header}")
     width = len(header)
-    times = []
-    values = []
-    for r in rows[1:]:
+    cells = array.array("d")
+    for r in rows:
         if len(r) != width:
             raise MalformedCsv(f"row width {len(r)} != header width {width}")
         try:
-            cells = [float(c) for c in r]
+            cells.extend(map(float, r))
         except ValueError as exc:
             raise MalformedCsv(f"non-numeric cell in row {r}") from exc
-        times.append(cells[0])
-        values.append(cells[1:])
-    return make_path(np.asarray(times), np.asarray(values))
+    table = np.frombuffer(cells, dtype=float).reshape(-1, width)
+    return make_path(table[:, 0], table[:, 1:])

@@ -229,6 +229,16 @@ def test_simulate_replicate_steps_cap_exits_2_before_allocating(tmp_path, capsys
     assert peak < 1 << 20
 
 
+def test_simulate_batch_partitions_cap_exits_2_before_sampling(tmp_path, capsys):
+    # 40000 partitions of at least 256 steps: refused before any driver is
+    # sampled, where it took 13 s and about 300 MB to fail in the batch
+    rc, peak = run_cli_peak(["simulate", "--replicates", "40000", "--driver-steps", "250",
+                             "--n", "256", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[0] == "error=PartitionOverflow"
+    assert peak < 1 << 20
+
+
 def test_simulate_fbm_steps_cap_exits_2_before_allocating(tmp_path, capsys):
     rc, peak = run_cli_peak(["simulate", "--preset", "linear-reflected",
                              "--driver-steps", str(FBM_MAX_STEPS + 1),

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -357,6 +358,102 @@ def test_pvariation_blocks_stay_under_the_cell_cap(m):
     assert rows * (rows + 1) <= _PVAR_BLOCK_CELLS
 
 
+@pytest.fixture
+def pair_windows(monkeypatch):
+    """Windows the pruned scalar kernel is called on."""
+    seen = []
+    kernel = pathcore._pvar_pairs
+
+    def spy(vals, p):
+        seen.append(vals)
+        return kernel(vals, p)
+
+    monkeypatch.setattr(pathcore, "_pvar_pairs", spy)
+    return seen
+
+
+def _zigzag(rng, m):
+    """``m`` alternating turns: every point is kept by `_reduce_window`."""
+    return np.cumsum(rng.uniform(0.5, 1.5, size=m) * (-1.0) ** np.arange(m))[:, None]
+
+
+def _long_scalar_windows(rng):
+    m = 1500
+    signed = np.cumsum(rng.integers(-1, 2, size=m)).astype(float)
+    zeros = np.flatnonzero(signed == 0.0)
+    signed[zeros[::2]] = -0.0
+    runs = np.repeat(rng.choice([-1.0, 1.0], size=m), rng.integers(1, 40, size=m))
+    return {
+        "walk": np.cumsum(rng.normal(size=m)),
+        "fbm": sample_fbm(FbmSpec(hurst=0.75, steps=4096, seed=3)).values[:, 0],
+        # small integers: ties between turns that are not neighbours, and plateaus
+        "integers": np.cumsum(rng.integers(-3, 4, size=m)).astype(float),
+        "signed-zeros": signed,
+        "monotone-runs": np.cumsum(runs * rng.uniform(0.1, 1.0, size=runs.size)),
+        # every earlier minimum is a candidate of a maximum: row blocks past
+        # the cap on pairs come in several pieces
+        "rising": np.arange(m) + 10.0 * (-1.0) ** np.arange(m),
+    }
+
+
+@pytest.mark.parametrize("kind", ["walk", "fbm", "integers", "signed-zeros", "monotone-runs",
+                                  "rising"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_pvariation_pairs_match_row_by_row_dp(kind, p, rng, pair_windows):
+    vals = _long_scalar_windows(rng)[kind][:, None]
+    reduced = _reduce_window(vals)
+    assert reduced.shape[0] > pathcore._PVAR_BOUND_FROM
+    assert _pvar_dp([vals], p) == [_pvar_row_by_row(reduced, p)]
+    assert len(pair_windows) == 1 and np.array_equal(pair_windows[0], reduced)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_pvariation_pairs_from_just_past_the_bound(p, rng, pair_windows):
+    for m in (pathcore._PVAR_BOUND_FROM, pathcore._PVAR_BOUND_FROM + 1):
+        vals = _zigzag(rng, m)
+        assert _reduce_window(vals).shape[0] == m
+        assert _pvar_dp([vals], p) == [_pvar_row_by_row(vals, p)]
+    assert len(pair_windows) == 1 and pair_windows[0].shape[0] == pathcore._PVAR_BOUND_FROM + 1
+
+
+def test_pvariation_pairs_serve_only_a_lone_long_scalar_window(rng, pair_windows):
+    long = _zigzag(rng, 2000)
+    _pvar_dp([long], 1.0)
+    _pvar_dp([np.hstack([long, long[::-1]])], 2.0)
+    _pvar_dp([long[:, :, None]], 2.0)
+    _pvar_dp([long, long[::-1]], 2.0)
+    assert pair_windows == []
+    _pvar_dp([long], 2.0)
+    assert len(pair_windows) == 1
+
+
+def test_pvariation_pairs_are_held_a_piece_at_a_time():
+    # about m^2 / 4 pairs in all, tens of MB held at once; a block's pairs
+    # pass the cap and come in pieces
+    vals = (np.arange(2000) + 10.0 * (-1.0) ** np.arange(2000))[:, None]
+    tracemalloc.start()
+    try:
+        _pvar_dp([vals], 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * _PVAR_BLOCK_CELLS
+
+
+@pytest.mark.parametrize("p", [1.1, 1.2, 1.5, 2.0, 2.5, 3.0, 4.0])
+def test_pvariation_distance_never_falls_as_the_increment_grows(p, rng):
+    # the pruned kernel compares values, not their distances, so it is exact
+    # only while numpy's power is monotone: a kernel that is not fails here
+    # rather than moving a last bit
+    bases = np.sort(np.concatenate([rng.uniform(0.0, 4.0, size=200_000),
+                                    10.0 ** rng.uniform(-320.0, 308.0, size=200_000)]))
+    with np.errstate(over="ignore", under="ignore"):
+        dist = _increment_norms(bases[:, None]) ** p
+        next_ulp = _increment_norms(np.nextafter(bases, np.inf)[:, None]) ** p
+    assert np.all(dist[1:] >= dist[:-1])
+    assert np.all(next_ulp >= dist)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(min_value=3, max_value=12))
 def test_pvariation_window_monotone_and_superadditive(data, n):
@@ -571,6 +668,21 @@ def test_csv_round_trip_exact(rng):
     back = read_path_csv(io.StringIO(buf.getvalue()))
     assert np.array_equal(back.times, path.times)
     assert np.array_equal(back.values, path.values)
+
+
+def test_csv_reader_holds_floats_not_rows(tmp_path):
+    path = sample_fbm(FbmSpec(hurst=0.75, steps=1 << 16, seed=5))
+    src = tmp_path / "long.csv"
+    write_path_csv(path, src)
+    tracemalloc.start()
+    try:
+        back = read_path_csv(src)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.values, path.values)
+    # the table is 1 MiB of floats; a list of rows of strings is about 20
+    assert peak < 4 << 20
 
 
 def test_csv_header_and_errors():
