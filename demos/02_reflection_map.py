@@ -30,8 +30,7 @@ print("and on those steps x sits on the barrier:",
 # perturb the input and compare: the map (y, l) -> (x, k) is Lipschitz both
 # in the uniform norm and in the variation norm
 y2 = make_path(times, y.values + rng.normal(scale=0.05, size=(41, 1)))
-report = check_estimates(y, barrier, y2, barrier, p=2.0)
-print("\nstability report (lhs <= rhs):")
-for chk in report.checks:
+print("\nstability checks (lhs <= rhs):")
+for chk in check_estimates(y, barrier, y2, barrier, p=2.0):
     print(f"  {chk.name:28s} {chk.lhs:10.4f} <= {chk.rhs:10.4f}   "
           f"margin {chk.margin:8.4f}  {'ok' if chk.passed else 'VIOLATED'}")

@@ -30,10 +30,9 @@ integrand = make_matrix_path(times, np.cumsum(rng.normal(scale=0.2, size=(33, 2,
 integral = rs_integral(integrand, driver)
 print("\nintegral value at T:", integral.eval(1.0))
 
-report = young_bound_check(integrand, driver, p=1.5, q=1.5)
-print(f"variation of the integral {report.lhs:.4f} <= "
-      f"{report.bound.constant:.4f} * {report.integrand_vbar_q:.4f} * "
-      f"{report.driver_vp:.4f} = {report.rhs:.4f}  -> {report.passed}")
+chk = young_bound_check(integrand, driver, p=1.5, q=1.5)
+print(f"variation of the integral {chk.lhs:.4f} <= zeta(4/3) * Vbar_q(integrand) * "
+      f"V_p(driver) = {chk.rhs:.4f}  -> {chk.passed}")
 
 # jump-adapted coarsening: keep jumps above delta, sample on a mesh otherwise
 vals = np.cumsum(np.where(rng.random(33) < 0.5, -1.0, 1.0) * rng.uniform(0.05, 0.3, 33))

@@ -69,7 +69,6 @@ print(f"\nconverged at n={solution.n} with Cauchy gap "
       f"{solution.diagnostics['cauchy_gap']:.2e}")
 print("total push per component:", solution.k.eval(1.0))
 
-report = a_priori_check(solution, reflected)
-for chk in report.checks:
+for chk in a_priori_check(solution, reflected):
     print(f"a-priori {chk.name}: {chk.lhs:.4f} <= {chk.rhs:.4f} "
           f"({'ok' if chk.passed else 'VIOLATED'})")

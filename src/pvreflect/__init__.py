@@ -5,7 +5,7 @@ The library is organised in five layers:
 * :mod:`pvreflect.pathcore`  — cadlag step paths, p-variation, running maxima,
   oscillation, jump-adapted coarsening, alignment, CSV I/O;
 * :mod:`pvreflect.skorokhod` — the reflection map at a time-dependent lower
-  barrier and its Lipschitz stability report;
+  barrier and its Lipschitz stability checks;
 * :mod:`pvreflect.young`     — left-point Riemann-Stieltjes integration and
   the zeta-constant variation bound;
 * :mod:`pvreflect.drivers`   — fractional Brownian motion (circulant
@@ -39,10 +39,8 @@ from .pathcore import (
     variation_norm,
     write_path_csv,
 )
-from .skorokhod import EstimateReport, Reflection, check_estimates, solve_sp
+from .skorokhod import Reflection, check_estimates, solve_sp
 from .young import (
-    YoungBound,
-    YoungBoundReport,
     grid_riemann_sum,
     rs_integral,
     young_bound_check,
@@ -59,7 +57,6 @@ from .drivers import (
     sample_fbm,
 )
 from .sde import (
-    AprioriReport,
     Coefficients,
     Problem,
     Solution,
@@ -91,12 +88,9 @@ __all__ = [
     "sup_norm",
     "variation_norm",
     "write_path_csv",
-    "EstimateReport",
     "Reflection",
     "check_estimates",
     "solve_sp",
-    "YoungBound",
-    "YoungBoundReport",
     "grid_riemann_sum",
     "rs_integral",
     "young_bound_check",
@@ -109,7 +103,6 @@ __all__ = [
     "make_fv_driver",
     "philox_stream",
     "sample_fbm",
-    "AprioriReport",
     "Coefficients",
     "Problem",
     "Solution",

@@ -44,6 +44,13 @@ _BLOCK_RUNNING_MAX = 0
 _BLOCK_REFLECTION = 1
 _BLOCK_STIELTJES = 2
 
+#: the exponents, dimensions and path sizes the campaigns cycle through
+_P_VALUES = (1.0, 1.5, 2.0, 3.0)
+_DIMS = (1, 2, 3)
+_PQ_PAIRS = ((1.5, 1.5), (2.0, 1.2), (1.2, 2.0), (3.0, 1.1))
+_MAX_POINTS = 60
+_STIELTJES_MAX_POINTS = 40
+
 
 @dataclass(frozen=True)
 class CampaignRow(InequalityCheck):
@@ -86,24 +93,19 @@ def _row(campaign: str, case: int, name: str, lhs: float, rhs: float,
                        campaign=campaign, case=case)
 
 
-def running_max_contraction_campaign(
-    cases: int,
-    seed: int,
-    p_values: tuple[float, ...] = (1.0, 1.5, 2.0, 3.0),
-    max_points: int = 60,
-    corrupt: bool = False,
-) -> list[CampaignRow]:
+def running_max_contraction_campaign(cases: int, seed: int,
+                                     corrupt: bool = False) -> list[CampaignRow]:
     """v_p of a running-max difference never exceeds v_p of the difference.
 
     Each case draws two scalar step paths on independent grids, aligns them,
-    and compares the two p-variations at one exponent from ``p_values``.
+    and compares the two p-variations at one exponent from ``_P_VALUES``.
     """
     rows = []
     for case in range(cases):
         rng = philox_stream(seed, _BLOCK_RUNNING_MAX * _STREAM_BLOCK + case)
-        p = p_values[case % len(p_values)]
-        y1 = _random_path(rng, max_points)
-        y2 = _random_path(rng, max_points)
+        p = _P_VALUES[case % len(_P_VALUES)]
+        y1 = _random_path(rng, _MAX_POINTS)
+        y2 = _random_path(rng, _MAX_POINTS)
         y1, y2 = align([y1, y2])
         lhs = p_variation(running_max(y1) - running_max(y2), p)
         rhs = p_variation(y1 - y2, p)
@@ -112,33 +114,27 @@ def running_max_contraction_campaign(
     return rows
 
 
-def _admissible_pair(rng: np.random.Generator, max_points: int, d: int) -> tuple[StepPath, StepPath]:
-    y = _random_path(rng, max_points, d)
-    l = _random_path(rng, max_points, d)
+def _admissible_pair(rng: np.random.Generator, d: int) -> tuple[StepPath, StepPath]:
+    y = _random_path(rng, _MAX_POINTS, d)
+    l = _random_path(rng, _MAX_POINTS, d)
     # drop the barrier so it starts at or below the input
     shift = np.maximum(l.values[0] - y.eval(0.0), 0.0) + rng.uniform(0.0, 0.5, size=d)
     return y, make_path(l.times, l.values - shift)
 
 
-def reflection_estimates_campaign(
-    cases: int,
-    seed: int,
-    dims: tuple[int, ...] = (1, 2, 3),
-    p_values: tuple[float, ...] = (1.0, 1.5, 2.0, 3.0),
-    max_points: int = 60,
-    corrupt: bool = False,
-) -> list[CampaignRow]:
+def reflection_estimates_campaign(cases: int, seed: int,
+                                  corrupt: bool = False) -> list[CampaignRow]:
     """Lipschitz estimates of the reflection map on random problem pairs."""
     rows = []
     for case in range(cases):
         rng = philox_stream(seed, _BLOCK_REFLECTION * _STREAM_BLOCK + case)
-        d = dims[case % len(dims)]
-        p = p_values[(case // len(dims)) % len(p_values)]
-        y, l = _admissible_pair(rng, max_points, d)
-        y2, l2 = _admissible_pair(rng, max_points, d)
-        report = check_estimates(y, l, y2, l2, p)
+        d = _DIMS[case % len(_DIMS)]
+        p = _P_VALUES[(case // len(_DIMS)) % len(_P_VALUES)]
+        y, l = _admissible_pair(rng, d)
+        y2, l2 = _admissible_pair(rng, d)
         rows += [_row("reflection_estimates", case, f"{chk.name}_d{d}_p{p:g}",
-                      chk.lhs, chk.rhs, corrupt) for chk in report.checks]
+                      chk.lhs, chk.rhs, corrupt)
+                 for chk in check_estimates(y, l, y2, l2, p)]
     return rows
 
 
@@ -148,24 +144,19 @@ def _random_matrix_path(rng: np.random.Generator, max_points: int, d: int) -> Ma
     return make_matrix_path(times, np.cumsum(steps, axis=0))
 
 
-def stieltjes_bound_campaign(
-    cases: int,
-    seed: int,
-    pq_pairs: tuple[tuple[float, float], ...] = ((1.5, 1.5), (2.0, 1.2), (1.2, 2.0), (3.0, 1.1)),
-    max_points: int = 40,
-    corrupt: bool = False,
-) -> list[CampaignRow]:
+def stieltjes_bound_campaign(cases: int, seed: int,
+                             corrupt: bool = False) -> list[CampaignRow]:
     """zeta-constant bound for random (matrix integrand, vector driver) pairs."""
     rows = []
     for case in range(cases):
         rng = philox_stream(seed, _BLOCK_STIELTJES * _STREAM_BLOCK + case)
-        p, q = pq_pairs[case % len(pq_pairs)]
+        p, q = _PQ_PAIRS[case % len(_PQ_PAIRS)]
         d = int(rng.integers(1, 3))
-        integrand = _random_matrix_path(rng, max_points, d)
-        driver = _random_path(rng, max_points, d)
-        report = young_bound_check(integrand, driver, p, q)
+        integrand = _random_matrix_path(rng, _STIELTJES_MAX_POINTS, d)
+        driver = _random_path(rng, _STIELTJES_MAX_POINTS, d)
+        chk = young_bound_check(integrand, driver, p, q)
         rows.append(_row("stieltjes_bound", case, f"zeta_bound_p{p:g}_q{q:g}",
-                         report.lhs, report.rhs, corrupt))
+                         chk.lhs, chk.rhs, corrupt))
     return rows
 
 

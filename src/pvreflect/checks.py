@@ -1,19 +1,20 @@
-"""Small shared report structure for numerical inequality checks."""
+"""The one result type of every numerical inequality check."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: default slack for inequalities that hold mathematically but are evaluated
-#: in floating point: relative 1e-9 with a 1e-12 absolute floor
+from .pathcore import CSV_FLOAT_FORMAT
+
+#: slack for inequalities that hold mathematically but are evaluated in
+#: floating point: relative 1e-9 with a 1e-12 absolute floor
 REL_SLACK = 1e-9
 ABS_SLACK = 1e-12
 
 
-def holds_with_slack(lhs: float, rhs: float, rel: float = REL_SLACK,
-                     abs_tol: float = ABS_SLACK) -> bool:
+def holds_with_slack(lhs: float, rhs: float) -> bool:
     """``lhs <= rhs`` up to relative slack in the larger magnitude."""
-    return lhs <= rhs + rel * max(abs(lhs), abs(rhs)) + abs_tol
+    return lhs <= rhs + REL_SLACK * max(abs(lhs), abs(rhs)) + ABS_SLACK
 
 
 @dataclass(frozen=True)
@@ -32,9 +33,9 @@ class InequalityCheck:
     def csv_row(self) -> list[str]:
         return [
             self.name,
-            "%.17g" % self.lhs,
-            "%.17g" % self.rhs,
-            "%.17g" % self.margin,
+            CSV_FLOAT_FORMAT % self.lhs,
+            CSV_FLOAT_FORMAT % self.rhs,
+            CSV_FLOAT_FORMAT % self.margin,
             "1" if self.passed else "0",
         ]
 

@@ -258,15 +258,8 @@ class MatrixStepPath(_GridPath):
 
 
 def _make(cls, times: Sequence[float], values):
-    times_arr = np.atleast_1d(np.asarray(times, dtype=float))
-    values_arr = np.asarray(values, dtype=float)
-    if values_arr.ndim == 0:
-        values_arr = values_arr[None]
-    if values_arr.shape[0] != times_arr.shape[0]:
-        raise LengthMismatch(
-            f"{values_arr.shape[0]} values for {times_arr.shape[0]} times"
-        )
-    return cls(TimeGrid(times_arr), values_arr)
+    return cls(TimeGrid(np.atleast_1d(np.asarray(times, dtype=float))),
+               np.atleast_1d(np.asarray(values, dtype=float)))
 
 
 def make_path(times: Sequence[float], values) -> StepPath:

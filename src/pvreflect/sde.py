@@ -47,20 +47,18 @@ from .errors import (
     CoefficientEvaluationFailure,
     DimensionMismatch,
     InadmissibleStart,
-    InvalidP,
     InvalidParameter,
     NoConvergence,
     PartitionOverflow,
 )
-from .pathcore import (STEP_CAP, StepPath, TimeGrid, _increment_norms, jump_adapted_times,
-                       sup_norm, variation_norm, variation_norms)
+from .pathcore import (STEP_CAP, StepPath, TimeGrid, _check_p, _increment_norms,
+                       jump_adapted_times, sup_norm, variation_norm, variation_norms)
 from .skorokhod import Reflection
 
 __all__ = [
     "Coefficients",
     "Problem",
     "Solution",
-    "AprioriReport",
     "euler_uniform",
     "euler_adaptive",
     "euler_batch",
@@ -108,8 +106,7 @@ class Problem:
     def __post_init__(self) -> None:
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         object.__setattr__(self, "x0", x0)
-        if not 1.0 <= self.p < np.inf:
-            raise InvalidP(f"p must be finite and >= 1, got {self.p}")
+        _check_p(self.p)
         if self.a.dim != 1:
             raise DimensionMismatch("finite-variation driver a must be scalar")
         d = x0.size
@@ -449,21 +446,10 @@ def solve(problem: Problem, tol: float, n0: int,
     )
 
 
-@dataclass(frozen=True)
-class AprioriReport:
-    """A-priori size bounds evaluated on a scheme output."""
-
-    checks: tuple[InequalityCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def a_priori_check(solution: Solution, problem: Problem) -> AprioriReport:
-    """Verify the regulator and state bounds implied by the reflection map.
-
-    With ``y`` the accumulated drift+noise path of the scheme:
+def a_priori_check(solution: Solution, problem: Problem) -> tuple[InequalityCheck, ...]:
+    """The regulator and state bounds implied by the reflection map, one
+    `InequalityCheck` each, with ``y`` the accumulated drift+noise path of
+    the scheme:
 
     * ``Vbar_p(k) <= d * (sup|y| + sup|l|)``
     * ``Vbar_p(x) <= (d+1) * Vbar_p(y) + d * sup|l|``
@@ -473,9 +459,8 @@ def a_priori_check(solution: Solution, problem: Problem) -> AprioriReport:
     r = solution.reflection
     sup_l = sup_norm(problem.l)
     sup_y = sup_norm(r.y)
-    rows = (
+    return (
         check("regulator_vbar_bound", variation_norm(r.k, p), d * (sup_y + sup_l)),
         check("state_vbar_bound", variation_norm(r.x, p),
               (d + 1) * variation_norm(r.y, p) + d * sup_l),
     )
-    return AprioriReport(checks=rows)

@@ -15,10 +15,10 @@ grid.
 
 :func:`check_estimates` evaluates the Lipschitz stability of the map
 ``(y, l) -> (x, k)`` in both the variation norm and the uniform norm and
-reports each inequality with its margin.  The uniform-norm bounds (constants
-2 and 1) are the classical componentwise statements, so they are evaluated in
-the spatial sup norm; with the Euclidean spatial norm those constants would
-pick up a dimension factor.
+returns each inequality as one `checks.InequalityCheck` row.  The
+uniform-norm bounds (constants 2 and 1) are the classical componentwise
+statements, so they are evaluated in the spatial sup norm; with the
+Euclidean spatial norm those constants would pick up a dimension factor.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .checks import InequalityCheck, check
 from .errors import BarrierAboveStart, DimensionMismatch
 from .pathcore import StepPath, align, sup_norm, variation_norms
 
-__all__ = ["Reflection", "EstimateReport", "solve_sp", "check_estimates"]
+__all__ = ["Reflection", "solve_sp", "check_estimates"]
 
 
 @dataclass(frozen=True)
@@ -110,32 +110,16 @@ def solve_sp(y: StepPath, l: StepPath) -> Reflection:
     )
 
 
-@dataclass(frozen=True)
-class EstimateReport:
-    """Stability estimates for a pair of reflection problems."""
-
-    p: float
-    dim: int
-    checks: tuple[InequalityCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def csv_rows(self) -> list[list[str]]:
-        return [c.csv_row() for c in self.checks]
-
-
 def _uniform_norm(path: StepPath) -> float:
     """sup over time of the largest component magnitude."""
     return float(np.abs(path.values).max())
 
 
 def check_estimates(y: StepPath, l: StepPath, y2: StepPath, l2: StepPath,
-                    p: float) -> EstimateReport:
+                    p: float) -> tuple[InequalityCheck, ...]:
     """Evaluate the Lipschitz estimates of the reflection map on two problems.
 
-    Returns one row per inequality:
+    Returns one `InequalityCheck` per inequality, in this order:
 
     * ``state_vbar_lipschitz``     Vbar_p(x - x') <= (d+1) Vbar_p(y - y') + d Vbar_p(l - l')
     * ``regulator_vbar_lipschitz`` Vbar_p(k - k') <= d Vbar_p(y - y') + d Vbar_p(l - l')
@@ -155,7 +139,7 @@ def check_estimates(y: StepPath, l: StepPath, y2: StepPath, l2: StepPath,
 
     # the paths share one grid and dimension, so one stacked DP serves them
     vb_dx, vb_dk, vb_dy, vb_dl, vb_k1, vb_k2 = variation_norms([dx, dk, dy, dl, r1.k, r2.k], p)
-    checks = (
+    return (
         check("state_vbar_lipschitz", vb_dx, (d + 1) * vb_dy + d * vb_dl),
         check("regulator_vbar_lipschitz", vb_dk, d * vb_dy + d * vb_dl),
         check("state_sup_lipschitz", _uniform_norm(dx),
@@ -167,4 +151,3 @@ def check_estimates(y: StepPath, l: StepPath, y2: StepPath, l2: StepPath,
         check("regulator_vbar_bound_2", vb_k2,
               d * (sup_norm(y2a) + sup_norm(l2a))),
     )
-    return EstimateReport(p=float(p), dim=d, checks=checks)

@@ -8,12 +8,13 @@ integral ``t -> int_a^t x_{s-} dz_s`` is well defined and satisfies
 
 with the Riemann zeta function as constant.  On step paths the integral is a
 finite sum over the driver's jumps, computed exactly here; left limits of the
-integrand are mandatory (predictable sampling).
+integrand are mandatory (predictable sampling).  :func:`young_bound_check`
+evaluates the bound on one (integrand, driver) pair and returns it as one
+`checks.InequalityCheck` row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,32 +32,11 @@ from .pathcore import (
 )
 
 __all__ = [
-    "YoungBound",
-    "YoungBoundReport",
     "zeta",
     "rs_integral",
     "young_bound_check",
     "grid_riemann_sum",
 ]
-
-
-@dataclass(frozen=True)
-class YoungBound:
-    """Exponent pair with its zeta constant; invalid outside ``1/p + 1/q > 1``."""
-
-    p: float
-    q: float
-    constant: float
-    valid: bool
-
-    @classmethod
-    def for_exponents(cls, p: float, q: float) -> "YoungBound":
-        if not (1.0 <= p < np.inf and 1.0 <= q < np.inf):
-            raise InvalidExponents(f"exponents must be finite and >= 1, got p={p}, q={q}")
-        s = 1.0 / p + 1.0 / q
-        if s <= 1.0:
-            return cls(p=float(p), q=float(q), constant=float("nan"), valid=False)
-        return cls(p=float(p), q=float(q), constant=zeta(s), valid=True)
 
 
 @lru_cache(maxsize=256)
@@ -112,6 +92,13 @@ def grid_riemann_sum(matrices, points) -> np.ndarray:
     return out
 
 
+def _window(integrand: MatrixStepPath, driver: StepPath, window) -> tuple[float, float]:
+    """The window ``(a, b)``; by default from 0 to the later end of the two paths."""
+    if window is None:
+        window = (0.0, max(driver.end_time, integrand.end_time, 0.0))
+    return _resolve_window(driver, window)
+
+
 def rs_integral(integrand: MatrixStepPath, driver: StepPath, window=None) -> StepPath:
     """Exact left-point Stieltjes integral of a matrix path against a step driver.
 
@@ -123,70 +110,33 @@ def rs_integral(integrand: MatrixStepPath, driver: StepPath, window=None) -> Ste
         raise DimensionMismatch(
             f"integrand dim {integrand.dim} != driver dim {driver.dim}"
         )
-    if window is None:
-        a = 0.0
-        b = max(driver.end_time, integrand.end_time, 0.0)
-    else:
-        a, b = _resolve_window(driver, window)
+    a, b = _window(integrand, driver, window)
     merged = np.union1d(integrand.times, driver.times)
     inner = merged[(merged > a) & (merged <= b)]
     times = np.concatenate([[a], inner])
     z_samples = driver.eval(times)
     m_samples = integrand.eval(times)  # left value on each increment (t_i, t_{i+1}]
     sums = grid_riemann_sum(m_samples, z_samples)
-    # grids must start at 0, so for interior windows the output runs on the
-    # window clock t - a
-    if a == 0.0:
-        return StepPath(TimeGrid(times), sums)
+    # grids must start at 0, so the output runs on the window clock t - a
     return StepPath(TimeGrid(times - a), sums)
 
 
-@dataclass(frozen=True)
-class YoungBoundReport:
-    """Evaluated zeta-constant bound for one (integrand, driver) pair."""
-
-    bound: YoungBound
-    integral_vp: float
-    integrand_vbar_q: float
-    driver_vp: float
-    check: InequalityCheck
-
-    @property
-    def lhs(self) -> float:
-        return self.check.lhs
-
-    @property
-    def rhs(self) -> float:
-        return self.check.rhs
-
-    @property
-    def passed(self) -> bool:
-        return self.check.passed
-
-
 def young_bound_check(integrand: MatrixStepPath, driver: StepPath, p: float,
-                      q: float, window=None) -> YoungBoundReport:
-    """Compare ``V_p`` of the integral with the zeta-constant right side.
+                      q: float, window=None) -> InequalityCheck:
+    """The ``stieltjes_zeta_bound`` row: ``V_p`` of the integral against
+    ``zeta(1/p + 1/q) * Vbar_q(integrand) * V_p(driver)``.
 
-    The integrand norm uses the half-open window ``[a, b)``: a jump of the
-    integrand exactly at the right endpoint does not enter the bound.
+    Raises :class:`InvalidExponents` unless p and q are finite, at least 1
+    and ``1/p + 1/q > 1``.  The integrand norm uses the half-open window
+    ``[a, b)``: a jump of the integrand exactly at the right endpoint does
+    not enter the bound.
     """
-    bound = YoungBound.for_exponents(p, q)
-    if not bound.valid:
-        raise InvalidExponents(f"need 1/p + 1/q > 1, got p={p}, q={q}")
-    if window is None:
-        window = (0.0, max(driver.end_time, integrand.end_time, 0.0))
-    a, b = _resolve_window(driver, window)
+    if not (1.0 <= p < np.inf and 1.0 <= q < np.inf and 1.0 / p + 1.0 / q > 1.0):
+        raise InvalidExponents(f"need finite p, q >= 1 with 1/p + 1/q > 1, got p={p}, q={q}")
+    a, b = _window(integrand, driver, window)
     integral = rs_integral(integrand, driver, (a, b))
     shifted = Interval(0.0, b - a)  # the integral path runs on the window clock
     lhs = p_variation(integral, p, shifted) ** (1.0 / p)
     vbar_q = variation_norm(integrand, q, (a, b), include_right=False)
     driver_vp = p_variation(driver, p, (a, b)) ** (1.0 / p)
-    rhs = bound.constant * vbar_q * driver_vp
-    return YoungBoundReport(
-        bound=bound,
-        integral_vp=lhs,
-        integrand_vbar_q=vbar_q,
-        driver_vp=driver_vp,
-        check=check("stieltjes_zeta_bound", lhs, rhs),
-    )
+    return check("stieltjes_zeta_bound", lhs, zeta(1.0 / p + 1.0 / q) * vbar_q * driver_vp)

@@ -69,7 +69,7 @@ def test_01_pvariation_dynamic_program_matches_brute_force():
 
 
 def test_02_running_max_contraction_campaign():
-    rows = running_max_contraction_campaign(1000, seed=2024, p_values=P_SET)
+    rows = running_max_contraction_campaign(1000, seed=2024)
     violations = [r for r in rows if not r.passed]
     report(
         "running-max difference contraction in p-variation",
@@ -79,8 +79,7 @@ def test_02_running_max_contraction_campaign():
 
 
 def test_03_reflection_lipschitz_estimates_campaign():
-    rows = reflection_estimates_campaign(
-        1000, seed=2024, dims=(1, 2, 3), p_values=P_SET)
+    rows = reflection_estimates_campaign(1000, seed=2024)
     violations = [r for r in rows if not r.passed]
     cases = len({r.case for r in rows})
     report(

@@ -323,6 +323,42 @@ def test_problem_field_overrides_from_config(tmp_path, capsys):
     assert "error=UnknownKind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, problem, error, message", [
+    (["simulate", "--scheme", "bogus"], None, "UsageError", "scheme must be"),
+    (["verify", "--cases", "-1"], None, "UsageError", "cases must be"),
+    (["pvar", "--p", "2"], None, "UsageError", "requires --input"),
+    (["simulate"], "sigma = bogus", "UnknownKind", "unknown sigma preset 'bogus'"),
+    (["simulate"], "barrier = bogus", "UnknownKind", "unknown barrier preset 'bogus'"),
+    (["simulate"], "driver = bogus", "UnknownKind", "unknown driver preset 'bogus'"),
+], ids=["scheme", "negative-cases", "pvar-without-input", "sigma", "barrier", "driver"])
+def test_bad_setting_exits_2_with_error_line(tmp_path, capsys, argv, problem, error, message):
+    if problem is not None:
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[problem]\n{problem}\n")
+        argv = [*argv, "--config", str(cfg)]
+    out = tmp_path / "x.csv"
+    assert run_cli([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"error={error}"
+    assert message in err[1]
+    assert not out.exists()
+
+
+def test_twoblock_sigma_stops_the_noise_at_half_time(tmp_path):
+    # sigma is 2 before t = 1/2 and 0 after, so with no drift the state
+    # stops moving there
+    cfg = tmp_path / "twoblock.ini"
+    cfg.write_text("[problem]\npreset = linear-reflected\nsigma = twoblock\n"
+                   "driver-steps = 64\nn = 64\n")
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    table = np.loadtxt(out, delimiter=",", skiprows=1, comments="#")
+    late = table[table[:, 0] >= 0.5]
+    assert (table[:, 0] < 0.5).any() and len(late) > 1
+    assert np.all(late[:, 1:] == late[0, 1:])
+    assert np.ptp(table[table[:, 0] <= 0.5, 1]) > 0.0
+
+
 @pytest.mark.parametrize("p", ["nan", "inf", "0.5"])
 def test_simulate_non_finite_or_small_p_exits_2(tmp_path, capsys, p):
     cfg = tmp_path / "p.ini"

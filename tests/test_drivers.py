@@ -27,6 +27,7 @@ from pvreflect.errors import (
     InvalidParameter,
     UnknownKind,
 )
+from pvreflect.presets import coefficient_preset
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +45,8 @@ def test_fbm_spec_validation():
         FbmSpec(hurst=0.75, steps=0)
     with pytest.raises(InvalidParameter):
         FbmSpec(hurst=0.75, horizon=0.0)
+    with pytest.raises(InvalidParameter, match="seed"):
+        FbmSpec(hurst=0.75, seed=-1)
 
 
 @pytest.mark.parametrize("horizon", [np.inf, np.nan, -np.inf])
@@ -82,6 +85,9 @@ def test_philox_stream_contract():
         philox_stream(-1)
     with pytest.raises(InvalidParameter):
         philox_stream(1 << 64)
+    for index in (-1, 1 << 64):
+        with pytest.raises(InvalidParameter, match="path_index"):
+            philox_stream(0, index)
 
 
 def test_fbm_increment_law_light():
@@ -234,6 +240,14 @@ def test_zh_validation():
         build_zh([b], VolatilitySpec(np.ones((2, 17))))
     with pytest.raises(GridMismatch):
         build_zh([b], VolatilitySpec(np.ones(5)))
+    with pytest.raises(DimensionMismatch, match="at least one"):
+        build_zh([], VolatilitySpec(np.ones(17)))
+    with pytest.raises(DimensionMismatch, match="scalar"):
+        build_zh([make_path(b.times, np.zeros((17, 2)))], VolatilitySpec(np.ones(17)))
+    with pytest.raises(InvalidParameter, match="sigma must be"):
+        VolatilitySpec(np.ones((1, 2, 17)))
+    with pytest.raises(InvalidParameter, match="finite"):
+        VolatilitySpec([1.0, np.nan])
 
 
 def test_zh_components_are_independent_streams():
@@ -303,6 +317,8 @@ def test_constant_builders_and_unknown_kind():
         make_fv_driver("cubic")
     with pytest.raises(UnknownKind):
         make_barrier("fractal")
+    with pytest.raises(UnknownKind, match="dimension 2"):
+        coefficient_preset("rotation2d", 3)
 
 
 def test_sine_and_jump_barriers():
@@ -314,3 +330,8 @@ def test_sine_and_jump_barriers():
                       schedule=[(0.5, -0.2)], horizon=1.0)
     assert lj.eval(0.4)[0] == -1.0
     assert lj.eval(0.6)[0] == -0.2
+    for t in (0.0, -0.5):
+        with pytest.raises(InvalidParameter, match="schedule times"):
+            make_barrier("jump", schedule=[(t, -0.2)])
+        with pytest.raises(InvalidParameter, match="jump times"):
+            make_fv_driver("jump", jumps=[(t, 1.0)])

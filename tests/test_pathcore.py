@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from pvreflect import (
     Interval,
     StepPath,
+    TimeGrid,
     align,
     coarsen_jump_adapted,
     make_matrix_path,
@@ -75,6 +76,16 @@ def test_make_path_rejects_bad_input():
         make_path([0, 1], [0, 1, 2])
     with pytest.raises(NonFiniteValue):
         make_path([0, 1], [0, np.nan])
+    with pytest.raises(NonMonotoneGrid, match="non-empty"):
+        TimeGrid([])
+    with pytest.raises(NonFiniteValue):
+        TimeGrid([0.0, np.inf])
+    with pytest.raises(LengthMismatch, match="2 values for 3 grid times"):
+        StepPath(TimeGrid([0.0, 1.0, 2.0]), [0.0, 1.0])
+    with pytest.raises(InvalidParameter, match="finite"):
+        Interval(0.0, np.inf)
+    with pytest.raises(InvalidParameter, match="0 <= a <= b"):
+        Interval(2.0, 1.0)
 
 
 def test_eval_and_left_limit():
@@ -116,6 +127,7 @@ def test_pvariation_constant_path_is_zero():
     p = make_path([0.0], [3.0])
     for q in (1.0, 1.5, 2.0, 3.0):
         assert p_variation(p, q) == 0.0
+        assert p_variation(make_matrix_path([0.0], np.eye(2)[None]), q) == 0.0
 
 
 def test_pvariation_p1_is_total_variation():
@@ -142,6 +154,14 @@ def test_pvariation_invalid_p_and_empty_window():
             with pytest.raises(InvalidP):
                 func(p, bad)
     assert p_variation(p, 2.0, Interval(0.5, 0.5)) == 0.0
+
+
+def test_pvariation_brute_force_limits():
+    assert p_variation_brute(make_path([0.0], [3.0]), 2.0) == 0.0
+    zigzag = make_path(np.arange(17.0), np.arange(17.0) % 2)
+    assert p_variation_brute(zigzag, 2.0, (0.0, 15.0)) == p_variation(zigzag, 2.0, (0.0, 15.0))
+    with pytest.raises(InvalidParameter, match="16 points"):
+        p_variation_brute(zigzag, 2.0)
 
 
 def test_variation_norms_stack_paths_of_one_value_shape():
@@ -655,6 +675,11 @@ def test_path_arithmetic_aligns_grids():
     d = p1 - p2
     assert np.array_equal(d.values.ravel(), [0, 0, 1])
     assert np.array_equal((2.0 * p1).values.ravel(), [2, 4])
+    assert np.array_equal((-p1).values.ravel(), [-1, -2])
+    with pytest.raises(TypeError):
+        p1 + 1.0
+    with pytest.raises(LengthMismatch, match="share a dimension"):
+        p1 + make_path([0, 1], [(0, 0), (1, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -695,3 +720,5 @@ def test_csv_header_and_errors():
         read_path_csv(io.StringIO("t,x1\n0,zero\n"))
     with pytest.raises(MalformedCsv):
         read_path_csv(io.StringIO(""))
+    with pytest.raises(MalformedCsv, match="row width 3 != header width 2"):
+        read_path_csv(io.StringIO("t,x1\n0,1\n1,2,3\n"))

@@ -532,6 +532,19 @@ def test_batch_requires_one_coefficients_object():
         euler_batch([], 64)
 
 
+def test_batch_rejects_bad_arguments_before_any_step():
+    prob = fbm_problem(2, n_driver=64)
+    for n in (0, -3):
+        with pytest.raises(InvalidParameter, match="n must be"):
+            euler_batch([prob], n)
+    with pytest.raises(InvalidParameter, match="scheme"):
+        euler_batch([prob], 8, "bogus")
+    # one Coefficients object serves both dimensions; the batch still needs one
+    flat = dataclasses.replace(fbm_problem(3, d=2, n_driver=64), coeffs=prob.coeffs)
+    with pytest.raises(DimensionMismatch):
+        euler_batch([prob, flat], 8)
+
+
 def test_batch_step_cap_counts_every_replicate():
     prob = fbm_problem(2, n_driver=64)
     # 4 replicates of 8 uniform steps each are 32 steps
@@ -657,6 +670,14 @@ def test_solve_rejects_nan_tolerance_before_any_level(monkeypatch):
             solve(prob, tol=tol, n0=16)
 
 
+def test_solve_rejects_zero_n0():
+    prob = Problem(x0=[1.0], a=zero_a(), z=make_path([0, 1], [0, 1]),
+                   l=make_barrier("constant", level=0.0, horizon=1.0),
+                   coeffs=identity_coeffs(), p=2.0)
+    with pytest.raises(InvalidParameter, match="n0"):
+        solve(prob, tol=1e-3, n0=0)
+
+
 def test_solve_unreachable_tolerance():
     prob = Problem(x0=[1.0], a=zero_a(), z=make_path([0, 1], [0, 1]),
                    l=make_barrier("constant", level=0.0, horizon=1.0),
@@ -737,18 +758,18 @@ def test_a_priori_trivial_regulator():
                    coeffs=identity_coeffs(), p=2.0)
     sol = euler_uniform(prob, 16)
     assert np.all(sol.k.values == 0.0)
-    assert a_priori_check(sol, prob).passed
+    assert all(chk.passed for chk in a_priori_check(sol, prob))
 
 
 def test_a_priori_reflected_and_random_cases():
     prob = fbm_problem(33, d=1, coeffs="identity")
     sol = euler_adaptive(prob, 128)
     assert sol.diagnostics["sup_k"] > 0.0  # the barrier actually binds
-    report = a_priori_check(sol, prob)
-    assert report.passed
-    for chk in report.checks:
-        assert chk.margin >= 0.0
+    checks = a_priori_check(sol, prob)
+    assert [chk.name for chk in checks] == ["regulator_vbar_bound", "state_vbar_bound"]
+    for chk in checks:
+        assert chk.passed and chk.margin >= 0.0
 
     prob2 = fbm_problem(22, d=2, coeffs="rotation2d")
     sol2 = euler_adaptive(prob2, 128)
-    assert a_priori_check(sol2, prob2).passed
+    assert all(chk.passed for chk in a_priori_check(sol2, prob2))

@@ -52,6 +52,14 @@ def test_reflection_at_moving_barrier():
     assert np.array_equal(r.x.values.ravel(), [1, 0.5, 0.5])
 
 
+def test_one_point_reflection_has_no_defect():
+    r = solve_sp(make_path([0], [(1.0, 2.0)]), make_path([0], [(0.0, 2.0)]))
+    assert r.dim == 2
+    assert r.monotonicity_violation() == 0.0
+    assert r.complementarity_defect() == 0.0
+    assert r.max_defect() == 0.0
+
+
 def test_rejects_inadmissible_inputs():
     with pytest.raises(BarrierAboveStart):
         solve_sp(make_path([0], [0.0]), make_path([0], [1.0]))
@@ -98,9 +106,9 @@ def test_minimality_against_push_recursion_and_perturbations():
 def test_estimates_identical_problems_are_all_zero():
     rng = philox_stream(444)
     y, l = admissible_pair(rng, d=2)
-    report = check_estimates(y, l, y, l, p=2.0)
-    assert report.passed
-    for chk in report.checks:
+    checks = check_estimates(y, l, y, l, p=2.0)
+    assert all(chk.passed for chk in checks)
+    for chk in checks:
         if not chk.name.startswith("regulator_vbar_bound"):
             assert chk.lhs == 0.0
 
@@ -110,11 +118,11 @@ def test_estimates_constant_shift_regulator_bound():
     y, l = admissible_pair(rng, d=1)
     c = 0.7
     y2 = make_path(y.times, y.values + c)
-    report = check_estimates(y, l, y2, l, p=2.0)
-    by_name = {chk.name: chk for chk in report.checks}
+    checks = check_estimates(y, l, y2, l, p=2.0)
+    by_name = {chk.name: chk for chk in checks}
     # |k - k'| <= |c| when only the input is shifted by a constant
     assert by_name["regulator_sup_lipschitz"].lhs <= c + 1e-12
-    assert report.passed
+    assert all(chk.passed for chk in checks)
 
 
 def test_estimates_random_pairs_pass():
@@ -123,14 +131,16 @@ def test_estimates_random_pairs_pass():
         d = int(rng.integers(1, 4))
         y, l = admissible_pair(rng, d=d)
         y2, l2 = admissible_pair(rng, d=d)
-        report = check_estimates(y, l, y2, l2, p=2.0)
-        assert report.passed, [c for c in report.checks if not c.passed]
+        failed = [c for c in check_estimates(y, l, y2, l2, p=2.0) if not c.passed]
+        assert not failed, failed
 
 
-def test_estimate_report_csv_rows():
+def test_estimate_rows_write_exact_csv_cells():
     rng = philox_stream(777)
     y, l = admissible_pair(rng)
-    report = check_estimates(y, l, y, l, p=1.5)
-    rows = report.csv_rows()
-    assert len(rows) == len(report.checks)
-    assert all(len(r) == 5 for r in rows)
+    y2, l2 = admissible_pair(rng)
+    for chk in check_estimates(y, l, y2, l2, p=1.5):
+        name, lhs, rhs, margin, passed = chk.csv_row()
+        assert name == chk.name and passed == "1"
+        # 17 significant digits read back to the same doubles
+        assert (float(lhs), float(rhs), float(margin)) == (chk.lhs, chk.rhs, chk.margin)

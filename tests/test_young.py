@@ -5,13 +5,14 @@ import pytest
 import scipy.special
 
 from pvreflect import (
-    YoungBound,
     coarsen_jump_adapted,
     grid_riemann_sum,
     make_matrix_path,
     make_path,
+    p_variation,
     rs_integral,
     sup_distance,
+    variation_norm,
     young_bound_check,
     zeta,
 )
@@ -63,17 +64,29 @@ def test_zeta_domain_error():
 
 
 def test_young_bound_exponents():
-    good = YoungBound.for_exponents(1.5, 1.5)
-    assert good.valid and good.constant > 1.0
-    bad = YoungBound.for_exponents(2.0, 2.0)
-    assert not bad.valid
+    integrand = make_matrix_path([0.0], 1.0)
+    driver = make_path([0, 1], [0.0, 1.0])
+    assert young_bound_check(integrand, driver, 1.5, 1.5).passed
+    # p = q = 2 is the boundary 1/p + 1/q = 1; the rest leave [1, inf)
+    for p, q in [(2.0, 2.0), (0.5, 1.5), (1.5, 0.5), (math.nan, 1.5), (1.5, math.nan),
+                 (math.inf, 1.5), (1.5, math.inf)]:
+        with pytest.raises(InvalidExponents):
+            young_bound_check(integrand, driver, p, q)
+    # the exponents are checked before the paths are looked at
     with pytest.raises(InvalidExponents):
-        YoungBound.for_exponents(0.5, 1.5)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(InvalidExponents):
-            YoungBound.for_exponents(bad, 1.5)
-        with pytest.raises(InvalidExponents):
-            YoungBound.for_exponents(1.5, bad)
+        young_bound_check(make_matrix_path([0.0], np.eye(2)[None]), driver, 2.0, 2.0)
+
+
+def test_young_bound_row_is_the_zeta_product(rng):
+    integrand = random_matrix_path(rng, d=2)
+    driver = random_step_path(rng, max_points=15, d=2)
+    end = max(integrand.end_time, driver.end_time)
+    chk = young_bound_check(integrand, driver, p=1.5, q=1.5)
+    assert chk.name == "stieltjes_zeta_bound"
+    assert chk.lhs == p_variation(rs_integral(integrand, driver), 1.5) ** (1 / 1.5)
+    assert chk.rhs == (zeta(4 / 3) * variation_norm(integrand, 1.5, (0, end), include_right=False)
+                       * p_variation(driver, 1.5, (0, end)) ** (1 / 1.5))
+    assert chk.passed and chk.margin == chk.rhs - chk.lhs
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +165,12 @@ def test_grid_riemann_sum_identity_and_single_step():
     assert np.array_equal(single[:, 0], [0.0, 6.0])
     with pytest.raises(LengthMismatch):
         grid_riemann_sum(eye[:2], z)
+    # 1-D inputs are scalar matrices and scalar points
+    assert np.array_equal(grid_riemann_sum([1.0, 2.0, 9.0], z[:, 0])[:, 0], [0.0, 1.0, 5.0])
+    with pytest.raises(DimensionMismatch):
+        grid_riemann_sum(np.zeros((3, 2, 2)), z)
+    with pytest.raises(DimensionMismatch):
+        grid_riemann_sum(np.zeros((3, 2, 3)), np.zeros((3, 2)))
 
 
 def test_grid_riemann_sum_matches_rs_integral(rng):
@@ -171,24 +190,23 @@ def test_bound_constant_integrand_passes(rng):
     driver = random_step_path(rng, max_points=15, d=2)
     c = 1.7
     integrand = make_matrix_path([0.0], (c * np.eye(2))[None])
-    report = young_bound_check(integrand, driver, p=2.0, q=1.5)
-    assert report.passed
-    assert report.lhs <= report.rhs
+    chk = young_bound_check(integrand, driver, p=2.0, q=1.5)
+    assert chk.passed
+    assert chk.lhs <= chk.rhs
 
 
 def test_bound_zero_driver_passes(rng):
     integrand = random_matrix_path(rng, d=2)
     driver = make_path([0.0], [(0.0, 0.0)])
-    report = young_bound_check(integrand, driver, p=2.0, q=1.5)
-    assert report.lhs == 0.0
-    assert report.passed
+    chk = young_bound_check(integrand, driver, p=2.0, q=1.5)
+    assert chk.lhs == 0.0
+    assert chk.passed
 
 
 def test_bound_random_pair_near_regime_boundary(rng):
     integrand = random_matrix_path(rng, d=2)
     driver = random_step_path(rng, max_points=15, d=2)
-    report = young_bound_check(integrand, driver, p=1.8, q=1.8)
-    assert report.passed
+    assert young_bound_check(integrand, driver, p=1.8, q=1.8).passed
 
 
 def test_bound_rejects_non_young_exponents(rng):
