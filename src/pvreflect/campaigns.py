@@ -2,14 +2,18 @@
 
 Each campaign draws seeded random step-path fixtures (Philox stream per
 case), evaluates one family of inequalities exactly, and returns one row per
-check.  The inequalities are theorems, so any violation beyond floating-point
-slack is an implementation bug; the ``corrupt`` switch deliberately inflates
-the left sides to provide a negative control for the harness itself.
+check.  A campaign runs a number of cases or a range of case numbers; a case
+depends only on the seed and its number, so `iter_campaigns` can run them one
+at a time.  The inequalities are theorems, so any violation beyond
+floating-point slack is an implementation bug; the ``corrupt`` switch
+deliberately inflates the left sides to provide a negative control for the
+harness itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -32,6 +36,7 @@ __all__ = [
     "running_max_contraction_campaign",
     "reflection_estimates_campaign",
     "stieltjes_bound_campaign",
+    "iter_campaigns",
     "run_all_campaigns",
     "CAMPAIGN_CSV_HEADER",
 ]
@@ -61,6 +66,11 @@ class CampaignRow(InequalityCheck):
 
     def csv_row(self) -> list[str]:
         return [self.campaign, str(self.case)] + super().csv_row()
+
+
+def _case_numbers(cases: int | range) -> range:
+    """A campaign's cases: ``0 .. cases - 1`` for a count, else the range given."""
+    return cases if isinstance(cases, range) else range(cases)
 
 
 def _random_times(rng: np.random.Generator, max_points: int, horizon: float = 1.0) -> np.ndarray:
@@ -93,7 +103,7 @@ def _row(campaign: str, case: int, name: str, lhs: float, rhs: float,
                        campaign=campaign, case=case)
 
 
-def running_max_contraction_campaign(cases: int, seed: int,
+def running_max_contraction_campaign(cases: int | range, seed: int,
                                      corrupt: bool = False) -> list[CampaignRow]:
     """v_p of a running-max difference never exceeds v_p of the difference.
 
@@ -101,7 +111,7 @@ def running_max_contraction_campaign(cases: int, seed: int,
     and compares the two p-variations at one exponent from ``_P_VALUES``.
     """
     rows = []
-    for case in range(cases):
+    for case in _case_numbers(cases):
         rng = philox_stream(seed, _BLOCK_RUNNING_MAX * _STREAM_BLOCK + case)
         p = _P_VALUES[case % len(_P_VALUES)]
         y1 = _random_path(rng, _MAX_POINTS)
@@ -122,11 +132,11 @@ def _admissible_pair(rng: np.random.Generator, d: int) -> tuple[StepPath, StepPa
     return y, make_path(l.times, l.values - shift)
 
 
-def reflection_estimates_campaign(cases: int, seed: int,
+def reflection_estimates_campaign(cases: int | range, seed: int,
                                   corrupt: bool = False) -> list[CampaignRow]:
     """Lipschitz estimates of the reflection map on random problem pairs."""
     rows = []
-    for case in range(cases):
+    for case in _case_numbers(cases):
         rng = philox_stream(seed, _BLOCK_REFLECTION * _STREAM_BLOCK + case)
         d = _DIMS[case % len(_DIMS)]
         p = _P_VALUES[(case // len(_DIMS)) % len(_P_VALUES)]
@@ -144,11 +154,11 @@ def _random_matrix_path(rng: np.random.Generator, max_points: int, d: int) -> Ma
     return make_matrix_path(times, np.cumsum(steps, axis=0))
 
 
-def stieltjes_bound_campaign(cases: int, seed: int,
+def stieltjes_bound_campaign(cases: int | range, seed: int,
                              corrupt: bool = False) -> list[CampaignRow]:
     """zeta-constant bound for random (matrix integrand, vector driver) pairs."""
     rows = []
-    for case in range(cases):
+    for case in _case_numbers(cases):
         rng = philox_stream(seed, _BLOCK_STIELTJES * _STREAM_BLOCK + case)
         p, q = _PQ_PAIRS[case % len(_PQ_PAIRS)]
         d = int(rng.integers(1, 3))
@@ -160,10 +170,19 @@ def stieltjes_bound_campaign(cases: int, seed: int,
     return rows
 
 
+def iter_campaigns(cases: int, seed: int, corrupt: bool = False) -> Iterator[CampaignRow]:
+    """The rows of `run_all_campaigns` in its order, each case's as it finishes.
+
+    Only one case's rows are held at a time, so a caller that writes them
+    as they come needs memory that does not grow with ``cases``.
+    """
+    # names looked up at each call, so a wrapper installed on them sees every case
+    for campaign in (running_max_contraction_campaign, reflection_estimates_campaign,
+                     stieltjes_bound_campaign):
+        for case in range(cases):
+            yield from campaign(range(case, case + 1), seed, corrupt=corrupt)
+
+
 def run_all_campaigns(cases: int, seed: int, corrupt: bool = False) -> list[CampaignRow]:
     """All three campaigns with ``cases`` cases each, in a fixed order."""
-    rows = []
-    rows += running_max_contraction_campaign(cases, seed, corrupt=corrupt)
-    rows += reflection_estimates_campaign(cases, seed, corrupt=corrupt)
-    rows += stieltjes_bound_campaign(cases, seed, corrupt=corrupt)
-    return rows
+    return list(iter_campaigns(cases, seed, corrupt))

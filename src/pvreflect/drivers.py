@@ -332,9 +332,11 @@ def make_barrier(kind: str, dim: int = 1, **params) -> StepPath:
         )
         return make_path(times, values)
     if kind == "jump":
+        # by time alone: levels at one time are left for make_path to refuse
         schedule = sorted(
-            (float(t), np.broadcast_to(np.asarray(v, dtype=float), (dim,)))
-            for t, v in params.get("schedule", ())
+            ((float(t), np.broadcast_to(np.asarray(v, dtype=float), (dim,)))
+             for t, v in params.get("schedule", ())),
+            key=lambda entry: entry[0],
         )
         start = np.broadcast_to(np.asarray(params.get("level", 0.0), dtype=float), (dim,))
         if any(t <= 0.0 for t, _ in schedule):

@@ -33,13 +33,17 @@ margin, stays below a candidate the row already reaches for every row of
 the block is skipped.  It cannot hold a row's maximum, and every kept cell
 is computed by the same operations, so results are the same to the last bit.
 
-A scalar window alone in its call, with more than ``_PVAR_BOUND_FROM`` points
-left, takes an exact pruned kernel instead (`_pvar_pairs`); a stack keeps the
-kernel above, whose row step serves all its windows at once.  Candidate ``i``
-of row ``j`` cannot win when a point ``k`` between has ``|v_k - v_i| >= |v_j -
-v_i|`` (so ``best[k] >= best[i] + d(i, j)``) or ``|v_j - v_k| >= |v_j - v_i|``
-(and ``best[k] >= best[i]``), as rounded differences and sums, the square root
-and numpy's power (a test pins it) are monotone.  That leaves exactly the
+A window alone in its call may take one of two other kernels; a stack keeps
+the kernel above, whose row step serves all its windows at once.  With at
+most 128 points left (``m^2 <= _PVAR_BLOCK_CELLS``), of any value shape, the
+window goes to `_pvar_small`: one numpy call computes its distances, and the
+rows advance on Python floats, which costs less than a numpy call per row.
+A scalar window with more than ``_PVAR_BOUND_FROM`` points left takes an
+exact pruned kernel (`_pvar_pairs`).  Candidate ``i`` of row ``j`` cannot
+win when a point ``k`` between has ``|v_k - v_i| >= |v_j - v_i|`` (so
+``best[k] >= best[i] + d(i, j)``) or ``|v_j - v_k| >= |v_j - v_i|`` (and
+``best[k] >= best[i]``), as rounded differences and sums, the square root and
+numpy's power (a test pins it) are monotone.  That leaves exactly the
 ``i`` whose points between lie strictly between ``v_i`` and ``v_j``.
 
 Conventions:
@@ -60,6 +64,7 @@ import array
 import csv
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -280,23 +285,25 @@ def _increment_norms(diffs: np.ndarray, matrix: bool = False) -> np.ndarray:
     """Norms of stacked increments with any leading shape.
 
     Vectors (last axis) take the Euclidean norm, matrices (last two axes,
-    ``matrix=True``) the operator (spectral) norm.  One or two squares are
-    added directly, so a strided block needs no copy; that equals
-    ``einsum("ij,ij->i")`` bit for bit.  Three or more go through that einsum
-    on a contiguous copy: einsum adds them in SIMD lanes, in an order a plain
-    sum does not reproduce, and keeping its order keeps printed results
-    unchanged to the last digit.
+    ``matrix=True``) the operator (spectral) norm.  Up to three squares are
+    added directly, so a strided block needs no copy, in the order of
+    ``einsum("ij,ij->i")``, which keeps printed results unchanged to the last
+    digit: ``x0^2 + x1^2`` for two components, ``(x0^2 + x2^2) + x1^2`` for
+    three (numpy's baseline SSE, AVX2 and AVX-512 kernels all add three
+    that way; a test pins it).  Four or more go through that einsum on a
+    contiguous copy: it adds them in SIMD lanes, in an order a plain sum
+    does not reproduce.
     """
     if matrix:
         if diffs.size == 0:
             return np.zeros(diffs.shape[:-2])
         return np.linalg.norm(diffs, ord=2, axis=(-2, -1))
-    if diffs.shape[-1] > 2:
+    if diffs.shape[-1] > 3:
         flat = np.ascontiguousarray(diffs).reshape(-1, diffs.shape[-1])
         return np.sqrt(np.einsum("ij,ij->i", flat, flat)).reshape(diffs.shape[:-1])
     squares = np.square(diffs[..., 0])
-    if diffs.shape[-1] == 2:
-        squares += np.square(diffs[..., 1])
+    for k in range(diffs.shape[-1] - 1, 0, -1):
+        squares += np.square(diffs[..., k])
     return np.sqrt(squares)
 
 
@@ -509,6 +516,30 @@ def _pvar_stack(windows: list[np.ndarray], p: float) -> list[float]:
     return [float(best[b, end - 1]) for b, end in enumerate(ends)]
 
 
+def _pvar_small(vals: np.ndarray, p: float) -> float:
+    """``best[m - 1]`` of one window of ``m >= 2`` points, ``m^2 <= _PVAR_BLOCK_CELLS``.
+
+    One `_increment_norms` call computes every distance a row reads: the
+    full square of ``v_j - v_i`` for vectors, only the pairs ``i < j`` for
+    matrices, whose SVDs dominate.  The rows then advance on Python floats,
+    each one maximum of ``best[i] + d(i, j)`` over ``i < j``: the additions
+    of the row-by-row loop over its candidates, so its result to the last bit.
+    """
+    m = vals.shape[0]
+    if vals.ndim == 3:
+        # row j's pairs (j, 0), ..., (j, j - 1) follow row j - 1's
+        lower = np.arange(m)[:, None] > np.arange(m)
+        flat = (_increment_norms((vals[:, None] - vals[None])[lower], True) ** p).tolist()
+        rows = [flat[k * (k - 1) // 2 : k * (k + 1) // 2] for k in range(1, m)]
+    else:
+        # map stops at the shorter list: row j reads its first j distances
+        rows = (_increment_norms(vals[1:, None] - vals[None, :-1]) ** p).tolist()
+    best = [0.0]
+    for row in rows:
+        best.append(max(map(operator.add, best, row)))
+    return best[-1]
+
+
 def _min_table(w: np.ndarray) -> np.ndarray:
     """``table[l, k]``: the least of ``w[k], w[k + 2], ...``, ``2^l`` entries, where all exist."""
     table = np.repeat(w[None], max(w.size - 1, 1).bit_length(), axis=0)
@@ -616,15 +647,17 @@ def _pvar_dp(windows: Sequence[np.ndarray], p: float) -> list[float]:
     ``best[j] = max_{i<j} best[i] + |v_j - v_i|^p`` with ``best[0] = 0``, for
     every window of one value shape.  For p > 1 each window first drops its
     repeated points, and a scalar one keeps only its end points and turns
-    (`_reduce_window`).  A scalar window alone in the call with more than
-    ``_PVAR_BOUND_FROM`` points left then goes to `_pvar_pairs`.  The others
-    are stacked, up to ``_PVAR_STACK_WINDOWS`` and longest first, and advance
-    a block of ``_PVAR_BLOCK_ROWS`` rows at a time in pieces of at most
+    (`_reduce_window`).  A window alone in the call then goes to
+    `_pvar_small` if it has ``m >= 2`` points left with ``m^2 <=
+    _PVAR_BLOCK_CELLS``, and to `_pvar_pairs` if it is scalar with more than
+    ``_PVAR_BOUND_FROM`` points left.  The others are stacked, up to
+    ``_PVAR_STACK_WINDOWS`` and longest first, and advance a block of
+    ``_PVAR_BLOCK_ROWS`` rows at a time in pieces of at most
     ``_PVAR_BLOCK_CELLS`` point pairs (`_pvar_stack`): against chunks of
     earlier points that branch and bound may skip (`_kept_chunks`), then one
-    row at a time for all windows.  Both kernels compute each cell they keep
-    as a row-by-row loop would and skip only cells that cannot hold a row's
-    maximum, so the result depends on neither, nor on the blocking.
+    row at a time for all windows.  Every kernel computes each cell it keeps
+    as a row-by-row loop would and skips only cells that cannot hold a row's
+    maximum, so the result depends on none of them, nor on the blocking.
     """
     out = [0.0] * len(windows)
     stack = []
@@ -636,6 +669,8 @@ def _pvar_dp(windows: Sequence[np.ndarray], p: float) -> list[float]:
         vals = _reduce_window(vals)
         if len(windows) == 1 and vals.shape[1:] == (1,) and vals.shape[0] > _PVAR_BOUND_FROM:
             out[b] = _pvar_pairs(vals, p)
+        elif len(windows) == 1 and 1 < vals.shape[0] ** 2 <= _PVAR_BLOCK_CELLS:
+            out[b] = _pvar_small(vals, p)
         elif vals.shape[0] > 1:
             stack.append((b, vals))
     # longest first: the windows still running at a row are a prefix
@@ -660,8 +695,11 @@ def p_variation(path, p: float, window=None) -> float:
     step paths this equals the supremum over all subdivisions.  For p > 1 the
     window drops repeated points and, if scalar, keeps only its turns, and the
     program skips only candidates that cannot win (module docstring), so the
-    result is exact to the last bit.  All pairs of points cost O(n^2); a long
-    scalar window keeps 24 pairs a row at 3k turns of fBm, 100 at 95k.
+    result is exact to the last bit.  Three kernels serve it: up to 128 points
+    left, the rows advance on Python floats; a longer scalar window keeps only
+    the pairs that can win; any other window advances a numpy row at a time.
+    All pairs of points cost O(n^2); a long scalar window keeps 24 pairs a row
+    at 3k turns of fBm, 100 at 95k.
     Memory is bounded by ``_PVAR_BLOCK_CELLS`` pairs at a time, plus tables of
     ``O(n log n)`` for a long scalar window.  Degenerate windows yield 0.
     ``p`` must be finite and at least 1.

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import pvreflect
-from pvreflect import read_path_csv, write_path_csv
+from pvreflect import campaigns, read_path_csv, write_path_csv
 from pvreflect.cli import CORRUPT_ENV, main
 from pvreflect.drivers import FBM_MAX_STEPS
 from pvreflect.pathcore import STEP_CAP
@@ -612,6 +612,29 @@ def test_verify_bytes_are_golden(tmp_path, seed):
     out = tmp_path / "v.csv"
     assert run_cli(["verify", "--cases", "20", "--seed", str(seed), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() in GOLDEN_VERIFY_20[seed]
+
+
+def test_verify_memory_does_not_grow_with_cases(tmp_path, monkeypatch):
+    # each campaign gives one cheap row a case, so the peak measures what the
+    # command holds and not the DP's working set of its largest case
+    def campaign(cases, seed, corrupt=False):
+        cases = cases if isinstance(cases, range) else range(cases)
+        return [campaigns.CampaignRow(name=f"check{case}", lhs=case / 7.0, rhs=case + 1.0,
+                                      passed=True, campaign="stub", case=case)
+                for case in cases]
+
+    for name in ("running_max_contraction_campaign", "reflection_estimates_campaign",
+                 "stieltjes_bound_campaign"):
+        monkeypatch.setattr(campaigns, name, campaign)
+    out = tmp_path / "v.csv"
+    peaks = []
+    for cases in (20, 4000):
+        rc, peak = run_cli_peak(["verify", "--cases", str(cases), "--out", str(out)])
+        assert rc == 0
+        assert out.read_text().splitlines()[-1] == f"summary,,total,{3 * cases},{3 * cases},0,1"
+        peaks.append(peak)
+    # holding the 12,000 rows until the end takes megabytes
+    assert peaks[1] < peaks[0] + 64 * 1024
 
 
 def test_verify_corrupted_solver_exits_1(tmp_path, monkeypatch):

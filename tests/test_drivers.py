@@ -25,6 +25,7 @@ from pvreflect.errors import (
     GridMismatch,
     InvalidHurst,
     InvalidParameter,
+    NonMonotoneGrid,
     UnknownKind,
 )
 from pvreflect.presets import coefficient_preset
@@ -335,3 +336,16 @@ def test_sine_and_jump_barriers():
             make_barrier("jump", schedule=[(t, -0.2)])
         with pytest.raises(InvalidParameter, match="jump times"):
             make_fv_driver("jump", jumps=[(t, 1.0)])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_jump_barrier_refuses_two_levels_at_one_time(dim):
+    # sorted by time alone, so the tie reaches the grid check, as for drivers
+    with pytest.raises(NonMonotoneGrid):
+        make_barrier("jump", dim=dim, schedule=[(0.5, -0.2), (0.5, -0.1)])
+    with pytest.raises(NonMonotoneGrid):
+        make_fv_driver("jump", jumps=[(0.5, 1.0), (0.5, 2.0)])
+    # out of order, but at distinct times: each level holds from its own time
+    lj = make_barrier("jump", dim=dim, schedule=[(0.7, [-0.1] * dim), (0.3, [-0.2] * dim)])
+    assert np.array_equal(lj.times, [0.0, 0.3, 0.7, 1.0])
+    assert np.array_equal(lj.values[:, 0], [0.0, -0.2, -0.1, -0.1])

@@ -460,6 +460,76 @@ def test_pvariation_pairs_are_held_a_piece_at_a_time():
     assert peak < 16 * 8 * _PVAR_BLOCK_CELLS
 
 
+@pytest.mark.parametrize("shape", [(1,), (2,), (3,), (1, 1), (2, 2)])
+@pytest.mark.parametrize("m", [2, 3, 64, 128])
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0])
+def test_pvariation_small_kernel_matches_row_by_row_dp(shape, m, p, rng):
+    walk = np.cumsum(rng.normal(size=(m, *shape)), axis=0)
+    # small integers: repeated points, equal distances and tied candidates
+    ties = rng.integers(-2, 3, size=(m, *shape)).astype(float)
+    for vals in (walk, ties):
+        assert pathcore._pvar_small(vals, p) == _pvar_row_by_row(vals, p)
+
+
+@pytest.fixture
+def small_windows(monkeypatch):
+    """Windows the one-call kernel for lone small windows is called on."""
+    seen = []
+    kernel = pathcore._pvar_small
+
+    def spy(vals, p):
+        seen.append(vals)
+        return kernel(vals, p)
+
+    monkeypatch.setattr(pathcore, "_pvar_small", spy)
+    return seen
+
+
+def test_pvariation_small_kernel_serves_only_a_lone_window_of_at_most_128_points(
+        rng, small_windows):
+    assert 128 ** 2 == _PVAR_BLOCK_CELLS
+    # 129 points that `_reduce_window` keeps, scalar, vector and matrix
+    walks = [_zigzag(rng, 129), np.cumsum(rng.normal(size=(129, 2)), axis=0),
+             np.cumsum(rng.normal(size=(129, 2, 2)), axis=0)]
+    for walk in walks:
+        assert _reduce_window(walk).shape[0] == 129
+        # 129 points alone, windows of a stack, p = 1 and one point take another way
+        _pvar_dp([walk], 2.0)
+        _pvar_dp([walk[:128], walk[:128]], 2.0)
+        _pvar_dp([walk[:10], walk[:3]], 2.0)
+        _pvar_dp([walk[:10]], 1.0)
+        _pvar_dp([walk[:1]], 2.0)
+        assert small_windows == []
+        for m in (128, 2):
+            assert _pvar_dp([walk[:m]], 2.0) == [_pvar_row_by_row(walk[:m], 2.0)]
+            assert len(small_windows) == 1 and small_windows.pop().shape[0] == m
+    # the kernel sees the window after repeated points are dropped
+    repeats = np.repeat(walks[1], 2, axis=0)
+    assert _pvar_dp([repeats[:200]], 1.5) == [_pvar_row_by_row(walks[1][:100], 1.5)]
+    assert len(small_windows) == 1 and np.array_equal(small_windows[0], walks[1][:100])
+
+
+def test_three_component_norms_equal_einsum_bit_for_bit(rng):
+    # magnitudes from 2^-520, whose squares are subnormal, to 2^500, plus
+    # zeros and subnormal components
+    size = 300_000
+    vals = rng.uniform(1.0, 2.0, size=(size, 3)) * np.exp2(
+        rng.integers(-520, 501, size=(size, 3)).astype(float))
+    vals *= rng.choice([-1.0, 1.0], size=(size, 3))
+    vals[rng.random(size=(size, 3)) < 0.05] = 0.0
+    tiny = rng.random(size=(size, 3)) < 0.02
+    vals[tiny] = rng.uniform(-1.0, 1.0, size=int(tiny.sum())) * 2.0 ** -1022
+    # one component near the others' scale makes every addition round
+    vals[::3, 1] = vals[::3, 0] * rng.uniform(0.5, 2.0, size=vals[::3].shape[0])
+    with np.errstate(under="ignore"):
+        expected = np.sqrt(np.einsum("ij,ij->i", vals, vals))
+        assert np.array_equal(_increment_norms(vals), expected)
+        # a strided view, as the DP passes, and a leading shape
+        comps = np.ascontiguousarray(vals.T)
+        assert np.array_equal(_increment_norms(comps.T), expected)
+        assert np.array_equal(_increment_norms(vals.reshape(-1, 100, 3)), expected.reshape(-1, 100))
+
+
 @pytest.mark.parametrize("p", [1.1, 1.2, 1.5, 2.0, 2.5, 3.0, 4.0])
 def test_pvariation_distance_never_falls_as_the_increment_grows(p, rng):
     # the pruned kernel compares values, not their distances, so it is exact
