@@ -44,7 +44,17 @@ win when a point ``k`` between has ``|v_k - v_i| >= |v_j - v_i|`` (so
 ``best[k] >= best[i] + d(i, j)``) or ``|v_j - v_k| >= |v_j - v_i|`` (and
 ``best[k] >= best[i]``), as rounded differences and sums, the square root and
 numpy's power (a test pins it) are monotone.  That leaves exactly the
-``i`` whose points between lie strictly between ``v_i`` and ``v_j``.
+``i`` whose points between lie strictly between ``v_i`` and ``v_j``; where
+those are more than ``m^2 / _PVAR_PAIRS_DENSE`` pairs, the window takes the
+dense kernel after all.
+
+Input is checked once, where it enters: `make_path`, `make_matrix_path`,
+`read_path_csv`, `TimeGrid` and `Interval` check shapes, finiteness and that
+times rise strictly from 0.  A path derived from checked paths (`align`,
+arithmetic, `running_max`, the reflection, the Stieltjes sums, the Euler
+output) is built by `_derived` on a checked grid and re-checks only what its
+arithmetic can break: finiteness where a sum, difference or product can
+overflow, and the order of times that were shifted or rounded.
 
 Conventions:
 
@@ -121,13 +131,17 @@ class TimeGrid:
 
     def __post_init__(self) -> None:
         times = _freeze(np.atleast_1d(self.times))
-        if times.ndim != 1 or times.size == 0:
-            raise NonMonotoneGrid("grid must be a non-empty 1-D sequence")
-        if not np.isfinite(times).all():
-            raise NonFiniteValue("grid times must be finite")
-        if times[0] != 0.0:
-            raise NonMonotoneGrid(f"grid must start at 0, got {times[0]}")
-        if times.size > 1 and not np.all(np.diff(times) > 0.0):
+        # times that rise strictly from 0 to a finite last time are all
+        # finite, as NaN fails every comparison; only a grid that fails this
+        # test goes through the checks one by one, for its error
+        if not (times.ndim == 1 and times.size and times[0] == 0.0
+                and math.isfinite(times[-1]) and (times[1:] > times[:-1]).all()):
+            if times.ndim != 1 or times.size == 0:
+                raise NonMonotoneGrid("grid must be a non-empty 1-D sequence")
+            if not np.isfinite(times).all():
+                raise NonFiniteValue("grid times must be finite")
+            if times[0] != 0.0:
+                raise NonMonotoneGrid(f"grid must start at 0, got {times[0]}")
             raise NonMonotoneGrid("grid times must be strictly increasing")
         object.__setattr__(self, "times", times)
 
@@ -147,7 +161,7 @@ class Interval:
     b: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.a) and np.isfinite(self.b)):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise InvalidParameter("interval endpoints must be finite")
         if self.a < 0.0 or self.b < self.a:
             raise InvalidParameter(f"need 0 <= a <= b, got [{self.a}, {self.b}]")
@@ -155,9 +169,7 @@ class Interval:
 
 def _locate(times: np.ndarray, t, left: bool = False) -> np.ndarray:
     """Index of the step containing ``t`` (`left=True` for the preceding one)."""
-    side = "left" if left else "right"
-    idx = np.searchsorted(times, t, side=side) - 1
-    return np.maximum(idx, 0)
+    return np.maximum(times.searchsorted(t, "left" if left else "right") - 1, 0)
 
 
 @dataclass(frozen=True)
@@ -205,7 +217,7 @@ class _GridPath:
     def eval(self, t):
         """Right-continuous value at ``t`` (scalar -> one value, array -> stacked)."""
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0.0):
+        if (t_arr < 0.0).any():
             raise NegativeTime("paths are defined on [0, inf)")
         out = self.values[_locate(self.times, t_arr)]
         return out if t_arr.ndim else out.reshape(self.values.shape[1:])
@@ -213,7 +225,7 @@ class _GridPath:
     def left_limit(self, t):
         """Left limit at ``t > 0``; equals ``values[0]`` up to the first jump."""
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr <= 0.0):
+        if (t_arr <= 0.0).any():
             raise NegativeTime("left limits require t > 0")
         out = self.values[_locate(self.times, t_arr, left=True)]
         return out if t_arr.ndim else out.reshape(self.values.shape[1:])
@@ -228,7 +240,7 @@ class StepPath(_GridPath):
         return self.times[1:], np.diff(self.values, axis=0)
 
     def component(self, i: int) -> "StepPath":
-        return StepPath(self.grid, self.values[:, i].copy())
+        return _derived(StepPath, self.grid, self.values[:, [i]])
 
     # -- arithmetic (grids are merged automatically) --------------------------
 
@@ -238,7 +250,7 @@ class StepPath(_GridPath):
         if other.dim != self.dim:
             raise LengthMismatch("paths must share a dimension")
         a, b = align([self, other])
-        return StepPath(a.grid, op(a.values, b.values))
+        return _derived(StepPath, a.grid, op(a.values, b.values), check_finite=True)
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -247,10 +259,10 @@ class StepPath(_GridPath):
         return self._binary(other, np.subtract)
 
     def __neg__(self) -> "StepPath":
-        return StepPath(self.grid, -self.values)
+        return _derived(StepPath, self.grid, -self.values)
 
     def __mul__(self, c):
-        return StepPath(self.grid, self.values * float(c))
+        return _derived(StepPath, self.grid, self.values * float(c), check_finite=True)
 
     __rmul__ = __mul__
 
@@ -262,19 +274,26 @@ class MatrixStepPath(_GridPath):
     _value_shape = ("d", "d")
 
 
-def _make(cls, times: Sequence[float], values):
-    return cls(TimeGrid(np.atleast_1d(np.asarray(times, dtype=float))),
-               np.atleast_1d(np.asarray(values, dtype=float)))
+def _derived(cls, grid: TimeGrid, values: np.ndarray, check_finite: bool = False):
+    """A path of ``cls`` on a checked grid from fresh values of its shape, derived
+    from checked paths.  Only finiteness is checked, and only on request: for
+    arithmetic that can overflow."""
+    if check_finite and not np.isfinite(values).all():
+        raise NonFiniteValue("path values must be finite")
+    path = object.__new__(cls)
+    object.__setattr__(path, "grid", grid)
+    object.__setattr__(path, "values", _freeze(values))
+    return path
 
 
 def make_path(times: Sequence[float], values) -> StepPath:
     """Validate and build a :class:`StepPath` (scalar values are lifted to d=1)."""
-    return _make(StepPath, times, values)
+    return StepPath(TimeGrid(times), np.atleast_1d(np.asarray(values, dtype=float)))
 
 
 def make_matrix_path(times: Sequence[float], values) -> MatrixStepPath:
     """Validate and build a :class:`MatrixStepPath` (scalars lifted to 1x1)."""
-    return _make(MatrixStepPath, times, values)
+    return MatrixStepPath(TimeGrid(times), np.atleast_1d(np.asarray(values, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +340,8 @@ def _window_values(path, window, include_right: bool = True) -> np.ndarray:
     """Anchor value at ``a`` and breakpoint values in ``(a, b]`` (or ``(a, b)``), uncopied."""
     a, b = _resolve_window(path, window)
     # the step containing a: times[0] = 0 <= a, so there is one
-    first = int(np.searchsorted(path.times, a, side="right")) - 1
-    stop = int(np.searchsorted(path.times, b, side="right" if include_right else "left"))
+    first = int(path.times.searchsorted(a, "right")) - 1
+    stop = int(path.times.searchsorted(b, "right" if include_right else "left"))
     # a degenerate window is its anchor alone
     return path.values[first : max(stop, first + 1)]
 
@@ -348,6 +367,11 @@ _PVAR_BOUND_FROM = 256
 _PVAR_BOUND_FLOOR = 2.0 ** -500
 #: distances below this have no square that overflows
 _PVAR_BOUND_REACH = 2.0 ** 510
+#: a scalar window with more than ``m^2 / _PVAR_PAIRS_DENSE`` pairs that can
+#: win goes from `_pvar_pairs` to the dense kernel: measured at 8k to 32k
+#: turns, a pair costs about 12 ns there, the dense kernel about 0.5 ns per
+#: ``m^2`` (its bound skips most chunks on such windows)
+_PVAR_PAIRS_DENSE = 24
 
 
 def _pvar_block_shape(m: int) -> tuple[int, int]:
@@ -359,17 +383,24 @@ def _pvar_block_shape(m: int) -> tuple[int, int]:
 def _reduce_window(vals: np.ndarray) -> np.ndarray:
     """A window without repeated points (uncopied if none); of a scalar one, its ends and turns."""
     flat = vals.reshape(vals.shape[0], -1)
-    moves = flat[1:] != flat[:-1]
     if flat.shape[1] > 1:
-        moves = moves.any(axis=1)
+        moves = (flat[1:] != flat[:-1]).any(axis=1)
         return vals if moves.all() else vals[np.concatenate(([True], moves))]
-    idx = np.concatenate(([0], np.flatnonzero(moves) + 1))
+    # masks written in place: each numpy call costs more than these few points
+    col = flat[:, 0]
+    keep = np.empty(col.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(col[1:], col[:-1], keep[1:])
+    idx = keep.nonzero()[0]
     if idx.size < 3:
         return vals[idx]
     # increments between kept points are nonzero, so their sign bits tell turns
-    down = np.signbit(np.diff(flat[idx, 0]))
-    turns = np.flatnonzero(down[:-1] != down[1:]) + 1
-    return vals[np.concatenate(([0], idx[turns], [idx[-1]]))]
+    kept = col[idx]
+    down = np.signbit(kept[1:] - kept[:-1])
+    turn = np.empty(idx.size, dtype=bool)
+    turn[0] = turn[-1] = True
+    np.not_equal(down[:-1], down[1:], turn[1:-1])
+    return vals[idx[turn]]
 
 
 def _chunk_balls(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -570,7 +601,10 @@ def _pvar_pairs(vals: np.ndarray, p: float) -> float:
     ``D`` is the last of its kind at that depth up to ``j - 1``.  Rows advance
     a block at a time: a stack of those last nodes gives the pairs from
     before the block in pieces of ``_PVAR_BLOCK_CELLS``, one maximum per row;
-    then each row adds its few pairs inside the block one by one.
+    then each row adds its few pairs inside the block one by one.  A window
+    with more than ``m^2 / _PVAR_PAIRS_DENSE`` pairs, such as a rising zigzag
+    whose every earlier minimum is a candidate of each maximum, goes to the
+    dense kernel instead.
     """
     v, m = vals[:, 0], vals.shape[0]
     nodes = np.arange(m)
@@ -598,6 +632,9 @@ def _pvar_pairs(vals: np.ndarray, p: float) -> float:
     lowest[cut >= heads] = depth[heads[cut >= heads]] + 1
     low, inner = lowest[: m - 1], lowest[m - 1 :]
     del table, heads, cut, after, span
+    # row j's pairs are its chain's nodes from depth low to depth[j - 1]
+    if int((depth[:-1] - low).sum()) + m - 1 > m * m // _PVAR_PAIRS_DENSE:
+        return _pvar_stack([vals], p)[0]
     # nodes sorted by depth, kind and index: one depth up is 2m down in key
     keys = (depth * 2 + nodes % 2) * m + nodes
     ordered = np.sort(keys)
@@ -699,7 +736,8 @@ def p_variation(path, p: float, window=None) -> float:
     left, the rows advance on Python floats; a longer scalar window keeps only
     the pairs that can win; any other window advances a numpy row at a time.
     All pairs of points cost O(n^2); a long scalar window keeps 24 pairs a row
-    at 3k turns of fBm, 100 at 95k.
+    at 3k turns of fBm, 100 at 95k, and takes the dense kernel where it keeps
+    more than ``n^2 / 24`` pairs.
     Memory is bounded by ``_PVAR_BLOCK_CELLS`` pairs at a time, plus tables of
     ``O(n log n)`` for a long scalar window.  Degenerate windows yield 0.
     ``p`` must be finite and at least 1.
@@ -764,7 +802,7 @@ def variation_norm(path, p: float, window=None, include_right: bool = True) -> f
 
 def running_max(path: StepPath) -> StepPath:
     """Componentwise running supremum ``s -> sup_{u <= s} x_u`` on the same grid."""
-    return StepPath(path.grid, np.maximum.accumulate(path.values, axis=0))
+    return _derived(StepPath, path.grid, np.maximum.accumulate(path.values, axis=0))
 
 
 def oscillation(path: StepPath, window=None) -> float:
@@ -854,11 +892,12 @@ def align(paths: Sequence[StepPath]) -> list[StepPath]:
     paths = list(paths)
     if all(p.grid is paths[0].grid for p in paths):
         return paths
-    merged = paths[0].times
-    for p in paths[1:]:
-        merged = np.union1d(merged, p.times)
-    grid = TimeGrid(merged)
-    return [StepPath(grid, p.eval(merged)) for p in paths]
+    merged = np.unique(np.concatenate([p.times for p in paths]))
+    # the sorted union of checked grids is one, and values read off checked
+    # paths are finite
+    grid = object.__new__(TimeGrid)
+    object.__setattr__(grid, "times", _freeze(merged))
+    return [_derived(StepPath, grid, p.eval(merged)) for p in paths]
 
 
 def coarsen_jump_adapted(path: StepPath, delta: float, mesh: float) -> StepPath:
@@ -876,7 +915,7 @@ def coarsen_jump_adapted(path: StepPath, delta: float, mesh: float) -> StepPath:
     jump_times, jump_incr = path.jumps()
     big = jump_times[_increment_norms(jump_incr) > delta]
     out = jump_adapted_times(path.end_time, 1.0 / mesh, big)
-    return StepPath(TimeGrid(out), path.eval(out))
+    return _derived(StepPath, TimeGrid(out), path.eval(out))
 
 
 # ---------------------------------------------------------------------------

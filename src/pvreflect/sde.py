@@ -51,7 +51,7 @@ from .errors import (
     NoConvergence,
     PartitionOverflow,
 )
-from .pathcore import (STEP_CAP, StepPath, TimeGrid, _check_p, _increment_norms,
+from .pathcore import (STEP_CAP, StepPath, TimeGrid, _check_p, _derived, _increment_norms,
                        jump_adapted_times, sup_norm, variation_norm, variation_norms)
 from .skorokhod import Reflection
 
@@ -304,15 +304,18 @@ def _run_recursion(problems: list[Problem], partitions: list[np.ndarray],
     np.add.accumulate(y, axis=1, out=y)  # the running sums of dy from y_0 = x0
     solutions = [None] * count
     for r, times in enumerate(partitions):
+        # the partition's points are rounded sums, so their order is checked
         grid = TimeGrid(times)
         # copies: views would keep the batch arrays alive, and a caller's
-        # p-variation DP would then fault in fresh pages for its own
+        # p-variation DP would then fault in fresh pages for its own.  The
+        # steps and sums can overflow, and k = x - y is finite only when x
+        # and y are; the barrier was read off a checked path
         xs, ys = x[r, :times.size].copy(), y[r, :times.size].copy()
         reflection = Reflection(
-            x=StepPath(grid, xs),
-            k=StepPath(grid, xs - ys),
-            y=StepPath(grid, ys),
-            l=StepPath(grid, barriers[r]),
+            x=_derived(StepPath, grid, xs),
+            k=_derived(StepPath, grid, xs - ys, check_finite=True),
+            y=_derived(StepPath, grid, ys),
+            l=_derived(StepPath, grid, barriers[r]),
         )
         diagnostics = {
             "sup_k": sup_norm(reflection.k),

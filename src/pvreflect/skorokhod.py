@@ -29,7 +29,7 @@ import numpy as np
 
 from .checks import InequalityCheck, check
 from .errors import BarrierAboveStart, DimensionMismatch
-from .pathcore import StepPath, align, sup_norm, variation_norms
+from .pathcore import StepPath, _derived, align, sup_norm, variation_norms
 
 __all__ = ["Reflection", "solve_sp", "check_estimates"]
 
@@ -101,10 +101,12 @@ def solve_sp(y: StepPath, l: StepPath) -> Reflection:
         )
     k_vals = np.maximum(np.maximum.accumulate(l_al.values - y_al.values, axis=0), 0.0)
     x_vals = y_al.values + k_vals
+    # y and l come from align, checked.  The sums can overflow, but k >= 0
+    # and y is finite, so x = y + k is finite only when k is
     grid = y_al.grid
     return Reflection(
-        x=StepPath(grid, x_vals),
-        k=StepPath(grid, k_vals),
+        x=_derived(StepPath, grid, x_vals, check_finite=True),
+        k=_derived(StepPath, grid, k_vals),
         y=y_al,
         l=l_al,
     )

@@ -26,6 +26,7 @@ from .pathcore import (
     MatrixStepPath,
     StepPath,
     TimeGrid,
+    _derived,
     _resolve_window,
     p_variation,
     variation_norm,
@@ -117,8 +118,10 @@ def rs_integral(integrand: MatrixStepPath, driver: StepPath, window=None) -> Ste
     z_samples = driver.eval(times)
     m_samples = integrand.eval(times)  # left value on each increment (t_i, t_{i+1}]
     sums = grid_riemann_sum(m_samples, z_samples)
-    # grids must start at 0, so the output runs on the window clock t - a
-    return StepPath(TimeGrid(times - a), sums)
+    # grids must start at 0, so the output runs on the window clock t - a;
+    # the shift can round neighbouring times together and the sums can
+    # overflow, so both are checked
+    return _derived(StepPath, TimeGrid(times - a), sums, check_finite=True)
 
 
 def young_bound_check(integrand: MatrixStepPath, driver: StepPath, p: float,

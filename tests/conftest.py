@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pvreflect import make_path
+from pvreflect import make_path, pathcore
 from pvreflect.drivers import philox_stream
 
 
@@ -23,3 +23,16 @@ def random_step_path(rng: np.random.Generator, max_points: int = 20, d: int = 1,
 @pytest.fixture
 def rng():
     return philox_stream(20240809)
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Calls of the public checks: ``grid`` counts `TimeGrid`'s, ``path`` the paths'."""
+    counts = {"grid": 0, "path": 0}
+    for key, cls in (("grid", pathcore.TimeGrid), ("path", pathcore._GridPath)):
+        def spy(self, check=cls.__post_init__, key=key):
+            counts[key] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", spy)
+    return counts

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -36,6 +37,7 @@ from pvreflect.errors import (
     NonMonotoneGrid,
 )
 from pvreflect import pathcore
+from pvreflect.cli import main as cli_main
 from pvreflect.drivers import FbmSpec, sample_fbm
 from pvreflect.pathcore import (
     _PVAR_BLOCK_CELLS,
@@ -86,6 +88,26 @@ def test_make_path_rejects_bad_input():
         Interval(0.0, np.inf)
     with pytest.raises(InvalidParameter, match="0 <= a <= b"):
         Interval(2.0, 1.0)
+
+
+#: each bad grid with the error class and message of its first failing check
+BAD_GRIDS = [
+    ([], NonMonotoneGrid, "grid must be a non-empty 1-D sequence"),
+    ([[0.0, 1.0], [2.0, 3.0]], NonMonotoneGrid, "grid must be a non-empty 1-D sequence"),
+    ([0.0, np.nan, 2.0], NonFiniteValue, "grid times must be finite"),
+    ([0.0, np.inf], NonFiniteValue, "grid times must be finite"),
+    ([-np.inf, 0.0], NonFiniteValue, "grid times must be finite"),
+    ([1.0, 2.0], NonMonotoneGrid, "grid must start at 0, got 1.0"),
+    ([0.0, 2.0, 1.0], NonMonotoneGrid, "grid times must be strictly increasing"),
+]
+
+
+@pytest.mark.parametrize("times, error, message", BAD_GRIDS)
+def test_time_grid_errors_name_the_first_failing_check(times, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        TimeGrid(times)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make_path(times, np.zeros(np.size(times)))
 
 
 def test_eval_and_left_limit():
@@ -308,6 +330,37 @@ def test_pvariation_drops_repeated_points_exactly(shape, rng):
     assert _reduce_window(distinct) is distinct
 
 
+def _reduce_window_reference(vals):
+    """`_reduce_window` as first written, with `np.diff` and three concatenations."""
+    flat = vals.reshape(vals.shape[0], -1)
+    moves = flat[1:] != flat[:-1]
+    if flat.shape[1] > 1:
+        moves = moves.any(axis=1)
+        return vals if moves.all() else vals[np.concatenate(([True], moves))]
+    idx = np.concatenate(([0], np.flatnonzero(moves) + 1))
+    if idx.size < 3:
+        return vals[idx]
+    down = np.signbit(np.diff(flat[idx, 0]))
+    turns = np.flatnonzero(down[:-1] != down[1:]) + 1
+    return vals[np.concatenate(([0], idx[turns], [idx[-1]]))]
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (3,), (1, 1), (2, 2)])
+def test_reduce_window_matches_the_reference(shape, rng):
+    windows = []
+    for m in (1, 2, 3, 5, 40, 120):
+        windows.append(np.cumsum(rng.normal(size=(m, *shape)), axis=0))
+        # ties between points that are not neighbours, and plateaus
+        windows.append(rng.integers(-2, 3, size=(m, *shape)).astype(float))
+        windows.append(_with_repeats(rng, m, shape))
+        # +0 and -0 in every order, as repeats of each other
+        windows.append(rng.choice([0.0, -0.0, 1.0], size=(m, *shape)))
+    for vals in windows:
+        got, want = _reduce_window(vals), _reduce_window_reference(vals)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def _window_values_by_masks(path, a, b, include_right):
     """The anchor ``eval(a)`` joined to the masked breakpoints, the reference slice."""
     if b <= a:
@@ -397,6 +450,12 @@ def _zigzag(rng, m):
     return np.cumsum(rng.uniform(0.5, 1.5, size=m) * (-1.0) ** np.arange(m))[:, None]
 
 
+def _rising_then_walk(rng):
+    """A rising zigzag of 1500 turns, whose blocks hold 23k pairs, then a walk."""
+    rising = np.arange(1500) + 10.0 * (-1.0) ** np.arange(1500)
+    return np.concatenate([rising, 1500.0 + np.cumsum(rng.normal(size=4000))])[:, None]
+
+
 def _long_scalar_windows(rng):
     m = 1500
     signed = np.cumsum(rng.integers(-1, 2, size=m)).astype(float)
@@ -410,14 +469,17 @@ def _long_scalar_windows(rng):
         "integers": np.cumsum(rng.integers(-3, 4, size=m)).astype(float),
         "signed-zeros": signed,
         "monotone-runs": np.cumsum(runs * rng.uniform(0.1, 1.0, size=runs.size)),
-        # every earlier minimum is a candidate of a maximum: row blocks past
-        # the cap on pairs come in several pieces
+        # every earlier minimum is a candidate of a maximum, about m^2 / 8
+        # pairs: the window goes to the dense kernel
         "rising": np.arange(m) + 10.0 * (-1.0) ** np.arange(m),
+        # the same, then a walk: few enough pairs in all to stay, but row
+        # blocks past the cap on pairs come in several pieces
+        "rising-then-walk": _rising_then_walk(rng)[:, 0],
     }
 
 
 @pytest.mark.parametrize("kind", ["walk", "fbm", "integers", "signed-zeros", "monotone-runs",
-                                  "rising"])
+                                  "rising", "rising-then-walk"])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_pvariation_pairs_match_row_by_row_dp(kind, p, rng, pair_windows):
     vals = _long_scalar_windows(rng)[kind][:, None]
@@ -447,10 +509,29 @@ def test_pvariation_pairs_serve_only_a_lone_long_scalar_window(rng, pair_windows
     assert len(pair_windows) == 1
 
 
-def test_pvariation_pairs_are_held_a_piece_at_a_time():
-    # about m^2 / 4 pairs in all, tens of MB held at once; a block's pairs
-    # pass the cap and come in pieces
-    vals = (np.arange(2000) + 10.0 * (-1.0) ** np.arange(2000))[:, None]
+@pytest.fixture
+def stack_windows(monkeypatch):
+    """Window lengths of each call of the dense stacked kernel."""
+    seen = []
+    kernel = pathcore._pvar_stack
+
+    def spy(windows, p):
+        seen.append([w.shape[0] for w in windows])
+        return kernel(windows, p)
+
+    monkeypatch.setattr(pathcore, "_pvar_stack", spy)
+    return seen
+
+
+@pytest.mark.parametrize("kind", ["rising", "rising-then-walk"])
+def test_pvariation_pairs_are_held_a_piece_at_a_time(kind, rng, stack_windows):
+    # the rising zigzag has about m^2 / 8 pairs, tens of MB if held at once,
+    # and goes to the dense kernel; the walk after it keeps the window on
+    # the pruned kernel, where a block's pairs pass the cap and come in pieces
+    if kind == "rising":
+        vals = (np.arange(2000) + 10.0 * (-1.0) ** np.arange(2000))[:, None]
+    else:
+        vals = _rising_then_walk(rng)
     tracemalloc.start()
     try:
         _pvar_dp([vals], 2.0)
@@ -458,6 +539,28 @@ def test_pvariation_pairs_are_held_a_piece_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 8 * _PVAR_BLOCK_CELLS
+    assert (stack_windows == []) == (kind == "rising-then-walk")
+
+
+def test_pvariation_pairs_hand_a_rising_zigzag_to_the_dense_kernel(pair_windows, stack_windows):
+    # every earlier minimum is a candidate of each maximum: m^2 / 8 pairs,
+    # past the m^2 / 24 that the pruned kernel takes on
+    k = np.arange(32768)
+    vals = (k + 10.0 * (-1.0) ** k)[:, None]
+    assert _reduce_window(vals).shape[0] == 32768
+    assert _pvar_dp([vals], 2.0) == [_pvar_row_by_row(vals, 2.0)]
+    assert len(pair_windows) == 1 and stack_windows == [[32768]]
+
+
+def test_pvariation_pairs_keep_fbm_and_refine_windows(pair_windows, stack_windows, tmp_path):
+    p_variation(sample_fbm(FbmSpec(hurst=0.75, steps=1 << 18, seed=3)), 2.0)
+    # the one DP of the benchmark's refine run, on its finest solution
+    rc = cli_main(["simulate", "--preset", "fbm-reflected", "--dimension", "1",
+                   "--driver-steps", "8192", "--tol", "1e-4", "--n", "64", "--seed", "1",
+                   "--out", str(tmp_path / "refine.csv")])
+    assert rc == 0
+    assert [w.shape[0] > 2000 for w in pair_windows] == [True, True]
+    assert stack_windows == []
 
 
 @pytest.mark.parametrize("shape", [(1,), (2,), (3,), (1, 1), (2, 2)])
@@ -750,6 +853,31 @@ def test_path_arithmetic_aligns_grids():
         p1 + 1.0
     with pytest.raises(LengthMismatch, match="share a dimension"):
         p1 + make_path([0, 1], [(0, 0), (1, 1)])
+
+
+def test_derived_paths_skip_the_public_checks(rng, validations):
+    y1, y2 = random_step_path(rng, d=2), random_step_path(rng, d=2)
+    assert validations == {"grid": 2, "path": 2}
+    a, b = align([y1, y2])
+    derived = [a, b, a - b, y1 - y2, -a, running_max(a), a.component(1), 2.0 * a]
+    assert validations == {"grid": 2, "path": 2}
+    # each is the path the public constructor builds from the same values
+    for path in derived:
+        rebuilt = StepPath(TimeGrid(path.times), path.values)
+        assert path.values.shape == rebuilt.values.shape
+        assert path.values.tobytes() == rebuilt.values.tobytes()
+        assert not path.values.flags.writeable and not path.times.flags.writeable
+
+
+def test_derived_arithmetic_that_overflows_raises():
+    big = make_path([0.0, 1.0], [1.0, 1e308])
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteValue, match="path values must be finite"):
+            big * 10.0
+        with pytest.raises(NonFiniteValue, match="path values must be finite"):
+            big - make_path([0.0, 0.5], [0.0, -1e308])
+        with pytest.raises(NonFiniteValue, match="path values must be finite"):
+            big + big
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from pvreflect.errors import (
     InvalidP,
     InvalidParameter,
     NoConvergence,
+    NonFiniteValue,
     PartitionOverflow,
 )
 from pvreflect.presets import PROBLEM_PRESETS, build_problem, coefficient_preset
@@ -773,3 +774,27 @@ def test_a_priori_reflected_and_random_cases():
     prob2 = fbm_problem(22, d=2, coeffs="rotation2d")
     sol2 = euler_adaptive(prob2, 128)
     assert all(chk.passed for chk in a_priori_check(sol2, prob2))
+
+
+def _steep_problem(z_values, l_values):
+    """``dy = 1e308 dz`` on a driver that steps at 0.5 and 0.75."""
+    coeffs = Coefficients(f=lambda s: np.zeros_like(s),
+                          g=lambda s: np.full((s.shape[0], 1, 1), 1e308))
+    return Problem(x0=[0.0], a=zero_a(), z=make_path([0.0, 0.5, 0.75], z_values),
+                   l=make_path([0.0, 0.5, 0.75], l_values), coeffs=coeffs, p=2.0)
+
+
+@pytest.mark.parametrize("z_values, l_values", [
+    # y falls to -1e308 while the barrier lifts x to 1e308: only k overflows
+    ([0.0, -1.0, -1.0], [0.0, 1e308, 1e308]),
+    # x and y overflow together
+    ([0.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
+    # y overflows below a barrier that holds x at 0
+    ([0.0, -1.0, -2.0], [0.0, 0.0, 0.0]),
+])
+def test_euler_output_that_overflows_raises(z_values, l_values):
+    problem = _steep_problem(z_values, l_values)
+    # x - y is inf - inf where both overflow
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteValue, match="must be finite"):
+        euler_adaptive(problem, 1)

@@ -3,7 +3,7 @@ import pytest
 
 from pvreflect import align, check_estimates, make_path, solve_sp
 from pvreflect.drivers import philox_stream
-from pvreflect.errors import BarrierAboveStart, DimensionMismatch
+from pvreflect.errors import BarrierAboveStart, DimensionMismatch, NonFiniteValue
 from conftest import random_step_path
 
 
@@ -144,3 +144,26 @@ def test_estimate_rows_write_exact_csv_cells():
         assert name == chk.name and passed == "1"
         # 17 significant digits read back to the same doubles
         assert (float(lhs), float(rhs), float(margin)) == (chk.lhs, chk.rhs, chk.margin)
+
+
+# ---------------------------------------------------------------------------
+# validation at the boundary
+# ---------------------------------------------------------------------------
+
+def test_reflection_skips_the_public_checks(rng, validations):
+    y, l = admissible_pair(rng, d=2)
+    y2, l2 = admissible_pair(rng, d=2)
+    validations.update(grid=0, path=0)
+    r = solve_sp(y, l)
+    checks = check_estimates(y, l, y2, l2, 2.0)
+    assert validations == {"grid": 0, "path": 0}
+    assert all(c.passed for c in checks)
+    assert not r.x.values.flags.writeable and not r.k.values.flags.writeable
+
+
+def test_reflection_that_overflows_raises():
+    # k = max(0, sup (l - y)) overflows where the barrier jumps far above y
+    y = make_path([0.0, 1.0], [0.0, -1e308])
+    l = make_path([0.0, 1.0], [0.0, 1e308])
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteValue, match="must be finite"):
+        solve_sp(y, l)

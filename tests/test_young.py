@@ -21,6 +21,7 @@ from pvreflect.errors import (
     DomainError,
     InvalidExponents,
     LengthMismatch,
+    NonFiniteValue,
 )
 from conftest import random_step_path
 
@@ -236,3 +237,10 @@ def test_coarsened_driver_integral_converges(rng):
         errors.append(sup_distance(full, approx))
     assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
     assert errors[-1] <= 1e-12
+
+
+def test_rs_integral_that_overflows_raises():
+    integrand = make_matrix_path([0.0, 1.0], [[[1e200]], [[1e200]]])
+    driver = make_path([0.0, 0.5], [0.0, 1e200])
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteValue, match="must be finite"):
+        rs_integral(integrand, driver)
