@@ -523,23 +523,29 @@ def stack_windows(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("kind", ["rising", "rising-then-walk"])
-def test_pvariation_pairs_are_held_a_piece_at_a_time(kind, rng, stack_windows):
-    # the rising zigzag has about m^2 / 8 pairs, tens of MB if held at once,
-    # and goes to the dense kernel; the walk after it keeps the window on
-    # the pruned kernel, where a block's pairs pass the cap and come in pieces
-    if kind == "rising":
-        vals = (np.arange(2000) + 10.0 * (-1.0) ** np.arange(2000))[:, None]
-    else:
-        vals = _rising_then_walk(rng)
+def _peak_bytes_of_dp(vals):
     tracemalloc.start()
     try:
         _pvar_dp([vals], 2.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 8 * _PVAR_BLOCK_CELLS
-    assert (stack_windows == []) == (kind == "rising-then-walk")
+    return peak
+
+
+def test_pvariation_pairs_are_held_a_piece_at_a_time(stack_windows):
+    # the rising zigzag has about m^2 / 8 pairs, tens of MB if held at once,
+    # and goes to the dense kernel
+    vals = (np.arange(2000) + 10.0 * (-1.0) ** np.arange(2000))[:, None]
+    assert _peak_bytes_of_dp(vals) < 16 * 8 * _PVAR_BLOCK_CELLS
+    assert stack_windows == [[2000]]
+
+
+def test_pvariation_pairs_of_a_zigzag_then_walk_come_in_pieces(rng, stack_windows):
+    # the walk after the zigzag keeps the window on the pruned kernel, where
+    # a block's pairs pass the cap and come in pieces
+    assert _peak_bytes_of_dp(_rising_then_walk(rng)) < 16 * 8 * _PVAR_BLOCK_CELLS
+    assert stack_windows == []
 
 
 def test_pvariation_pairs_hand_a_rising_zigzag_to_the_dense_kernel(pair_windows, stack_windows):
