@@ -23,10 +23,10 @@ a monotone run only splits an increment into two of the same sign, and
 (Butkus & Norvaisa, "Computation of p-variation", Lith. Math. J. 2018).
 The windows are then padded to the longest with copies of their last point,
 which adds zero increments and so leaves each window's result unchanged, and
-the stack advances a block of rows at a time, holding at most
-``_PVAR_BLOCK_CELLS`` point pairs in memory at once.  Earlier points far
-enough back come in chunks of 32 with a bounding ball (centre ``c``, radius
-``rho``; Frobenius for matrices, which bounds the operator norm).  Every
+the stack advances a block of ``_PVAR_STACK_ROWS`` rows at a time, holding
+at most ``_PVAR_BLOCK_CELLS`` point pairs in memory at once.  Earlier points
+far enough back come in chunks of 32 with a bounding ball (centre ``c``,
+radius ``rho``; Frobenius for matrices, which bounds the operator norm).  Every
 candidate of row ``v_j`` in a chunk is at most the chunk's largest ``best``
 plus ``(|v_j - c| + rho)^p``; a chunk whose bound, raised by a rounding
 margin, stays below a candidate the row already reaches for every row of
@@ -34,19 +34,21 @@ the block is skipped.  It cannot hold a row's maximum, and every kept cell
 is computed by the same operations, so results are the same to the last bit.
 
 A window alone in its call may take one of two other kernels; a stack keeps
-the kernel above, whose row step serves all its windows at once.  With at
-most 128 points left (``m^2 <= _PVAR_BLOCK_CELLS``), of any value shape, the
+the kernel above, whose row step serves all its windows at once.  A short
+window of a stack shares the row steps of its first block with the longer
+windows, which costs less than a kernel call of its own.  With at most 128
+points left (``m^2 <= _PVAR_BLOCK_CELLS``), of any value shape, a lone
 window goes to `_pvar_small`: one numpy call computes its distances, and the
 rows advance on Python floats, which costs less than a numpy call per row.
 A scalar window with more than ``_PVAR_BOUND_FROM`` points left takes an
-exact pruned kernel (`_pvar_pairs`).  Candidate ``i`` of row ``j`` cannot
-win when a point ``k`` between has ``|v_k - v_i| >= |v_j - v_i|`` (so
-``best[k] >= best[i] + d(i, j)``) or ``|v_j - v_k| >= |v_j - v_i|`` (and
-``best[k] >= best[i]``), as rounded differences and sums, the square root and
-numpy's power (a test pins it) are monotone.  That leaves exactly the
-``i`` whose points between lie strictly between ``v_i`` and ``v_j``; where
-those are more than ``m^2 / _PVAR_PAIRS_DENSE`` pairs, the window takes the
-dense kernel after all.
+exact pruned kernel (`_pvar_pairs`), in blocks of ``_PVAR_BLOCK_ROWS`` rows.
+Candidate ``i`` of row ``j`` cannot win when a point ``k`` between has
+``|v_k - v_i| >= |v_j - v_i|`` (so ``best[k] >= best[i] + d(i, j)``) or
+``|v_j - v_k| >= |v_j - v_i|`` (and ``best[k] >= best[i]``), as rounded
+differences and sums, the square root and numpy's power (a test pins it)
+are monotone.  That leaves exactly the ``i`` whose points between lie
+strictly between ``v_i`` and ``v_j``; where those are more than ``m^2 /
+_PVAR_PAIRS_DENSE`` pairs, the window takes the dense kernel after all.
 
 Input is checked once, where it enters: `make_path`, `make_matrix_path`,
 `read_path_csv`, `TimeGrid` and `Interval` check shapes, finiteness and that
@@ -352,8 +354,12 @@ def _window_values(path, window, include_right: bool = True) -> np.ndarray:
 
 #: most point pairs the DP holds at once, for one window or a stack of them
 _PVAR_BLOCK_CELLS = 1 << 14
-#: rows the DP advances per block; the rest of the cap goes to columns
+#: rows `_pvar_pairs` advances per block
 _PVAR_BLOCK_ROWS = 64
+#: rows `_pvar_stack` advances per block; the rest of the cap goes to
+#: columns.  A short window is padded to its first block, so the block
+#: bounds what it costs to stack it
+_PVAR_STACK_ROWS = 32
 #: most windows advanced together; each holds a block of rows x (rows + 2)
 #: distances while its rows advance
 _PVAR_STACK_WINDOWS = 64
@@ -375,9 +381,9 @@ _PVAR_PAIRS_DENSE = 24
 
 
 def _pvar_block_shape(m: int) -> tuple[int, int]:
-    """Rows per block and earlier points per column chunk for ``m`` points."""
+    """Rows per block of `_pvar_stack` and earlier points per column chunk for ``m`` points."""
     span = max(m - 1, 1)
-    return min(_PVAR_BLOCK_ROWS, span), min(_PVAR_BLOCK_CELLS // _PVAR_BLOCK_ROWS, span)
+    return min(_PVAR_STACK_ROWS, span), min(_PVAR_BLOCK_CELLS // _PVAR_STACK_ROWS, span)
 
 
 def _reduce_window(vals: np.ndarray) -> np.ndarray:
@@ -689,7 +695,7 @@ def _pvar_dp(windows: Sequence[np.ndarray], p: float) -> list[float]:
     _PVAR_BLOCK_CELLS``, and to `_pvar_pairs` if it is scalar with more than
     ``_PVAR_BOUND_FROM`` points left.  The others are stacked, up to
     ``_PVAR_STACK_WINDOWS`` and longest first, and advance a block of
-    ``_PVAR_BLOCK_ROWS`` rows at a time in pieces of at most
+    ``_PVAR_STACK_ROWS`` rows at a time in pieces of at most
     ``_PVAR_BLOCK_CELLS`` point pairs (`_pvar_stack`): against chunks of
     earlier points that branch and bound may skip (`_kept_chunks`), then one
     row at a time for all windows.  Every kernel computes each cell it keeps
@@ -910,8 +916,10 @@ def coarsen_jump_adapted(path: StepPath, delta: float, mesh: float) -> StepPath:
     dropped (the path is constant from the last sample on anyway, up to jumps
     no larger than ``delta``).
     """
-    if delta <= 0.0 or mesh <= 0.0:
-        raise InvalidParameter("delta and mesh must be positive")
+    # NaN fails both comparisons
+    if not (delta > 0.0 and 0.0 < mesh < math.inf):
+        raise InvalidParameter(f"delta must be positive and mesh positive and finite, "
+                               f"got delta={delta}, mesh={mesh}")
     jump_times, jump_incr = path.jumps()
     big = jump_times[_increment_norms(jump_incr) > delta]
     out = jump_adapted_times(path.end_time, 1.0 / mesh, big)

@@ -37,6 +37,7 @@ drops below a tolerance.  No convergence rate is assumed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -120,6 +121,8 @@ class Problem:
         if horizon is None:
             horizon = max(self.a.end_time, self.z.end_time, self.l.end_time)
         horizon = float(horizon)
+        if not math.isfinite(horizon):
+            raise InvalidParameter(f"horizon must be finite, got {horizon}")
         if horizon <= 0.0:
             raise InvalidParameter(
                 "no positive horizon: pass horizon= or use drivers with end_time > 0"

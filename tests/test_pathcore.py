@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -283,10 +284,11 @@ def test_pvariation_blocks_match_row_by_row_dp(shape, p, rng, kept_chunks):
 @pytest.mark.parametrize("shape", [(1,), (2,), (3,), (2, 2)])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_pvariation_stack_matches_per_window_dp(shape, p, rng, kept_chunks):
-    # ragged lengths: windows the bound prunes, one of a single row block,
-    # and windows of two points and of one
+    # ragged lengths: windows the bound prunes, one of a few row blocks, one
+    # just past a single row block, and short windows that ride in the first
+    # block: of one row block, of a few points, of two and of one
     windows = [np.cumsum(rng.normal(size=(m, *shape)), axis=0)
-               for m in (700, 451, 300, 90, 2, 1)]
+               for m in (700, 451, 300, 90, 33, 32, 17, 3, 2, 1)]
     stacked = _pvar_dp(windows, p)
     if len(shape) > 1 or shape[0] > 1:
         assert 0 < kept_chunks[0] < kept_chunks[1]
@@ -759,6 +761,14 @@ def test_coarsen_parameter_validation():
         coarsen_jump_adapted(p, delta=0.0, mesh=1.0)
     with pytest.raises(InvalidParameter):
         coarsen_jump_adapted(p, delta=1.0, mesh=-1.0)
+    # NaN passes no comparison, and an infinite mesh is no mesh: refused
+    # before any partition is built, so before numpy can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for delta, mesh in ((math.nan, 1.0), (1.0, math.nan), (1.0, math.inf),
+                            (math.nan, math.inf)):
+            with pytest.raises(InvalidParameter, match="mesh"):
+                coarsen_jump_adapted(p, delta=delta, mesh=mesh)
 
 
 @settings(max_examples=40, deadline=None)

@@ -89,6 +89,10 @@ def test_problem_validation():
     with pytest.raises(InvalidParameter):
         Problem(x0=[1.0], a=make_path([0.0], [0.0]), z=make_path([0.0], [0.0]),
                 l=make_path([0.0], [0.0]), coeffs=identity_coeffs(), p=2.0)
+    for horizon in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameter, match="horizon"):
+            Problem(x0=[1.0], a=zero_a(), z=z, l=l, coeffs=identity_coeffs(), p=2.0,
+                    horizon=horizon)
 
 
 # ---------------------------------------------------------------------------
