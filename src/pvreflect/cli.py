@@ -34,7 +34,7 @@ from . import campaigns
 from .errors import NoConvergence, PartitionOverflow, PvreflectError
 from .pathcore import (CSV_FLOAT_FORMAT, STEP_CAP, _write_rows, p_variation, read_path_csv,
                        write_path_csv)
-from .drivers import FbmSpec, sample_fbm
+from .drivers import FbmSpec, _check_hurst, sample_fbm
 from .presets import PROBLEM_PRESETS, ProblemPreset, build_problem
 from .sde import Solution, euler_batch, refinement_ladder, solve, with_vbar_p_x
 
@@ -121,6 +121,8 @@ def _resolve_preset(s: dict) -> ProblemPreset:
     _positive_int("driver-steps", preset.driver_steps, STEP_CAP)
     if not 0.0 < preset.horizon < np.inf:
         raise UsageError(f"horizon must be finite and positive, got {preset.horizon}")
+    # refused for every preset, not only where an fBm driver would refuse it
+    _check_hurst(preset.hurst)
     return preset
 
 

@@ -63,6 +63,11 @@ def philox_stream(seed: int, path_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed + (path_index << 64)))
 
 
+def _check_hurst(hurst: float) -> None:
+    if not 0.5 < hurst < 1.0:  # NaN fails this too
+        raise InvalidHurst(f"Hurst index must lie in (1/2, 1), got {hurst}")
+
+
 @dataclass(frozen=True)
 class FbmSpec:
     """Sampling request for one fBm path on the uniform grid {k*horizon/steps}."""
@@ -73,8 +78,7 @@ class FbmSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.5 < self.hurst < 1.0):
-            raise InvalidHurst(f"Hurst index must lie in (1/2, 1), got {self.hurst}")
+        _check_hurst(self.hurst)
         if self.horizon <= 0.0:
             raise InvalidParameter("horizon must be positive")
         if not self.horizon < np.inf:  # NaN fails this too

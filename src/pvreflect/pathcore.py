@@ -930,15 +930,22 @@ def coarsen_jump_adapted(path: StepPath, delta: float, mesh: float) -> StepPath:
 # CSV path format: header t,x1,...,xd; one row per breakpoint, sorted by t
 # ---------------------------------------------------------------------------
 
-#: table rows held as Python floats at a time (32 bytes each against 8)
+#: table rows formatted and written at a time; one chunk's cells are held as
+#: Python floats (32 bytes each against 8) next to their text
 _CSV_CHUNK_ROWS = 1024
 
 
 def _write_rows(fh, table: np.ndarray, prefix: str = "") -> None:
-    """Write each row of a 2-D table as ``prefix`` and its cells, one format per row."""
+    """Write each row of a 2-D table as ``prefix`` and its cells.
+
+    Each chunk of ``_CSV_CHUNK_ROWS`` rows is one ``%`` call, the row format
+    repeated once a row, and one ``fh.write``.  The cells are formatted in
+    the same order by the same format, so the bytes do not depend on the
+    chunking."""
     row = prefix + ",".join([CSV_FLOAT_FORMAT] * table.shape[1]) + "\n"
     for start in range(0, len(table), _CSV_CHUNK_ROWS):
-        fh.writelines(row % tuple(cells) for cells in table[start : start + _CSV_CHUNK_ROWS].tolist())
+        chunk = table[start : start + _CSV_CHUNK_ROWS]
+        fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def write_path_csv(path: StepPath, dest) -> None:

@@ -70,6 +70,30 @@ def test_simulate_invalid_hurst_exits_2(tmp_path, capsys):
     assert "error=InvalidHurst" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("by_config", [False, True])
+@pytest.mark.parametrize("command, hurst", [
+    (["simulate", "--preset", "geometric", "--n", "4"], "7"),
+    (["convergence", "--preset", "geometric", "--levels", "2"], "1.5"),
+    (["simulate", "--preset", "constant", "--n", "4"], "nan"),
+    (["convergence", "--preset", "geometric", "--levels", "2"], "0.5"),
+])
+def test_invalid_hurst_exits_2_without_an_fbm_driver(tmp_path, capsys, command, hurst, by_config):
+    # the geometric and constant presets sample no fBm, which used to let
+    # any value through with exit 0
+    out = tmp_path / "x.csv"
+    if by_config:
+        cfg = tmp_path / "h.ini"
+        cfg.write_text(f"[problem]\nhurst = {hurst}\n")
+        args = [*command, "--config", str(cfg)]
+    else:
+        args = [*command, "--hurst", hurst]
+    assert run_cli([*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error=InvalidHurst"
+    assert err[1] == f"Hurst index must lie in (1/2, 1), got {float(hurst)}"
+    assert not out.exists()
+
+
 def test_simulate_missing_config_exits_2(tmp_path, capsys):
     rc = run_cli(["simulate", "--config", str(tmp_path / "none.ini")])
     assert rc == 2

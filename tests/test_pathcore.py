@@ -41,6 +41,7 @@ from pvreflect import pathcore
 from pvreflect.cli import main as cli_main
 from pvreflect.drivers import FbmSpec, sample_fbm
 from pvreflect.pathcore import (
+    _CSV_CHUNK_ROWS,
     _PVAR_BLOCK_CELLS,
     _PVAR_CHUNK,
     _chunk_balls,
@@ -50,6 +51,7 @@ from pvreflect.pathcore import (
     _pvar_dp,
     _reduce_window,
     _window_values,
+    _write_rows,
 )
 from conftest import random_step_path
 
@@ -936,3 +938,48 @@ def test_csv_header_and_errors():
         read_path_csv(io.StringIO(""))
     with pytest.raises(MalformedCsv, match="row width 3 != header width 2"):
         read_path_csv(io.StringIO("t,x1\n0,1\n1,2,3\n"))
+
+
+#: signed zero, the least subnormal and normal, the extremes, inexact
+#: decimals and whole numbers
+_CSV_CELLS = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+              -1.7976931348623157e308, 0.1, 1 / 3, 0.0, 1.0, -3.0, 2.0**53, 1e22]
+
+
+class _CountingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def _csv_table(rng, rows):
+    """A ``rows`` x 12 table: its first row holds every cell of ``_CSV_CELLS``,
+    the others random magnitudes with those cells scattered among them."""
+    width = len(_CSV_CELLS)
+    table = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
+    special = rng.random((rows, width)) < 0.25
+    table[special] = rng.choice(_CSV_CELLS, special.sum())
+    if rows:
+        table[0] = _CSV_CELLS
+    return table
+
+
+@pytest.mark.parametrize("prefix", ["", "15,"])
+@pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025, 2049])
+def test_write_rows_matches_a_row_by_row_reference(rng, rows, prefix):
+    table = _csv_table(rng, rows)
+    expected = "".join(prefix + ",".join("%.17g" % c for c in row) + "\n"
+                       for row in table.tolist())
+    out = _CountingStream()
+    _write_rows(out, table, prefix)
+    assert out.getvalue() == expected
+    # one write a chunk of rows, not one a row
+    assert out.writes == math.ceil(rows / _CSV_CHUNK_ROWS)
+    back = np.array([[float(c) for c in line.split(",")[bool(prefix):]]
+                     for line in out.getvalue().splitlines()]).reshape(table.shape)
+    assert np.array_equal(np.signbit(back), np.signbit(table))
+    assert np.array_equal(back, table)
