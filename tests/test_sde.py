@@ -38,7 +38,8 @@ from pvreflect.errors import (
 )
 from pvreflect.presets import PROBLEM_PRESETS, build_problem, coefficient_preset
 from pvreflect.pathcore import STEP_CAP
-from pvreflect.sde import _partition, refinement_ladder, solution_gap, with_vbar_p_x
+from pvreflect.sde import (_SWEEP_ROWS, _partition, refinement_ladder, solution_gap,
+                           with_vbar_p_x)
 from pvreflect.drivers import philox_stream
 from conftest import random_step_path
 
@@ -393,10 +394,11 @@ def recording(coeffs, calls, seen=None):
     return Coefficients(f=wrap(coeffs.f), g=wrap(coeffs.g))
 
 
-def assert_sweeps_are_the_loop(problems, n, scheme="adaptive", seen=None):
+def assert_sweeps_are_the_loop(problems, n, scheme="adaptive", seen=None, calls=None):
     """Each problem's batched solution is `_reference_euler` bit for bit, in
-    no more sweeps (one f and one g call each) than the longest run's steps."""
-    calls = []
+    no more sweeps (one f and one g call each) than the longest run's steps.
+    The row count of every call goes to ``calls`` if given."""
+    calls = [] if calls is None else calls
     shared = recording(problems[0].coeffs, calls, seen)
     batch = euler_batch([dataclasses.replace(p, coeffs=shared) for p in problems], n, scheme)
     for problem, sol in zip(problems, batch):
@@ -501,8 +503,19 @@ def test_sweeps_evaluate_guesses_that_are_not_path_states():
 def test_sweeps_are_few_on_a_smooth_long_run():
     preset = dataclasses.replace(PROBLEM_PRESETS["fbm-reflected"], dim=1, driver_steps=8192)
     prob = build_problem(preset, seed=5)
-    _, sweeps = assert_sweeps_are_the_loop([prob], 8192)
-    assert sweeps * 16 <= 8192
+    calls = []
+    (sol,), sweeps = assert_sweeps_are_the_loop([prob], 8192, calls=calls)
+    # windows that restart at one row and halve after a poor sweep took 54
+    assert sweeps <= 40
+    # every sweep is as wide as the rows allow
+    assert calls[0] == min(_SWEEP_ROWS, sol.x.times.size - 1)
+    assert max(calls) <= _SWEEP_ROWS
+    # refine's input: eight levels from n0 = 64, where halving windows made 258 f calls
+    calls.clear()
+    solved = solve(dataclasses.replace(prob, coeffs=recording(prob.coeffs, calls)),
+                   tol=1e-4, n0=64)
+    assert solved.n == 8192
+    assert len(calls) // 2 <= 150
 
 
 def test_batch_coefficient_failures_are_reported():
@@ -514,11 +527,18 @@ def test_batch_coefficient_failures_are_reported():
         out[-1, 0, 0] = np.nan
         return out
 
+    def nan_off_the_start(x):
+        # a row's value depends on that row alone, and the path leaves x0
+        out = coeffs.g(x)
+        out[x[:, 0] != problems[0].x0[0]] = np.nan
+        return out
+
     bad = {
         "shape": [Coefficients(f=lambda x: coeffs.f(x)[:, :1], g=coeffs.g),
                   Coefficients(f=coeffs.f, g=lambda x: coeffs.g(x)[:, 0])],
         "not finite": [Coefficients(f=lambda x: coeffs.f(x) / 0.0, g=coeffs.g),
                        Coefficients(f=coeffs.f, g=nan_in_last_row)],
+        "g is not finite on state": [Coefficients(f=coeffs.f, g=nan_off_the_start)],
     }
     for match, variants in bad.items():
         for variant in variants:
@@ -673,6 +693,20 @@ def test_solve_rejects_nan_tolerance_before_any_level(monkeypatch):
     for tol in (float("nan"), -1e-300, -float("inf")):
         with pytest.raises(InvalidParameter):
             solve(prob, tol=tol, n0=16)
+
+
+def test_solve_rejects_bad_max_doublings_before_any_level(monkeypatch):
+    prob = Problem(x0=[1.0], a=zero_a(), z=make_path([0, 1], [0, 1]),
+                   l=make_barrier("constant", level=0.0, horizon=1.0),
+                   coeffs=identity_coeffs(), p=2.0)
+
+    def no_ladder(*args, **kwargs):
+        raise AssertionError("the ladder ran")
+
+    monkeypatch.setattr("pvreflect.sde.refinement_ladder", no_ladder)
+    for max_doublings in (0, -1, 2.5, float("nan"), 3.0, "4", None):
+        with pytest.raises(InvalidParameter, match="max_doublings"):
+            solve(prob, tol=1e-3, n0=16, max_doublings=max_doublings)
 
 
 def test_solve_rejects_zero_n0():
