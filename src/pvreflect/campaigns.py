@@ -37,7 +37,6 @@ __all__ = [
     "reflection_estimates_campaign",
     "stieltjes_bound_campaign",
     "iter_campaigns",
-    "run_all_campaigns",
     "CAMPAIGN_CSV_HEADER",
 ]
 
@@ -171,7 +170,7 @@ def stieltjes_bound_campaign(cases: int | range, seed: int,
 
 
 def iter_campaigns(cases: int, seed: int, corrupt: bool = False) -> Iterator[CampaignRow]:
-    """The rows of `run_all_campaigns` in its order, each case's as it finishes.
+    """All three campaigns, ``cases`` cases each, in a fixed order, each case's rows as it ends.
 
     Only one case's rows are held at a time, so a caller that writes them
     as they come needs memory that does not grow with ``cases``.
@@ -181,8 +180,3 @@ def iter_campaigns(cases: int, seed: int, corrupt: bool = False) -> Iterator[Cam
                      stieltjes_bound_campaign):
         for case in range(cases):
             yield from campaign(range(case, case + 1), seed, corrupt=corrupt)
-
-
-def run_all_campaigns(cases: int, seed: int, corrupt: bool = False) -> list[CampaignRow]:
-    """All three campaigns with ``cases`` cases each, in a fixed order."""
-    return list(iter_campaigns(cases, seed, corrupt))

@@ -31,7 +31,7 @@ from .errors import (
     InvalidParameter,
     UnknownKind,
 )
-from .pathcore import StepPath, _increment_norms, make_path
+from .pathcore import StepPath, _check_count, _increment_norms, make_path
 from .young import grid_riemann_sum
 
 __all__ = [
@@ -83,8 +83,7 @@ class FbmSpec:
             raise InvalidParameter("horizon must be positive")
         if not self.horizon < np.inf:  # NaN fails this too
             raise InvalidParameter("horizon must be finite")
-        if self.steps < 1:
-            raise InvalidParameter("steps must be >= 1")
+        _check_count("steps", self.steps)
         if not (0 <= int(self.seed) < _U64):
             raise InvalidParameter("seed must fit in 64 unsigned bits")
 

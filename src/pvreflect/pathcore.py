@@ -23,14 +23,17 @@ a monotone run only splits an increment into two of the same sign, and
 (Butkus & Norvaisa, "Computation of p-variation", Lith. Math. J. 2018).
 The windows are then padded to the longest with copies of their last point,
 which adds zero increments and so leaves each window's result unchanged, and
-the stack advances a block of ``_PVAR_STACK_ROWS`` rows at a time, holding
-at most ``_PVAR_BLOCK_CELLS`` point pairs in memory at once.  Earlier points
-far enough back come in chunks of 32 with a bounding ball (centre ``c``,
-radius ``rho``; Frobenius for matrices, which bounds the operator norm).  Every
-candidate of row ``v_j`` in a chunk is at most the chunk's largest ``best``
-plus ``(|v_j - c| + rho)^p``; a chunk whose bound, raised by a rounding
-margin, stays below a candidate the row already reaches for every row of
-the block is skipped.  It cannot hold a row's maximum, and every kept cell
+the stack advances a block of ``_PVAR_STACK_ROWS`` rows at a time.  Each
+numpy call computes at most ``_PVAR_BLOCK_CELLS`` point pairs, and the block
+holds rows x (rows + 2) cells per window (69,632 at 64 windows).  Past
+``_PVAR_BOUND_FROM`` earlier points, those come in chunks of 32 with a
+bounding ball (centre ``c``, radius ``rho``; Frobenius for matrices, which
+bounds the operator norm), and the block's rows lie in one ball ``(C, R)``.
+Every candidate of a block row in a chunk is at most the chunk's largest
+``best`` plus ``(|C - c| + R + rho)^p``.  ``best`` never falls along a
+window, so every row of a block starting at ``r0`` ends at least at
+``best[r0 - 1]``; a chunk whose bound, raised by a rounding margin, stays
+below that is skipped.  It cannot hold a row's maximum, and every kept cell
 is computed by the same operations, so results are the same to the last bit.
 
 A window alone in its call may take one of two other kernels; a stack keeps
@@ -375,8 +378,9 @@ _PVAR_BOUND_FLOOR = 2.0 ** -500
 _PVAR_BOUND_REACH = 2.0 ** 510
 #: a scalar window with more than ``m^2 / _PVAR_PAIRS_DENSE`` pairs that can
 #: win goes from `_pvar_pairs` to the dense kernel: measured at 8k to 32k
-#: turns, a pair costs about 12 ns there, the dense kernel about 0.5 ns per
-#: ``m^2`` (its bound skips most chunks on such windows)
+#: turns, a pair costs about 12 ns there, the dense kernel 0.5 (8k) to
+#: 0.14 (32k) ns per ``m^2`` on a rising zigzag, where its bound skips most
+#: chunks
 _PVAR_PAIRS_DENSE = 24
 
 
@@ -409,60 +413,52 @@ def _reduce_window(vals: np.ndarray) -> np.ndarray:
     return vals[idx[turn]]
 
 
-def _chunk_balls(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centre and radius of each full ``_PVAR_CHUNK``-point chunk of ``(..., m, D)`` points.
+def _balls(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre ``(..., D)`` and radius ``(...)`` of a ball around ``(..., k, D)`` points.
 
-    The centre is the midpoint of the chunk's bounding box; the radius is the
+    The centre is the midpoint of the points' bounding box; the radius is the
     largest Euclidean (for matrices: Frobenius) distance of a point to it.
     """
-    q = flat.shape[-2] // _PVAR_CHUNK
-    pts = flat[..., : q * _PVAR_CHUNK, :].reshape(*flat.shape[:-2], q, _PVAR_CHUNK, flat.shape[-1])
     # halves first: the midpoint of two finite values stays finite
-    centres = 0.5 * pts.min(axis=-2) + 0.5 * pts.max(axis=-2)
-    radii = _increment_norms(pts - centres[..., None, :]).max(axis=-1)
+    centres = 0.5 * points.min(axis=-2) + 0.5 * points.max(axis=-2)
+    radii = _increment_norms(points - centres[..., None, :]).max(axis=-1)
     return centres, radii
 
 
-def _chunk_bounds(rows: np.ndarray, centres: np.ndarray, radii: np.ndarray,
-                  top: np.ndarray, p: float) -> np.ndarray:
-    """Upper bounds ``(..., n, Q)`` on the DP candidates of rows against chunks.
+def _chunk_bounds(centre: np.ndarray, radius: np.ndarray, centres: np.ndarray,
+                  radii: np.ndarray, top: np.ndarray, p: float) -> np.ndarray:
+    """Upper bounds ``(..., Q)`` on the DP candidates of a row block against chunks.
 
-    Row ``v_j`` (``rows`` is ``(..., n, D)``) against a chunk with ball
-    ``(c, rho)`` and largest ``best`` value ``top``: every candidate
-    ``best[i] + |v_j - v_i|^p`` is at most ``top + (|v_j - c| + rho)^p``, by
-    the triangle inequality and because the operator norm is at most the
-    Frobenius norm.  The bound is raised by a relative margin that covers
-    the rounding of both sides, which grows with ``p`` and the component
-    count ``D``, and by ``_PVAR_BOUND_FLOOR`` for the subnormal range.
-    Where a distance could overflow in its squares the bound is infinite.
+    Rows in the ball ``(C, R)`` (``centre`` ``(..., D)``, ``radius``
+    ``(...)``) against a chunk with ball ``(c, rho)`` and largest ``best``
+    value ``top``: every candidate ``best[i] + |v_j - v_i|^p`` is at most
+    ``top + (|C - c| + R + rho)^p``, by the triangle inequality and because
+    the operator norm is at most the Frobenius norm.  The bound is raised by
+    a relative margin that covers the rounding of both sides, which grows
+    with ``p`` and the component count ``D``, and by ``_PVAR_BOUND_FLOOR``
+    for the subnormal range.  Where a distance could overflow in its
+    squares the bound is infinite.
     """
-    slack = 16.0 * (p + 1.0) * (rows.shape[-1] + 4) * np.finfo(float).eps
-    reach = _increment_norms(rows[..., :, None, :] - centres[..., None, :, :])
-    reach += radii[..., None, :] + _PVAR_BOUND_FLOOR
-    bound = np.where(reach < _PVAR_BOUND_REACH, top[..., None, :] + reach ** p, np.inf)
+    slack = 16.0 * (p + 1.0) * (centres.shape[-1] + 4) * np.finfo(float).eps
+    reach = _increment_norms(centre[..., None, :] - centres)
+    reach += radii + (radius[..., None] + _PVAR_BOUND_FLOOR)
+    bound = np.where(reach < _PVAR_BOUND_REACH, top + reach ** p, np.inf)
     return bound * (1.0 + slack) + _PVAR_BOUND_FLOOR
 
 
-def _kept_chunks(points: np.ndarray, rows: np.ndarray, best: np.ndarray, centres: np.ndarray,
-                 radii: np.ndarray, p: float, shape: tuple[int, ...]) -> np.ndarray:
+def _kept_chunks(rows: np.ndarray, best: np.ndarray, centres: np.ndarray, radii: np.ndarray,
+                 p: float) -> np.ndarray:
     """Mask ``(B, Q)`` of the full chunks of earlier points that a row block may need.
 
-    ``points`` ``(B, r0, D)`` are the earlier points with their final
-    ``best``, ``rows`` ``(B, n, D)`` the block's.  ``best`` never decreases
-    along a window, because the previous point is always a candidate, so a
-    chunk's largest ``best`` is at its last point.  Each row's candidate
-    from the last point of every chunk and from the last earlier point is
-    a value the row reaches.  A chunk whose bound stays below that for
-    every row of the block cannot hold a row's maximum.
+    ``rows`` ``(B, n, D)`` are the block's points, ``best`` ``(B, r0)`` the
+    final ``best`` of the earlier points.  ``best`` never decreases along a
+    window, because the previous point is always a candidate, so a chunk's
+    largest ``best`` is at its last point and every row of the block ends
+    with ``best[j] >= best[r0 - 1]``.  A chunk whose bound stays below
+    ``best[r0 - 1]`` cannot hold a row's maximum.
     """
-    full = radii.shape[1]
-    at = np.append(np.arange(1, full + 1) * _PVAR_CHUNK - 1, points.shape[1] - 1)
-    # the same differences, norms, powers and sums as the DP's own cells
-    diffs = rows[:, :, None, :] - points[:, None, at, :]
-    reached = _increment_norms(diffs.reshape(*diffs.shape[:3], *shape), len(shape) == 2) ** p
-    reached += best[:, None, at]
-    bound = _chunk_bounds(rows, centres, radii, best[:, at[:-1]], p)
-    return (bound >= reached.max(axis=2)[..., None]).any(axis=1)
+    top = best[:, _PVAR_CHUNK - 1 : radii.shape[1] * _PVAR_CHUNK : _PVAR_CHUNK]
+    return _chunk_bounds(*_balls(rows), centres, radii, top, p) >= best[:, -1:]
 
 
 def _slices(n: int, step: int) -> list[slice]:
@@ -503,7 +499,8 @@ def _pvar_stack(windows: list[np.ndarray], p: float) -> list[float]:
     # one row per component keeps each component's block differences contiguous
     comps = np.ascontiguousarray(flat.transpose(0, 2, 1))
     if ends[0] > _PVAR_BOUND_FROM:
-        centres, radii = _chunk_balls(flat)
+        cut = ends[0] // _PVAR_CHUNK * _PVAR_CHUNK
+        centres, radii = _balls(flat[:, :cut].reshape(len(ends), -1, _PVAR_CHUNK, flat.shape[2]))
     rows, cols = _pvar_block_shape(ends[0])
     best = np.zeros(flat.shape[:2])
     live = len(ends)
@@ -520,13 +517,11 @@ def _pvar_stack(windows: list[np.ndarray], p: float) -> list[float]:
         first = block[:, 0].T
         start = 0
         if r0 > _PVAR_BOUND_FROM:
-            # kept (window, chunk) pairs in window order, a bounded number at a time
+            # kept (window, chunk) pairs in window order
             full = (r0 - 1) // _PVAR_CHUNK
             start = full * _PVAR_CHUNK
-            step = max(_PVAR_BLOCK_CELLS // ((r1 - r0) * (full + 1)), 1)
-            wins, chunks = np.nonzero(np.concatenate([_kept_chunks(
-                flat[w, :r0], flat[w, r0:r1], best[w, :r0], centres[w, :full], radii[w, :full],
-                p, shape) for w in _slices(live, step)]))
+            wins, chunks = np.nonzero(_kept_chunks(flat[:live, r0:r1], best[:live, :r0],
+                                                   centres[:live, :full], radii[:live, :full], p))
             pts = comps[:live, :, :start].reshape(live, -1, full, _PVAR_CHUNK)
             prior = best[:live, :start].reshape(live, full, _PVAR_CHUNK)
             step = max(cols // _PVAR_CHUNK, 1)
@@ -696,11 +691,12 @@ def _pvar_dp(windows: Sequence[np.ndarray], p: float) -> list[float]:
     ``_PVAR_BOUND_FROM`` points left.  The others are stacked, up to
     ``_PVAR_STACK_WINDOWS`` and longest first, and advance a block of
     ``_PVAR_STACK_ROWS`` rows at a time in pieces of at most
-    ``_PVAR_BLOCK_CELLS`` point pairs (`_pvar_stack`): against chunks of
-    earlier points that branch and bound may skip (`_kept_chunks`), then one
-    row at a time for all windows.  Every kernel computes each cell it keeps
-    as a row-by-row loop would and skips only cells that cannot hold a row's
-    maximum, so the result depends on none of them, nor on the blocking.
+    ``_PVAR_BLOCK_CELLS`` point pairs (`_pvar_stack`): against the chunks of
+    earlier points whose ball bound on the block's ball reaches
+    ``best[r0 - 1]`` (`_kept_chunks`), then one row at a time for all
+    windows.  Every kernel computes each cell it keeps as a row-by-row loop
+    would and skips only cells that cannot hold a row's maximum, so the
+    result depends on none of them, nor on the blocking.
     """
     out = [0.0] * len(windows)
     stack = []
@@ -729,6 +725,12 @@ def _check_p(p) -> float:
     if not 1.0 <= p < np.inf:
         raise InvalidP(f"p must be finite and >= 1, got {p}")
     return float(p)
+
+
+def _check_count(name: str, value) -> None:
+    """Raise `InvalidParameter` unless ``value`` is an integer >= 1 (a float never is)."""
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise InvalidParameter(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def p_variation(path, p: float, window=None) -> float:

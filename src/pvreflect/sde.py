@@ -52,8 +52,9 @@ from .errors import (
     NoConvergence,
     PartitionOverflow,
 )
-from .pathcore import (STEP_CAP, StepPath, TimeGrid, _check_p, _derived, _increment_norms,
-                       jump_adapted_times, sup_norm, variation_norm, variation_norms)
+from .pathcore import (STEP_CAP, StepPath, TimeGrid, _check_count, _check_p, _derived,
+                       _increment_norms, jump_adapted_times, sup_norm, variation_norm,
+                       variation_norms)
 from .skorokhod import Reflection
 
 __all__ = [
@@ -344,8 +345,7 @@ def euler_batch(problems, n: int, scheme: str = "adaptive",
     where the loop would stop.
     """
     problems = list(problems)
-    if n < 1:
-        raise InvalidParameter("n must be >= 1")
+    _check_count("n", n)
     if scheme not in ("adaptive", "uniform"):
         raise InvalidParameter(f"scheme must be adaptive or uniform, got {scheme!r}")
     if not problems:
@@ -417,8 +417,7 @@ def refinement_ladder(problem: Problem, n0: int, step_cap: int = STEP_CAP):
     ``gap`` is the `solution_gap` to the level before, ``None`` at n0.  Each
     level is computed only when it is asked for.
     """
-    if n0 < 1:
-        raise InvalidParameter("n0 must be >= 1")
+    _check_count("n0", n0)
     prev = None
     for level in itertools.count():
         cur = euler_adaptive(problem, n0 * 2**level, step_cap)
@@ -438,8 +437,7 @@ def solve(problem: Problem, tol: float, n0: int,
     """
     if not tol >= 0.0:  # NaN fails this too
         raise InvalidParameter("tol must be >= 0")
-    if not (isinstance(max_doublings, (int, np.integer)) and max_doublings >= 1):
-        raise InvalidParameter(f"max_doublings must be an integer >= 1, got {max_doublings!r}")
+    _check_count("max_doublings", max_doublings)
     ladder = refinement_ladder(problem, n0, step_cap)
     for cur, gap in itertools.islice(ladder, 1, max_doublings + 1):
         if gap < tol:

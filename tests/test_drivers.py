@@ -50,6 +50,12 @@ def test_fbm_spec_validation():
         FbmSpec(hurst=0.75, seed=-1)
 
 
+@pytest.mark.parametrize("steps", [2.5, np.nan, 3.0, "4", None])
+def test_fbm_spec_rejects_steps_that_are_not_integers(steps):
+    with pytest.raises(InvalidParameter, match="steps"):
+        FbmSpec(hurst=0.75, steps=steps)
+
+
 @pytest.mark.parametrize("horizon", [np.inf, np.nan, -np.inf])
 def test_fbm_spec_rejects_non_finite_horizon(horizon):
     # unchecked, the grid and the scaling are built before any value check

@@ -44,7 +44,7 @@ from pvreflect.pathcore import (
     _CSV_CHUNK_ROWS,
     _PVAR_BLOCK_CELLS,
     _PVAR_CHUNK,
-    _chunk_balls,
+    _balls,
     _chunk_bounds,
     _increment_norms,
     _pvar_block_shape,
@@ -403,10 +403,11 @@ def test_pvariation_pruning_is_exact_where_squares_underflow_or_overflow(scale, 
 @pytest.mark.parametrize("shape", [(1,), (2,), (3,), (2, 2)])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_chunk_bounds_cover_every_candidate(shape, p, rng):
-    # On one line the triangle inequality is an equality, so the bound on a
-    # chunk is tight but for rounding; the rows lie past every chunk and the
-    # point farthest from them holds the chunk's largest best.  Matrices on
-    # one line have rank one, where the operator and Frobenius norms agree.
+    # On one line the triangle inequality is an equality, so the bound of the
+    # rows' ball on a chunk is tight but for rounding: the rows lie past every
+    # chunk, so their farthest pair spans both balls, and the point farthest
+    # from them holds the chunk's largest best.  Matrices on one line have
+    # rank one, where the operator and Frobenius norms agree.
     if len(shape) == 2:
         direction = np.outer(rng.normal(size=shape[0]), rng.normal(size=shape[1])).ravel()
     else:
@@ -416,13 +417,29 @@ def test_chunk_bounds_cover_every_candidate(shape, p, rng):
     points = rng.normal(size=direction.size) + along * direction
     here = points[:1] + rng.uniform(2.0, 3.0, size=(rows, 1)) * direction
     best = np.abs(rng.normal(size=chunks * _PVAR_CHUNK)) + (1.0 - along[:, 0])
-    centres, radii = _chunk_balls(points)
+    centres, radii = _balls(points.reshape(chunks, _PVAR_CHUNK, -1))
     top = best.reshape(chunks, _PVAR_CHUNK).max(axis=1)
-    bound = _chunk_bounds(here, centres, radii, top, p)
+    bound = _chunk_bounds(*_balls(here), centres, radii, top, p)
     # every candidate as the DP computes it
     diffs = here[:, None, :] - points[None, :, :]
     cand = _increment_norms(diffs.reshape(rows, -1, *shape), len(shape) == 2) ** p + best
     assert (bound >= cand.reshape(rows, chunks, _PVAR_CHUNK).max(axis=2)).all()
+
+
+def test_pvariation_bound_skips_most_chunks_of_a_long_walk(kept_chunks):
+    # a bound that stops pruning keeps every result but fails here: on this
+    # walk the block balls keep 3.2% of the (row block, chunk) pairs
+    walk = np.cumsum(np.random.default_rng(0).normal(size=(8192, 2)), axis=0)
+    _pvar_dp([walk], 2.0)
+    assert 0 < kept_chunks[0] < 0.06 * kept_chunks[1]
+
+
+def test_pvariation_stacked_fbm_windows_match_their_lone_pair_kernel(kept_chunks):
+    windows = [sample_fbm(FbmSpec(hurst=0.75, steps=1 << 14, seed=seed)).values
+               for seed in range(4)]
+    stacked = _pvar_dp(windows, 2.0)
+    assert 0 < kept_chunks[0] < kept_chunks[1]
+    assert stacked == [pathcore._pvar_pairs(_reduce_window(w), 2.0) for w in windows]
 
 
 @pytest.mark.parametrize("m", [2, 100, 70_000])

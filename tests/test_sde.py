@@ -709,6 +709,24 @@ def test_solve_rejects_bad_max_doublings_before_any_level(monkeypatch):
             solve(prob, tol=1e-3, n0=16, max_doublings=max_doublings)
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.5, float("nan"), 3.0, "4", None])
+def test_schemes_reject_step_counts_that_are_not_integers_before_any_step(n, monkeypatch):
+    prob = Problem(x0=[1.0], a=zero_a(), z=make_path([0, 1], [0, 1]),
+                   l=make_barrier("constant", level=0.0, horizon=1.0),
+                   coeffs=identity_coeffs(), p=2.0)
+
+    def no_partition(*args, **kwargs):
+        raise AssertionError("a partition was built")
+
+    monkeypatch.setattr("pvreflect.sde._partition", no_partition)
+    with pytest.raises(InvalidParameter, match="n must"):
+        euler_batch([prob], n)
+    with pytest.raises(InvalidParameter, match="n0"):
+        next(refinement_ladder(prob, n))
+    with pytest.raises(InvalidParameter, match="n0"):
+        solve(prob, tol=1e-3, n0=n)
+
+
 def test_solve_rejects_zero_n0():
     prob = Problem(x0=[1.0], a=zero_a(), z=make_path([0, 1], [0, 1]),
                    l=make_barrier("constant", level=0.0, horizon=1.0),
