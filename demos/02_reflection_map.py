@@ -8,13 +8,12 @@ running maximum, so everything here is exact.
 
 import numpy as np
 
-from pvreflect import check_estimates, make_barrier, make_path, solve_sp
+from pvreflect import check_estimates, make_path, sine_path, solve_sp
 
 rng = np.random.default_rng(7)
 times = np.linspace(0.0, 2.0, 41)
 y = make_path(times, 0.5 + np.cumsum(rng.normal(scale=0.3, size=41)))
-barrier = make_barrier("sine", dim=1, base=-0.5, amplitude=0.4, period=2.0,
-                       horizon=2.0, steps=40)
+barrier = sine_path(base=-0.5, amplitude=0.4, period=2.0, horizon=2.0, steps=40)
 
 r = solve_sp(y, barrier)
 print("input starts at      ", y.eval(0.0))

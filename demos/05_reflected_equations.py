@@ -18,11 +18,12 @@ from pvreflect import (
     VolatilitySpec,
     a_priori_check,
     build_zh,
+    constant_path,
     euler_adaptive,
     euler_uniform,
-    make_barrier,
-    make_fv_driver,
+    linear_path,
     sample_fbm,
+    sine_path,
     solve,
 )
 from pvreflect.presets import coefficient_preset
@@ -32,9 +33,9 @@ from pvreflect.sde import solution_gap
 n = 1024
 prob = Problem(
     x0=[1.0],
-    a=make_fv_driver("constant", value=0.0, horizon=1.0),
-    z=make_fv_driver("linear", horizon=1.0, steps=n),
-    l=make_barrier("constant", dim=1, level=-1e6, horizon=1.0),
+    a=constant_path(level=0.0, horizon=1.0),
+    z=linear_path(slope=1.0, horizon=1.0, steps=n),
+    l=constant_path(level=-1e6, horizon=1.0),
     coeffs=coefficient_preset("geometric", 1),
     p=2.0,
 )
@@ -48,10 +49,9 @@ noise = [sample_fbm(spec, path_index=i) for i in range(d)]
 z = build_zh(noise, VolatilitySpec(np.ones((d, 513))))
 reflected = Problem(
     x0=[0.3, 0.3],
-    a=make_fv_driver("linear", horizon=1.0, steps=512),
+    a=linear_path(slope=1.0, horizon=1.0, steps=512),
     z=z,
-    l=make_barrier("sine", dim=d, base=-0.2, amplitude=0.2, period=1.0,
-                   horizon=1.0, steps=64),
+    l=sine_path(base=-0.2, amplitude=0.2, period=1.0, horizon=1.0, steps=64, dim=d),
     coeffs=coefficient_preset("tanh", d),
     p=2.0,
 )

@@ -50,11 +50,13 @@ from .drivers import (
     FbmSpec,
     VolatilitySpec,
     build_zh,
+    constant_path,
     empirical_pvar_profile,
-    make_barrier,
-    make_fv_driver,
+    linear_path,
     philox_stream,
     sample_fbm,
+    schedule_path,
+    sine_path,
 )
 from .sde import (
     Coefficients,
@@ -99,8 +101,10 @@ __all__ = [
     "VolatilitySpec",
     "build_zh",
     "empirical_pvar_profile",
-    "make_barrier",
-    "make_fv_driver",
+    "constant_path",
+    "linear_path",
+    "sine_path",
+    "schedule_path",
     "philox_stream",
     "sample_fbm",
     "Coefficients",

@@ -1,4 +1,4 @@
-"""Stochastic and deterministic drivers: fBm, integrated noise, fixtures.
+"""Stochastic and deterministic drivers: fBm, integrated noise, path builders.
 
 Fractional Brownian motion with Hurst index ``H in (1/2, 1)`` is sampled on a
 uniform grid with the exact Gaussian law of its increments: the stationary
@@ -41,11 +41,19 @@ __all__ = [
     "sample_fbm",
     "build_zh",
     "empirical_pvar_profile",
-    "make_fv_driver",
-    "make_barrier",
+    "constant_path",
+    "linear_path",
+    "sine_path",
+    "schedule_path",
 ]
 
 _U64 = 1 << 64
+
+
+def _check_seed(name: str, value) -> None:
+    """Raise `InvalidParameter` unless ``value`` is an integer in [0, 2^64) (a float never is)."""
+    if not (isinstance(value, (int, np.integer)) and 0 <= value < _U64):
+        raise InvalidParameter(f"{name} must fit in 64 unsigned bits")
 
 
 def philox_stream(seed: int, path_index: int = 0) -> np.random.Generator:
@@ -54,13 +62,9 @@ def philox_stream(seed: int, path_index: int = 0) -> np.random.Generator:
     Distinct (seed, index) pairs give statistically independent streams, so
     Monte Carlo batches can be evaluated in any order or in parallel.
     """
-    seed = int(seed)
-    path_index = int(path_index)
-    if not (0 <= seed < _U64):
-        raise InvalidParameter("seed must fit in 64 unsigned bits")
-    if not (0 <= path_index < _U64):
-        raise InvalidParameter("path_index must fit in 64 unsigned bits")
-    return np.random.Generator(np.random.Philox(key=seed + (path_index << 64)))
+    _check_seed("seed", seed)
+    _check_seed("path_index", path_index)
+    return np.random.Generator(np.random.Philox(key=int(seed) + (int(path_index) << 64)))
 
 
 def _check_hurst(hurst: float) -> None:
@@ -84,8 +88,7 @@ class FbmSpec:
         if not self.horizon < np.inf:  # NaN fails this too
             raise InvalidParameter("horizon must be finite")
         _check_count("steps", self.steps)
-        if not (0 <= int(self.seed) < _U64):
-            raise InvalidParameter("seed must fit in 64 unsigned bits")
+        _check_seed("seed", self.seed)
 
     @property
     def times(self) -> np.ndarray:
@@ -274,80 +277,50 @@ def empirical_pvar_profile(path: StepPath, p: float, levels) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# deterministic fixture builders
+# deterministic path builders: constant_path, linear_path, sine_path and
+# schedule_path serve every a-driver, z-driver and barrier that is not sampled
 # ---------------------------------------------------------------------------
 
-def make_fv_driver(kind: str, **params) -> StepPath:
-    """Scalar finite-variation drivers: ``linear``, ``constant`` or ``jump``.
-
-    * ``linear``: ``a_t = slope * t`` sampled on ``steps`` uniform pieces;
-    * ``constant``: flat at ``value`` up to ``horizon``;
-    * ``jump``: pure-jump path with ``jumps=[(time, size), ...]`` from ``base``.
-    """
-    if kind == "linear":
-        horizon = float(params.get("horizon", 1.0))
-        steps = int(params.get("steps", 4))
-        slope = float(params.get("slope", 1.0))
-        times = np.linspace(0.0, horizon, steps + 1)
-        return make_path(times, slope * times)
-    if kind == "constant":
-        horizon = float(params.get("horizon", 1.0))
-        value = float(params.get("value", 0.0))
-        return make_path([0.0, horizon], [value, value])
-    if kind == "jump":
-        jumps = sorted((float(t), float(s)) for t, s in params.get("jumps", ()))
-        base = float(params.get("base", 0.0))
-        if any(t <= 0.0 for t, _ in jumps):
-            raise InvalidParameter("jump times must be positive")
-        times = [0.0] + [t for t, _ in jumps]
-        values = [base] + list(base + np.cumsum([s for _, s in jumps]))
-        horizon = params.get("horizon")
-        if horizon is not None and float(horizon) > times[-1]:
-            times.append(float(horizon))
-            values.append(values[-1])
-        return make_path(times, values)
-    raise UnknownKind(f"unknown driver kind {kind!r}")
+def _levels(level, dim: int) -> np.ndarray:
+    """A scalar or length-``dim`` level as ``dim`` floats."""
+    return np.broadcast_to(np.asarray(level, dtype=float), (dim,))
 
 
-def make_barrier(kind: str, dim: int = 1, **params) -> StepPath:
-    """d-dimensional barriers: ``constant``, ``sine`` or ``jump``.
+def constant_path(level, horizon: float, dim: int = 1) -> StepPath:
+    """Flat at ``level`` (scalar or length-``dim``) on ``[0, horizon]``."""
+    return make_path([0.0, float(horizon)], np.vstack([_levels(level, dim)] * 2))
 
-    * ``constant``: flat at ``level`` (scalar or length-d) up to ``horizon``;
-    * ``sine``: ``base + amplitude * sin(2 pi t / period + i * pi/4)``
-      sampled on ``steps`` pieces, one phase shift per component;
-    * ``jump``: piecewise-constant levels from ``schedule=[(time, level), ...]``.
-    """
-    horizon = float(params.get("horizon", 1.0))
-    if kind == "constant":
-        level = np.broadcast_to(
-            np.asarray(params.get("level", 0.0), dtype=float), (dim,)
-        )
-        return make_path([0.0, horizon], np.vstack([level, level]))
-    if kind == "sine":
-        steps = int(params.get("steps", 64))
-        base = float(params.get("base", 0.0))
-        amplitude = float(params.get("amplitude", 1.0))
-        period = float(params.get("period", 1.0))
-        times = np.linspace(0.0, horizon, steps + 1)
-        phases = np.arange(dim) * (np.pi / 4.0)
-        values = base + amplitude * np.sin(
-            2.0 * np.pi * times[:, None] / period + phases[None, :]
-        )
-        return make_path(times, values)
-    if kind == "jump":
-        # by time alone: levels at one time are left for make_path to refuse
-        schedule = sorted(
-            ((float(t), np.broadcast_to(np.asarray(v, dtype=float), (dim,)))
-             for t, v in params.get("schedule", ())),
-            key=lambda entry: entry[0],
-        )
-        start = np.broadcast_to(np.asarray(params.get("level", 0.0), dtype=float), (dim,))
-        if any(t <= 0.0 for t, _ in schedule):
-            raise InvalidParameter("schedule times must be positive")
-        times = [0.0] + [t for t, _ in schedule]
-        values = [start] + [v for _, v in schedule]
-        if horizon > times[-1]:
-            times.append(horizon)
-            values.append(values[-1])
-        return make_path(times, np.vstack(values))
-    raise UnknownKind(f"unknown barrier kind {kind!r}")
+
+def linear_path(slope: float, horizon: float, steps: int, dim: int = 1) -> StepPath:
+    """``slope * t`` in each of ``dim`` components, sampled on ``steps`` uniform pieces."""
+    _check_count("steps", steps)
+    times = np.linspace(0.0, float(horizon), steps + 1)
+    return make_path(times, float(slope) * np.repeat(times[:, None], dim, axis=1))
+
+
+def sine_path(base: float, amplitude: float, period: float, horizon: float, steps: int,
+              dim: int = 1) -> StepPath:
+    """``base + amplitude * sin(2 pi t / period + i pi/4)`` in component ``i``, on ``steps``
+    uniform pieces."""
+    _check_count("steps", steps)
+    times = np.linspace(0.0, float(horizon), steps + 1)
+    phases = np.arange(dim) * (np.pi / 4.0)
+    angles = 2.0 * np.pi * times[:, None] / float(period) + phases[None, :]
+    return make_path(times, float(base) + float(amplitude) * np.sin(angles))
+
+
+def schedule_path(schedule, start, horizon: float | None, dim: int = 1) -> StepPath:
+    """``start`` from 0, then each level of ``schedule=[(time, level), ...]`` from its time on
+    (levels scalar or length-``dim``), up to ``horizon`` or, if that is ``None`` or earlier,
+    the last scheduled time."""
+    # by time alone: levels at one time are left for make_path to refuse
+    schedule = sorted(((float(t), _levels(v, dim)) for t, v in schedule),
+                      key=lambda entry: entry[0])
+    if any(t <= 0.0 for t, _ in schedule):
+        raise InvalidParameter("schedule times must be positive")
+    times = [0.0] + [t for t, _ in schedule]
+    values = [_levels(start, dim)] + [v for _, v in schedule]
+    if horizon is not None and float(horizon) > times[-1]:
+        times.append(float(horizon))
+        values.append(values[-1])
+    return make_path(times, np.vstack(values))

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import FbmSpec, VolatilitySpec, build_zh, make_barrier, make_fv_driver, sample_fbm
+from .drivers import (FbmSpec, VolatilitySpec, build_zh, constant_path, linear_path,
+                      sample_fbm, schedule_path, sine_path)
 from .errors import UnknownKind
-from .pathcore import StepPath, make_path
+from .pathcore import StepPath
 from .sde import Coefficients, Problem
 
 __all__ = [
@@ -107,20 +108,14 @@ def sigma_preset(name: str, times: np.ndarray, dim: int) -> VolatilitySpec:
 
 def barrier_preset(name: str, dim: int, horizon: float) -> StepPath:
     if name == "zero":
-        return make_barrier("constant", dim=dim, level=0.0, horizon=horizon)
+        return constant_path(0.0, horizon, dim)
     if name == "minus-wall":
-        return make_barrier("constant", dim=dim, level=-1e6, horizon=horizon)
+        return constant_path(-1e6, horizon, dim)
     if name == "sine":
-        return make_barrier(
-            "sine", dim=dim, base=-0.5, amplitude=0.25, period=horizon,
-            horizon=horizon, steps=128,
-        )
+        return sine_path(base=-0.5, amplitude=0.25, period=horizon, horizon=horizon,
+                         steps=128, dim=dim)
     if name == "jump":
-        return make_barrier(
-            "jump", dim=dim, level=-1.0,
-            schedule=[(0.4 * horizon, -0.25), (0.7 * horizon, -1.5)],
-            horizon=horizon,
-        )
+        return schedule_path([(0.4 * horizon, -0.25), (0.7 * horizon, -1.5)], -1.0, horizon, dim)
     raise UnknownKind(f"unknown barrier preset {name!r}")
 
 
@@ -146,10 +141,9 @@ def z_driver_preset(
         vol = sigma_preset(sigma, spec.times, dim)
         return build_zh(comps, vol)
     if name == "linear":
-        times = np.linspace(0.0, horizon, steps + 1)
-        return make_path(times, np.tile(times[:, None], (1, dim)))
+        return linear_path(1.0, horizon, steps, dim)
     if name == "zero":
-        return make_path([0.0, horizon], np.zeros((2, dim)))
+        return constant_path(0.0, horizon, dim)
     raise UnknownKind(f"unknown driver preset {name!r}")
 
 
@@ -193,9 +187,9 @@ def build_problem(preset: ProblemPreset, seed: int, replicate: int = 0) -> Probl
     horizon = preset.horizon
     steps = preset.driver_steps
     if preset.a_driver == "zero":
-        a = make_fv_driver("constant", value=0.0, horizon=horizon)
+        a = constant_path(0.0, horizon)
     elif preset.a_driver == "linear":
-        a = make_fv_driver("linear", horizon=horizon, steps=steps)
+        a = linear_path(1.0, horizon, steps)
     else:
         raise UnknownKind(f"unknown a-driver preset {preset.a_driver!r}")
     z = z_driver_preset(

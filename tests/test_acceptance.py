@@ -17,11 +17,11 @@ from pvreflect import (
     FbmSpec,
     Problem,
     align,
+    constant_path,
     empirical_pvar_profile,
     euler_adaptive,
     euler_uniform,
-    make_barrier,
-    make_fv_driver,
+    linear_path,
     make_path,
     p_variation,
     p_variation_brute,
@@ -139,8 +139,8 @@ def test_05_stieltjes_zeta_bound_campaign():
 
 def test_06_euler_exact_for_additive_noise():
     coeffs = coefficient_preset("identity", 1)
-    zero_barrier = make_barrier("constant", dim=1, level=0.0, horizon=1.0)
-    a = make_fv_driver("constant", value=0.0, horizon=1.0)
+    zero_barrier = constant_path(0.0, 1.0)
+    a = constant_path(0.0, 1.0)
     worst = 0.0
     for case in range(100):
         rng = philox_stream(106, case)
@@ -165,11 +165,11 @@ def test_06_euler_exact_for_additive_noise():
 
 def test_07_geometric_growth_oracle_with_halving_error():
     coeffs = coefficient_preset("geometric", 1)
-    barrier = make_barrier("constant", dim=1, level=-1e6, horizon=1.0)
-    a = make_fv_driver("constant", value=0.0, horizon=1.0)
+    barrier = constant_path(-1e6, 1.0)
+    a = constant_path(0.0, 1.0)
     errors = {}
     for n in (256, 512, 1024, 2048):
-        z = make_fv_driver("linear", horizon=1.0, steps=n)
+        z = linear_path(1.0, 1.0, n)
         prob = Problem(x0=[1.0], a=a, z=z, l=barrier, coeffs=coeffs, p=2.0)
         sol = euler_uniform(prob, n)
         errors[n] = abs(sol.x.eval(1.0)[0] - math.e)
@@ -233,8 +233,8 @@ def test_09_pvariation_regime_profiles():
 
 def test_10_adaptive_partition_jump_handling():
     coeffs = coefficient_preset("identity", 1)
-    barrier = make_barrier("constant", dim=1, level=-1e6, horizon=1.0)
-    a = make_fv_driver("constant", value=0.0, horizon=1.0)
+    barrier = constant_path(-1e6, 1.0)
+    a = constant_path(0.0, 1.0)
 
     z_big = make_path([0.0, 0.37, 1.0], [0.0, 1.0, 1.0])
     prob = Problem(x0=[0.0], a=a, z=z_big, l=barrier, coeffs=coeffs, p=2.0)

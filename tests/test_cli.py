@@ -330,6 +330,37 @@ def test_simulate_refine_bytes_are_golden(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REFINE
 
 
+#: sha256 of fBm-free ``simulate --n 64`` runs whose drivers and barriers all
+#: come from the deterministic builders (``constant_path``, ``linear_path``,
+#: ``sine_path``, ``schedule_path``), as written when the builders chose what
+#: to build from a kind string: (extra arguments, [problem] keys, digest).
+GOLDEN_BUILDERS = {
+    "jump-barrier": (
+        [], "driver = linear\na-driver = linear\nbarrier = jump\ndimension = 2\nx0 = -0.9\n",
+        "89b799dfefd7777b845a434b796dc154e8dc95cc994079c9d3c9b27152c9ed4b"),
+    "sine-barrier": (
+        [], "driver = linear\na-driver = linear\nbarrier = sine\nx0 = -0.5\n",
+        "0cfa01a51e18c42609a8e904a5c984084b7d82eb46d3088279eaec0ac0b655e7"),
+    "geometric": (
+        ["--preset", "geometric"], "",
+        "78a4f19936aa022446612bb2dc033be9b6ccb00fc5ca609ab32c36ac51c2b972"),
+    "constant": (
+        ["--preset", "constant", "--replicates", "2"], "",
+        "aea149451eb551f5714cb5239ac58c3c6c398fdbb830f592dfe19d5bdddc3e4c"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_BUILDERS))
+def test_simulate_builder_paths_bytes_are_golden(tmp_path, case):
+    args, keys, digest = GOLDEN_BUILDERS[case]
+    cfg = tmp_path / "problem.ini"
+    cfg.write_text("[problem]\n" + keys)
+    out = tmp_path / "sim.csv"
+    rc = run_cli(["simulate", "--config", str(cfg), "--n", "64", *args, "--out", str(out)])
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_problem_field_overrides_from_config(tmp_path, capsys):
     cfg = tmp_path / "custom.ini"
     cfg.write_text(

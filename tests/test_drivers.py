@@ -10,13 +10,15 @@ from pvreflect import (
     FbmSpec,
     VolatilitySpec,
     build_zh,
+    constant_path,
     empirical_pvar_profile,
-    make_barrier,
-    make_fv_driver,
+    linear_path,
     make_path,
     p_variation,
     philox_stream,
     sample_fbm,
+    schedule_path,
+    sine_path,
 )
 from pvreflect.drivers import (CHOLESKY_MAX_STEPS, FBM_MAX_STEPS, _circulant_eigenvalues,
                                _cholesky_factor, _fgn_autocov)
@@ -48,6 +50,13 @@ def test_fbm_spec_validation():
         FbmSpec(hurst=0.75, horizon=0.0)
     with pytest.raises(InvalidParameter, match="seed"):
         FbmSpec(hurst=0.75, seed=-1)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(2.0), "3", None, 1 << 64])
+def test_fbm_spec_rejects_seeds_that_are_not_64_bit_integers(seed):
+    # a float seed was truncated: seed=1.5 sampled the path of seed 1
+    with pytest.raises(InvalidParameter, match="seed must fit in 64 unsigned bits"):
+        FbmSpec(hurst=0.75, seed=seed)
 
 
 @pytest.mark.parametrize("steps", [2.5, np.nan, 3.0, "4", None])
@@ -95,6 +104,28 @@ def test_philox_stream_contract():
     for index in (-1, 1 << 64):
         with pytest.raises(InvalidParameter, match="path_index"):
             philox_stream(0, index)
+
+
+@pytest.mark.parametrize("seed", [2.0, 2.5, np.float64(2.0), "2"])
+def test_philox_stream_rejects_float_seeds_and_indices(seed):
+    # philox_stream(2.0) was the stream of seed 2
+    with pytest.raises(InvalidParameter, match="seed must fit in 64 unsigned bits"):
+        philox_stream(seed)
+    with pytest.raises(InvalidParameter, match="path_index must fit in 64 unsigned bits"):
+        philox_stream(0, seed)
+
+
+def test_numpy_integer_seeds_keep_their_streams():
+    ref = philox_stream(3, 17).standard_normal(4)
+    for seed, index in ((np.uint64(3), np.int64(17)), (np.int32(3), np.uint8(17))):
+        assert np.array_equal(philox_stream(seed, index).standard_normal(4), ref)
+    top = (1 << 64) - 1
+    assert np.array_equal(philox_stream(np.uint64(top), np.uint64(top)).standard_normal(4),
+                          philox_stream(top, top).standard_normal(4))
+    spec = FbmSpec(hurst=0.75, steps=64, seed=5)
+    for seed in (np.int64(5), np.uint64(5)):
+        path = sample_fbm(FbmSpec(hurst=0.75, steps=64, seed=seed), path_index=np.int64(2))
+        assert np.array_equal(path.values, sample_fbm(spec, path_index=2).values)
 
 
 def test_fbm_increment_law_light():
@@ -303,55 +334,82 @@ def test_profile_regimes_for_noise_path():
 # ---------------------------------------------------------------------------
 
 def test_linear_driver_example():
-    a = make_fv_driver("linear", horizon=1.0, steps=4)
+    a = linear_path(1.0, 1.0, 4)
     assert np.array_equal(a.times, [0, 0.25, 0.5, 0.75, 1.0])
     assert np.array_equal(a.values.ravel(), [0, 0.25, 0.5, 0.75, 1.0])
 
 
 def test_jump_driver_total_variation():
-    a = make_fv_driver("jump", jumps=[(0.5, 1.0)], horizon=1.0)
+    a = schedule_path([(0.5, 1.0)], 0.0, 1.0)
     assert p_variation(a, 1.0) == 1.0
     assert a.eval(0.4)[0] == 0.0
     assert a.eval(0.5)[0] == 1.0
 
 
 def test_constant_builders_and_unknown_kind():
-    a = make_fv_driver("constant", value=2.5, horizon=3.0)
+    a = constant_path(2.5, 3.0)
     assert a.eval(2.9)[0] == 2.5
-    l = make_barrier("constant", dim=2, level=0.0, horizon=1.0)
+    l = constant_path(0.0, 1.0, 2)
     assert np.all(l.values == 0.0)
-    with pytest.raises(UnknownKind):
-        make_fv_driver("cubic")
-    with pytest.raises(UnknownKind):
-        make_barrier("fractal")
     with pytest.raises(UnknownKind, match="dimension 2"):
         coefficient_preset("rotation2d", 3)
 
 
 def test_sine_and_jump_barriers():
-    l = make_barrier("sine", dim=3, base=-1.0, amplitude=0.5, period=1.0,
-                     horizon=1.0, steps=16)
+    l = sine_path(base=-1.0, amplitude=0.5, period=1.0, horizon=1.0, steps=16, dim=3)
     assert l.dim == 3
     assert np.all(l.values <= -0.5 + 1e-12)
-    lj = make_barrier("jump", dim=1, level=-1.0,
-                      schedule=[(0.5, -0.2)], horizon=1.0)
+    lj = schedule_path([(0.5, -0.2)], -1.0, 1.0)
     assert lj.eval(0.4)[0] == -1.0
     assert lj.eval(0.6)[0] == -0.2
     for t in (0.0, -0.5):
         with pytest.raises(InvalidParameter, match="schedule times"):
-            make_barrier("jump", schedule=[(t, -0.2)])
-        with pytest.raises(InvalidParameter, match="jump times"):
-            make_fv_driver("jump", jumps=[(t, 1.0)])
+            schedule_path([(t, -0.2)], 0.0, 1.0)
+
+
+def test_schedule_path_without_horizon_ends_at_its_last_time():
+    a = schedule_path([(0.5, 1.0), (0.25, 3.0)], 2.0, None)
+    assert np.array_equal(a.times, [0.0, 0.25, 0.5])
+    assert np.array_equal(a.values[:, 0], [2.0, 3.0, 1.0])
+    # a horizon before the last scheduled time adds no point
+    assert np.array_equal(schedule_path([(0.5, 1.0)], 0.0, 0.4).times, [0.0, 0.5])
+
+
+def test_linear_path_has_slope_times_t_in_each_component():
+    z = linear_path(2.5, 2.0, 8, 3)
+    assert z.values.shape == (9, 3)
+    for i in range(3):
+        assert np.array_equal(z.values[:, i], 2.5 * np.linspace(0.0, 2.0, 9))
+
+
+def test_builders_refuse_misspelled_keywords():
+    # an unknown keyword is never dropped in favour of a default
+    with pytest.raises(TypeError):
+        constant_path(levle=0.5, horizon=1.0)
+    with pytest.raises(TypeError):
+        linear_path(slop=3.0, horizon=1.0, steps=2)
+    with pytest.raises(TypeError):
+        sine_path(base=0.0, amplitude=1.0, period=1.0, horizon=1.0, step=8)
+    with pytest.raises(TypeError):
+        schedule_path(schedul=[(0.5, 1.0)], start=0.0, horizon=1.0)
+
+
+@pytest.mark.parametrize("steps", [2.5, 0, -1, np.nan, 4.0])
+def test_builders_refuse_steps_that_are_not_counts(steps):
+    with pytest.raises(InvalidParameter, match="steps"):
+        linear_path(1.0, 1.0, steps)
+    with pytest.raises(InvalidParameter, match="steps"):
+        sine_path(0.0, 1.0, 1.0, 1.0, steps)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_jump_barrier_refuses_two_levels_at_one_time(dim):
-    # sorted by time alone, so the tie reaches the grid check, as for drivers
+    # sorted by time alone, so the tie reaches the grid check
     with pytest.raises(NonMonotoneGrid):
-        make_barrier("jump", dim=dim, schedule=[(0.5, -0.2), (0.5, -0.1)])
+        schedule_path([(0.5, -0.2), (0.5, -0.1)], 0.0, 1.0, dim)
     with pytest.raises(NonMonotoneGrid):
-        make_fv_driver("jump", jumps=[(0.5, 1.0), (0.5, 2.0)])
+        schedule_path([(0.5, 1.0), (0.5, 2.0)], 0.0, None)
     # out of order, but at distinct times: each level holds from its own time
-    lj = make_barrier("jump", dim=dim, schedule=[(0.7, [-0.1] * dim), (0.3, [-0.2] * dim)])
+    lj = schedule_path([(0.7, [-0.1] * dim), (0.3, [-0.2] * dim)], 0.0, 1.0, dim)
     assert np.array_equal(lj.times, [0.0, 0.3, 0.7, 1.0])
     assert np.array_equal(lj.values[:, 0], [0.0, -0.2, -0.1, -0.1])

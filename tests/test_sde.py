@@ -14,13 +14,14 @@ from pvreflect import (
     VolatilitySpec,
     a_priori_check,
     build_zh,
+    constant_path,
     euler_adaptive,
     euler_batch,
     euler_uniform,
-    make_barrier,
-    make_fv_driver,
+    linear_path,
     make_path,
     sample_fbm,
+    sine_path,
     solve,
     solve_sp,
     sup_distance,
@@ -45,7 +46,7 @@ from conftest import random_step_path
 
 
 def zero_a(horizon=1.0):
-    return make_fv_driver("constant", value=0.0, horizon=horizon)
+    return constant_path(0.0, horizon)
 
 
 def identity_coeffs(d=1):
@@ -58,9 +59,9 @@ def fbm_problem(seed, d=1, coeffs="tanh", n_driver=256, barrier_level=0.0):
     z = build_zh(comps, VolatilitySpec(np.ones((d, n_driver + 1))))
     return Problem(
         x0=np.full(d, 0.5),
-        a=make_fv_driver("linear", horizon=1.0, steps=n_driver),
+        a=linear_path(1.0, 1.0, n_driver),
         z=z,
-        l=make_barrier("constant", dim=d, level=barrier_level, horizon=1.0),
+        l=constant_path(barrier_level, 1.0, d),
         coeffs=coefficient_preset(coeffs, d),
         p=2.0,
     )
@@ -72,7 +73,7 @@ def fbm_problem(seed, d=1, coeffs="tanh", n_driver=256, barrier_level=0.0):
 
 def test_problem_validation():
     z = make_path([0, 1], [0, 1])
-    l = make_barrier("constant", dim=1, level=0.0, horizon=1.0)
+    l = constant_path(0.0, 1.0)
     for x0 in (-1.0, float("nan"), float("inf")):
         with pytest.raises(InadmissibleStart, match="finite and at or above"):
             Problem(x0=[x0], a=zero_a(), z=z, l=l, coeffs=identity_coeffs(), p=2.0)
@@ -104,7 +105,7 @@ def test_additive_case_with_remote_barrier_reproduces_driver():
     rng = philox_stream(10)
     z = random_step_path(rng, max_points=30, horizon=1.0)
     prob = Problem(x0=[0.0], a=zero_a(), z=z,
-                   l=make_barrier("constant", level=-1e9, horizon=1.0),
+                   l=constant_path(-1e9, 1.0),
                    coeffs=identity_coeffs(), p=2.0)
     sol = euler_uniform(prob, 64)
     grid = sol.x.times
@@ -120,7 +121,7 @@ def test_scheme_equals_reflection_of_sampled_input():
         z = random_step_path(rng, max_points=40, horizon=1.0)
         x0 = abs(float(rng.normal())) + 0.1
         prob = Problem(x0=[x0], a=zero_a(), z=z,
-                       l=make_barrier("constant", level=0.0, horizon=1.0),
+                       l=constant_path(0.0, 1.0),
                        coeffs=identity_coeffs(), p=2.0)
         sol = euler_uniform(prob, 37)
         grid = sol.x.times
@@ -134,8 +135,8 @@ def test_geometric_growth_oracle():
     n = 1024
     prob = Problem(
         x0=[1.0], a=zero_a(),
-        z=make_fv_driver("linear", horizon=1.0, steps=n),
-        l=make_barrier("constant", level=-1e6, horizon=1.0),
+        z=linear_path(1.0, 1.0, n),
+        l=constant_path(-1e6, 1.0),
         coeffs=coefficient_preset("geometric", 1), p=2.0,
     )
     sol = euler_uniform(prob, n)
@@ -151,7 +152,7 @@ def test_scheme_invariants_on_random_problems():
         z = random_step_path(rng, max_points=30, d=d)
         l = random_step_path(rng, max_points=10, d=d, jump_scale=0.3)
         l = make_path(l.times, l.values - l.values[0] - 1.0)  # starts at -1
-        prob = Problem(x0=np.zeros(d), a=make_fv_driver("linear", steps=8),
+        prob = Problem(x0=np.zeros(d), a=linear_path(1.0, 1.0, 8),
                        z=z, l=l, coeffs=coefficient_preset("tanh", d), p=2.0)
         sol = euler_adaptive(prob, 25)
         r = sol.reflection
@@ -165,7 +166,7 @@ def test_scheme_invariants_on_random_problems():
 def test_coefficient_failure_is_reported():
     prob = Problem(
         x0=[1.0], a=zero_a(), z=make_path([0, 1], [0, 1]),
-        l=make_barrier("constant", level=0.0, horizon=1.0),
+        l=constant_path(0.0, 1.0),
         coeffs=Coefficients(f=np.zeros_like, g=lambda x: np.full((len(x), 1, 1), np.nan)),
         p=2.0,
     )
@@ -180,7 +181,7 @@ def test_coefficient_failure_is_reported():
 def test_adaptive_partition_hits_large_jump_exactly():
     z = make_path([0.0, 0.37, 1.0], [0.0, 1.0, 1.0])
     prob = Problem(x0=[0.0], a=zero_a(), z=z,
-                   l=make_barrier("constant", level=-1e6, horizon=1.0),
+                   l=constant_path(-1e6, 1.0),
                    coeffs=identity_coeffs(), p=2.0)
     sol = euler_adaptive(prob, 10)
     times = sol.x.times.tolist()
@@ -193,7 +194,7 @@ def test_adaptive_partition_hits_large_jump_exactly():
 def test_adaptive_ignores_small_jumps():
     z = make_path([0.0, 0.37, 1.0], [0.0, 0.05, 0.05])  # jump below 1/n
     prob = Problem(x0=[0.0], a=zero_a(), z=z,
-                   l=make_barrier("constant", level=-1e6, horizon=1.0),
+                   l=constant_path(-1e6, 1.0),
                    coeffs=identity_coeffs(), p=2.0)
     sol = euler_adaptive(prob, 10)
     assert 0.37 not in sol.x.times.tolist()
@@ -203,9 +204,9 @@ def test_adaptive_ignores_small_jumps():
 
 
 def test_adaptive_collapses_to_uniform_without_jumps():
-    z = make_fv_driver("linear", horizon=1.0, steps=1000)
+    z = linear_path(1.0, 1.0, 1000)
     prob = Problem(x0=[0.0], a=zero_a(), z=z,
-                   l=make_barrier("constant", level=-1.0, horizon=1.0),
+                   l=constant_path(-1.0, 1.0),
                    coeffs=identity_coeffs(), p=2.0)
     sa, su = euler_adaptive(prob, 10), euler_uniform(prob, 10)
     assert np.array_equal(sa.x.times, su.x.times)
@@ -302,7 +303,7 @@ def test_uniform_partition_ends_at_the_horizon():
     k = math.floor(horizon * n)
     assert k / n > horizon
     prob = Problem(x0=[1.0], a=zero_a(horizon), z=make_path([0.0, horizon], [0.0, 0.0]),
-                   l=make_barrier("constant", level=0.0, horizon=horizon),
+                   l=constant_path(0.0, horizon),
                    coeffs=identity_coeffs(), p=2.0, horizon=horizon)
     times = euler_uniform(prob, n).x.times
     assert times[-1] == horizon
@@ -439,9 +440,9 @@ def test_sweeps_through_a_long_stretch_pinned_at_the_barrier():
                           g=lambda x: np.full((len(x), 1, 1), 0.02))
     rng = philox_stream(15)
     z = make_path(np.linspace(0.0, 1.0, n + 1), np.cumsum(rng.normal(size=n + 1)) / np.sqrt(n))
-    prob = Problem(x0=[0.3], a=make_fv_driver("linear", horizon=1.0, steps=n), z=z,
-                   l=make_barrier("sine", dim=1, base=-0.5, amplitude=0.25, period=1.0,
-                                  horizon=1.0, steps=128),
+    prob = Problem(x0=[0.3], a=linear_path(1.0, 1.0, n), z=z,
+                   l=sine_path(base=-0.5, amplitude=0.25, period=1.0,
+                                horizon=1.0, steps=128),
                    coeffs=coeffs, p=2.0)
     (sol,), _ = assert_sweeps_are_the_loop([prob], n, "uniform")
     pinned = sol.x.values[:, 0] == sol.reflection.l.values[:, 0]
@@ -460,7 +461,7 @@ def test_sweeps_tell_the_signed_zeros_apart():
                           g=lambda x: np.full((len(x), 1, 1), 0.3))
     rng = philox_stream(16)
     z = make_path(times, np.cumsum(rng.normal(size=n + 1)) / np.sqrt(n))
-    prob = Problem(x0=[0.0], a=make_fv_driver("linear", horizon=1.0, steps=n), z=z,
+    prob = Problem(x0=[0.0], a=linear_path(1.0, 1.0, n), z=z,
                    l=barrier, coeffs=coeffs, p=2.0)
     (sol,), _ = assert_sweeps_are_the_loop([prob], n, "uniform")
     zeros = sol.x.values[sol.x.values == 0.0]
@@ -600,7 +601,7 @@ def test_solve_exact_case_stops_immediately():
     rng = philox_stream(13)
     z = random_step_path(rng, max_points=17, horizon=1.0)  # jumps exceed 1/16
     prob = Problem(x0=[1.0], a=zero_a(), z=z,
-                   l=make_barrier("constant", level=0.0, horizon=1.0),
+                   l=constant_path(0.0, 1.0),
                    coeffs=identity_coeffs(), p=2.0)
     sol = solve(prob, tol=1e-9, n0=16)
     assert sol.n <= 32
@@ -610,8 +611,8 @@ def test_solve_exact_case_stops_immediately():
 def test_solve_geometric_converges():
     prob = Problem(
         x0=[1.0], a=zero_a(),
-        z=make_fv_driver("linear", horizon=1.0, steps=8192),
-        l=make_barrier("constant", level=-1e6, horizon=1.0),
+        z=linear_path(1.0, 1.0, 8192),
+        l=constant_path(-1e6, 1.0),
         coeffs=coefficient_preset("geometric", 1), p=2.0,
     )
     sol = solve(prob, tol=1e-2, n0=16)
@@ -650,8 +651,8 @@ def test_refinement_ladder_is_lazy_and_feeds_solve(monkeypatch):
 
     prob = Problem(
         x0=[1.0], a=zero_a(),
-        z=make_fv_driver("linear", horizon=1.0, steps=1024),
-        l=make_barrier("constant", level=-1e6, horizon=1.0),
+        z=linear_path(1.0, 1.0, 1024),
+        l=constant_path(-1e6, 1.0),
         coeffs=coefficient_preset("geometric", 1), p=2.0,
     )
     # the ladder looks both steps up in the module, where tracers wrap them
@@ -683,7 +684,7 @@ def test_refinement_ladder_is_lazy_and_feeds_solve(monkeypatch):
 
 def test_solve_rejects_nan_tolerance_before_any_level(monkeypatch):
     prob = Problem(x0=[1.0], a=zero_a(), z=make_path([0, 1], [0, 1]),
-                   l=make_barrier("constant", level=0.0, horizon=1.0),
+                   l=constant_path(0.0, 1.0),
                    coeffs=identity_coeffs(), p=2.0)
 
     def no_ladder(*args, **kwargs):
@@ -697,7 +698,7 @@ def test_solve_rejects_nan_tolerance_before_any_level(monkeypatch):
 
 def test_solve_rejects_bad_max_doublings_before_any_level(monkeypatch):
     prob = Problem(x0=[1.0], a=zero_a(), z=make_path([0, 1], [0, 1]),
-                   l=make_barrier("constant", level=0.0, horizon=1.0),
+                   l=constant_path(0.0, 1.0),
                    coeffs=identity_coeffs(), p=2.0)
 
     def no_ladder(*args, **kwargs):
@@ -712,7 +713,7 @@ def test_solve_rejects_bad_max_doublings_before_any_level(monkeypatch):
 @pytest.mark.parametrize("n", [0, -1, 2.5, float("nan"), 3.0, "4", None])
 def test_schemes_reject_step_counts_that_are_not_integers_before_any_step(n, monkeypatch):
     prob = Problem(x0=[1.0], a=zero_a(), z=make_path([0, 1], [0, 1]),
-                   l=make_barrier("constant", level=0.0, horizon=1.0),
+                   l=constant_path(0.0, 1.0),
                    coeffs=identity_coeffs(), p=2.0)
 
     def no_partition(*args, **kwargs):
@@ -729,7 +730,7 @@ def test_schemes_reject_step_counts_that_are_not_integers_before_any_step(n, mon
 
 def test_solve_rejects_zero_n0():
     prob = Problem(x0=[1.0], a=zero_a(), z=make_path([0, 1], [0, 1]),
-                   l=make_barrier("constant", level=0.0, horizon=1.0),
+                   l=constant_path(0.0, 1.0),
                    coeffs=identity_coeffs(), p=2.0)
     with pytest.raises(InvalidParameter, match="n0"):
         solve(prob, tol=1e-3, n0=0)
@@ -737,7 +738,7 @@ def test_solve_rejects_zero_n0():
 
 def test_solve_unreachable_tolerance():
     prob = Problem(x0=[1.0], a=zero_a(), z=make_path([0, 1], [0, 1]),
-                   l=make_barrier("constant", level=0.0, horizon=1.0),
+                   l=constant_path(0.0, 1.0),
                    coeffs=identity_coeffs(), p=2.0)
     with pytest.raises(NoConvergence):
         solve(prob, tol=0.0, n0=1, max_doublings=6)
@@ -772,7 +773,7 @@ def test_dimension_decoupling_block_diagonal():
     # product of its scalar solves
     rng = philox_stream(14)
     z = random_step_path(rng, max_points=25, d=2)
-    a = make_fv_driver("linear", horizon=1.0, steps=16)
+    a = linear_path(1.0, 1.0, 16)
 
     def g2(x):
         out = np.zeros((len(x), 2, 2))
@@ -784,7 +785,7 @@ def test_dimension_decoupling_block_diagonal():
         return np.stack([0.3 * np.tanh(x[:, 0]), -0.2 * np.tanh(x[:, 1])], axis=-1)
 
     coeffs2 = Coefficients(f=f2, g=g2)
-    l2 = make_barrier("constant", dim=2, level=(-0.5, -0.25), horizon=1.0)
+    l2 = constant_path((-0.5, -0.25), 1.0, 2)
     prob2 = Problem(x0=[0.2, 0.4], a=a, z=z, l=l2, coeffs=coeffs2, p=2.0)
     # uniform partitions match between the joint and per-component problems
     # (the adaptive ones would not: jump sizes are measured jointly)
@@ -797,7 +798,7 @@ def test_dimension_decoupling_block_diagonal():
               lambda x: -0.2 * np.tanh(x)][i]
         prob1 = Problem(
             x0=[[0.2, 0.4][i]], a=a, z=z.component(i),
-            l=make_barrier("constant", dim=1, level=[-0.5, -0.25][i], horizon=1.0),
+            l=constant_path([-0.5, -0.25][i], 1.0),
             coeffs=Coefficients(f=fi, g=gi), p=2.0,
         )
         single = euler_uniform(prob1, 32)
@@ -811,7 +812,7 @@ def test_dimension_decoupling_block_diagonal():
 
 def test_a_priori_trivial_regulator():
     prob = Problem(x0=[0.0], a=zero_a(), z=make_path([0, 1], [0, 1]),
-                   l=make_barrier("constant", level=-1e9, horizon=1.0),
+                   l=constant_path(-1e9, 1.0),
                    coeffs=identity_coeffs(), p=2.0)
     sol = euler_uniform(prob, 16)
     assert np.all(sol.k.values == 0.0)
