@@ -36,7 +36,7 @@ from .pathcore import (CSV_FLOAT_FORMAT, STEP_CAP, _write_rows, p_variation, rea
                        write_path_csv)
 from .drivers import FbmSpec, _check_hurst, sample_fbm
 from .presets import PROBLEM_PRESETS, ProblemPreset, build_problem
-from .sde import Solution, euler_batch, refinement_ladder, solve, with_vbar_p_x
+from .sde import Solution, _check_tol, euler_batch, refinement_ladder, solve, with_vbar_p_x
 
 __all__ = ["main", "console_main"]
 
@@ -164,21 +164,19 @@ def cmd_simulate(s: dict) -> int:
                                 f"got n={n}, horizon={preset.horizon}")
     if scheme not in ("adaptive", "uniform"):
         raise UsageError(f"scheme must be adaptive or uniform, got {scheme!r}")
-    if tol is not None and scheme == "uniform":
-        raise UsageError("tol refines the adaptive scheme; it cannot be used "
-                         "with scheme uniform")
+    if tol is not None:
+        _check_tol(tol)
+        if scheme == "uniform":
+            raise UsageError("tol refines the adaptive scheme; it cannot be used "
+                             "with scheme uniform")
 
     if replicates * preset.driver_steps > STEP_CAP:
         raise UsageError(f"replicates x driver-steps must be <= {STEP_CAP}, "
                          f"got {replicates} x {preset.driver_steps}")
-    problems = [build_problem(preset, seed=s["seed"], replicate=rep)
-                for rep in range(replicates)]
+    problems = build_problem(preset, seed=s["seed"], replicates=replicates)
     if tol is not None:
         solutions = [solve(problem, tol=tol, n0=n) for problem in problems]
     else:
-        # one batch evaluates one Coefficients object
-        coeffs = problems[0].coeffs
-        problems = [dataclasses.replace(problem, coeffs=coeffs) for problem in problems]
         solutions = euler_batch(problems, n, scheme)
     solutions = with_vbar_p_x(solutions, problems[0].p)
     # a single replicate is written without the rep column and tags
@@ -204,7 +202,7 @@ def cmd_convergence(s: dict) -> int:
         raise UsageError(f"n0 x 2^(levels-1) x horizon must be <= {STEP_CAP}, "
                          f"got n0={n0}, levels={levels}, horizon={preset.horizon}")
 
-    problem = build_problem(preset, seed=s["seed"])
+    (problem,) = build_problem(preset, seed=s["seed"])
     with _open_out(s["out"]) as fh:
         fh.write("n,gap,runtime_s\n")
         ladder = refinement_ladder(problem, n0)

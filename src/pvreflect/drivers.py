@@ -288,12 +288,14 @@ def _levels(level, dim: int) -> np.ndarray:
 
 def constant_path(level, horizon: float, dim: int = 1) -> StepPath:
     """Flat at ``level`` (scalar or length-``dim``) on ``[0, horizon]``."""
+    _check_count("dim", dim)
     return make_path([0.0, float(horizon)], np.vstack([_levels(level, dim)] * 2))
 
 
 def linear_path(slope: float, horizon: float, steps: int, dim: int = 1) -> StepPath:
     """``slope * t`` in each of ``dim`` components, sampled on ``steps`` uniform pieces."""
     _check_count("steps", steps)
+    _check_count("dim", dim)
     times = np.linspace(0.0, float(horizon), steps + 1)
     return make_path(times, float(slope) * np.repeat(times[:, None], dim, axis=1))
 
@@ -303,6 +305,7 @@ def sine_path(base: float, amplitude: float, period: float, horizon: float, step
     """``base + amplitude * sin(2 pi t / period + i pi/4)`` in component ``i``, on ``steps``
     uniform pieces."""
     _check_count("steps", steps)
+    _check_count("dim", dim)
     times = np.linspace(0.0, float(horizon), steps + 1)
     phases = np.arange(dim) * (np.pi / 4.0)
     angles = 2.0 * np.pi * times[:, None] / float(period) + phases[None, :]
@@ -313,6 +316,7 @@ def schedule_path(schedule, start, horizon: float | None, dim: int = 1) -> StepP
     """``start`` from 0, then each level of ``schedule=[(time, level), ...]`` from its time on
     (levels scalar or length-``dim``), up to ``horizon`` or, if that is ``None`` or earlier,
     the last scheduled time."""
+    _check_count("dim", dim)
     # by time alone: levels at one time are left for make_path to refuse
     schedule = sorted(((float(t), _levels(v, dim)) for t, v in schedule),
                       key=lambda entry: entry[0])

@@ -1,9 +1,10 @@
-"""Fixed registries of coefficients, drivers and barriers for the CLI.
+"""Fixed registries of the named parts of a problem, for the CLI.
 
-Presets keep the command line free of expression parsing: every simulate or
-convergence run names a coefficient preset, a barrier preset and a driver
-preset, all of which are plain Python factories below.  Coefficient presets
-take states of shape ``(N, d)``, as `sde.Coefficients` describes.
+Presets keep the command line free of expression parsing: a `ProblemPreset`
+names its coefficients, barrier, drivers and sigma, and each kind has one
+table of plain Python factories below.  `build_problem` looks up every name
+before it builds or samples anything.  Coefficient presets take states of
+shape ``(N, d)``, as `sde.Coefficients` describes.
 """
 
 from __future__ import annotations
@@ -15,16 +16,17 @@ import numpy as np
 from .drivers import (FbmSpec, VolatilitySpec, build_zh, constant_path, linear_path,
                       sample_fbm, schedule_path, sine_path)
 from .errors import UnknownKind
-from .pathcore import StepPath
+from .pathcore import StepPath, _check_count
 from .sde import Coefficients, Problem
 
 __all__ = [
     "coefficient_preset",
-    "sigma_preset",
-    "barrier_preset",
-    "z_driver_preset",
     "build_problem",
     "COEFFICIENT_PRESETS",
+    "BARRIER_PRESETS",
+    "DRIVER_PRESETS",
+    "A_DRIVER_PRESETS",
+    "SIGMA_PRESETS",
     "PROBLEM_PRESETS",
 ]
 
@@ -40,22 +42,6 @@ def _diag(v: np.ndarray) -> np.ndarray:
 def _identity_coeffs(dim: int) -> Coefficients:
     eye = np.eye(dim)
     return Coefficients(f=np.zeros_like, g=lambda x: np.tile(eye, (len(x), 1, 1)))
-
-
-def _zero_coeffs(dim: int) -> Coefficients:
-    return Coefficients(f=np.zeros_like, g=lambda x: np.zeros(x.shape + (dim,)))
-
-
-def _geometric_coeffs(dim: int) -> Coefficients:
-    return Coefficients(f=np.zeros_like, g=_diag)
-
-
-def _tanh_coeffs(dim: int) -> Coefficients:
-    # I + 0.3 diag(tanh x), adding only on the diagonal: 0 + 0.3 * 0 is 0
-    return Coefficients(
-        f=lambda x: 0.5 * np.tanh(x),
-        g=lambda x: _diag(1.0 + 0.3 * np.tanh(x)),
-    )
 
 
 def _rotation2d_coeffs(dim: int) -> Coefficients:
@@ -74,77 +60,64 @@ def _rotation2d_coeffs(dim: int) -> Coefficients:
 
 
 COEFFICIENT_PRESETS = {
-    "zero": _zero_coeffs,
+    "zero": lambda dim: Coefficients(f=np.zeros_like, g=lambda x: np.zeros(x.shape + (dim,))),
     "identity": _identity_coeffs,
-    "geometric": _geometric_coeffs,
-    "tanh": _tanh_coeffs,
+    "geometric": lambda dim: Coefficients(f=np.zeros_like, g=_diag),
+    # I + 0.3 diag(tanh x), adding only on the diagonal: 0 + 0.3 * 0 is 0
+    "tanh": lambda dim: Coefficients(f=lambda x: 0.5 * np.tanh(x),
+                                     g=lambda x: _diag(1.0 + 0.3 * np.tanh(x))),
     "rotation2d": _rotation2d_coeffs,
 }
 
 
-def coefficient_preset(name: str, dim: int) -> Coefficients:
+def _lookup(kind: str, table: dict, name: str):
+    """The entry of ``table`` named ``name``, or `UnknownKind` naming the kind."""
     try:
-        factory = COEFFICIENT_PRESETS[name]
+        return table[name]
     except KeyError:
-        raise UnknownKind(f"unknown coefficient preset {name!r}") from None
-    return factory(dim)
+        raise UnknownKind(f"unknown {kind} preset {name!r}") from None
 
 
-def sigma_preset(name: str, times: np.ndarray, dim: int) -> VolatilitySpec:
-    """Volatility samples on a given grid: ``unit``, ``twoblock`` or ``sine``."""
-    horizon = float(times[-1]) if times[-1] > 0 else 1.0
-    if name == "unit":
-        sig = np.ones((dim, times.size))
-    elif name == "twoblock":
-        sig = np.where(times < 0.5 * horizon, 2.0, 0.0)
-        sig = np.tile(sig, (dim, 1))
-    elif name == "sine":
-        base = 1.0 + 0.5 * np.sin(2.0 * np.pi * times / horizon)
-        sig = np.tile(base, (dim, 1))
-    else:
-        raise UnknownKind(f"unknown sigma preset {name!r}")
-    return VolatilitySpec(sigma=sig)
+def coefficient_preset(name: str, dim: int) -> Coefficients:
+    return _lookup("coefficient", COEFFICIENT_PRESETS, name)(dim)
 
 
-def barrier_preset(name: str, dim: int, horizon: float) -> StepPath:
-    if name == "zero":
-        return constant_path(0.0, horizon, dim)
-    if name == "minus-wall":
-        return constant_path(-1e6, horizon, dim)
-    if name == "sine":
-        return sine_path(base=-0.5, amplitude=0.25, period=horizon, horizon=horizon,
-                         steps=128, dim=dim)
-    if name == "jump":
-        return schedule_path([(0.4 * horizon, -0.25), (0.7 * horizon, -1.5)], -1.0, horizon, dim)
-    raise UnknownKind(f"unknown barrier preset {name!r}")
+#: sigma's samples on the fBm grid ``times``, one vector for every component
+SIGMA_PRESETS = {
+    "unit": lambda times: np.ones(times.size),
+    "twoblock": lambda times: np.where(times < 0.5 * times[-1], 2.0, 0.0),
+    "sine": lambda times: 1.0 + 0.5 * np.sin(2.0 * np.pi * times / times[-1]),
+}
+
+BARRIER_PRESETS = {
+    "zero": lambda pre: constant_path(0.0, pre.horizon, pre.dim),
+    "minus-wall": lambda pre: constant_path(-1e6, pre.horizon, pre.dim),
+    "sine": lambda pre: sine_path(base=-0.5, amplitude=0.25, period=pre.horizon,
+                                  horizon=pre.horizon, steps=128, dim=pre.dim),
+    "jump": lambda pre: schedule_path([(0.4 * pre.horizon, -0.25), (0.7 * pre.horizon, -1.5)],
+                                      -1.0, pre.horizon, pre.dim),
+}
+
+A_DRIVER_PRESETS = {
+    "zero": lambda pre: constant_path(0.0, pre.horizon),
+    "linear": lambda pre: linear_path(1.0, pre.horizon, pre.driver_steps),
+}
 
 
-def z_driver_preset(
-    name: str,
-    dim: int,
-    horizon: float,
-    steps: int,
-    hurst: float,
-    sigma: str,
-    seed: int,
-    replicate: int = 0,
-) -> StepPath:
-    """p-variation driver: ``fbm`` (integrated), ``linear`` or ``zero``.
+def _fbm_driver(pre: ProblemPreset, seed: int, replicate: int) -> StepPath:
+    """Integrated fBm noise; components draw from ``(seed, replicate * dim + i)``."""
+    spec = FbmSpec(hurst=pre.hurst, horizon=pre.horizon, steps=pre.driver_steps, seed=seed)
+    comps = [sample_fbm(spec, path_index=replicate * pre.dim + i) for i in range(pre.dim)]
+    sigma = SIGMA_PRESETS[pre.sigma](spec.times)
+    return build_zh(comps, VolatilitySpec(sigma=np.tile(sigma, (pre.dim, 1))))
 
-    fBm components draw their streams from ``(seed, replicate * dim + i)``.
-    """
-    if name == "fbm":
-        spec = FbmSpec(hurst=hurst, horizon=horizon, steps=steps, seed=seed)
-        comps = [
-            sample_fbm(spec, path_index=replicate * dim + i) for i in range(dim)
-        ]
-        vol = sigma_preset(sigma, spec.times, dim)
-        return build_zh(comps, vol)
-    if name == "linear":
-        return linear_path(1.0, horizon, steps, dim)
-    if name == "zero":
-        return constant_path(0.0, horizon, dim)
-    raise UnknownKind(f"unknown driver preset {name!r}")
+
+#: the p-variation driver ``z`` of one replicate
+DRIVER_PRESETS = {
+    "fbm": _fbm_driver,
+    "linear": lambda pre, seed, rep: linear_path(1.0, pre.horizon, pre.driver_steps, pre.dim),
+    "zero": lambda pre, seed, rep: constant_path(0.0, pre.horizon, pre.dim),
+}
 
 
 @dataclass(frozen=True)
@@ -181,21 +154,22 @@ PROBLEM_PRESETS = {
 }
 
 
-def build_problem(preset: ProblemPreset, seed: int, replicate: int = 0) -> Problem:
-    """Materialize a preset into a Problem, sampling drivers deterministically."""
-    dim = preset.dim
-    horizon = preset.horizon
-    steps = preset.driver_steps
-    if preset.a_driver == "zero":
-        a = constant_path(0.0, horizon)
-    elif preset.a_driver == "linear":
-        a = linear_path(1.0, horizon, steps)
-    else:
-        raise UnknownKind(f"unknown a-driver preset {preset.a_driver!r}")
-    z = z_driver_preset(
-        preset.driver, dim, horizon, steps, preset.hurst, preset.sigma, seed, replicate
-    )
-    l = barrier_preset(preset.barrier, dim, horizon)
-    coeffs = coefficient_preset(preset.coefficients, dim)
-    x0 = np.full(dim, preset.x0)
-    return Problem(x0=x0, a=a, z=z, l=l, coeffs=coeffs, p=preset.p, horizon=horizon)
+def build_problem(preset: ProblemPreset, seed: int, replicates: int = 1) -> list[Problem]:
+    """One Problem per replicate ``0 .. replicates - 1``.
+
+    Every name of the preset is looked up before any part is built.  The
+    replicates share one a-driver, one barrier and one `Coefficients`
+    object, as `sde.euler_batch` needs, and each samples its own ``z``.
+    """
+    _check_count("replicates", replicates)
+    _lookup("coefficient", COEFFICIENT_PRESETS, preset.coefficients)
+    barrier = _lookup("barrier", BARRIER_PRESETS, preset.barrier)
+    driver = _lookup("driver", DRIVER_PRESETS, preset.driver)
+    a_driver = _lookup("a-driver", A_DRIVER_PRESETS, preset.a_driver)
+    _lookup("sigma", SIGMA_PRESETS, preset.sigma)
+    a, l = a_driver(preset), barrier(preset)
+    coeffs = coefficient_preset(preset.coefficients, preset.dim)
+    x0 = np.full(preset.dim, preset.x0)
+    return [Problem(x0=x0, a=a, z=driver(preset, seed, rep), l=l, coeffs=coeffs, p=preset.p,
+                    horizon=preset.horizon)
+            for rep in range(replicates)]

@@ -425,6 +425,11 @@ def refinement_ladder(problem: Problem, n0: int, step_cap: int = STEP_CAP):
         prev = cur
 
 
+def _check_tol(tol: float) -> None:
+    if not tol >= 0.0:  # NaN fails this too
+        raise InvalidParameter("tol must be >= 0")
+
+
 def solve(problem: Problem, tol: float, n0: int,
           max_doublings: int = 14, step_cap: int = STEP_CAP) -> Solution:
     """Adaptive scheme with a posteriori refinement control.
@@ -435,8 +440,7 @@ def solve(problem: Problem, tol: float, n0: int,
     :class:`NoConvergence` after ``max_doublings`` refinements (an integer
     >= 1), which signals non-regular coefficients or an unreachable tolerance.
     """
-    if not tol >= 0.0:  # NaN fails this too
-        raise InvalidParameter("tol must be >= 0")
+    _check_tol(tol)
     _check_count("max_doublings", max_doublings)
     ladder = refinement_ladder(problem, n0, step_cap)
     for cur, gap in itertools.islice(ladder, 1, max_doublings + 1):

@@ -442,6 +442,41 @@ def test_simulate_bad_n_exits_2_before_any_work(tmp_path, capsys, monkeypatch, n
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_simulate_bad_tol_exits_2_before_any_work(tmp_path, capsys, monkeypatch, tol):
+    # solve refused it only after every replicate's drivers had been sampled
+    def no_problem(*args, **kwargs):
+        raise AssertionError("a problem was built")
+
+    monkeypatch.setattr("pvreflect.cli.build_problem", no_problem)
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", f"--tol={tol}", "--replicates", "200", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error=InvalidParameter", "tol must be >= 0"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset", ["linear-reflected", "geometric"])
+@pytest.mark.parametrize("key, kind", [
+    ("coefficients", "coefficient"), ("barrier", "barrier"), ("driver", "driver"),
+    ("a-driver", "a-driver"), ("sigma", "sigma"),
+])
+def test_unknown_part_name_exits_2_before_any_sampling(tmp_path, capsys, monkeypatch,
+                                                        preset, key, kind):
+    # each name used to be read only when its part was built: a bad barrier
+    # after the fBm was sampled, and a bad sigma on geometric never
+    def no_sample(*args, **kwargs):
+        raise AssertionError("an fBm path was sampled")
+
+    monkeypatch.setattr("pvreflect.presets.sample_fbm", no_sample)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[problem]\npreset = {preset}\n{key} = bogus\n")
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error=UnknownKind", f"unknown {kind} preset 'bogus'"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", [
     "[problem]\ndimensoin = 2\n",
     "[run]\nsed = 5\n",

@@ -402,6 +402,21 @@ def test_builders_refuse_steps_that_are_not_counts(steps):
         sine_path(0.0, 1.0, 1.0, 1.0, steps)
 
 
+@pytest.mark.parametrize("dim", [0, -1, 2.5, np.nan])
+def test_builders_refuse_dims_that_are_not_counts(dim):
+    # sine_path(dim=2.5) had 3 components, linear_path(dim=2.5) 2 and
+    # sine_path(dim=-1) none; constant_path raised numpy's own errors
+    builders = [
+        lambda: constant_path(0.0, 1.0, dim),
+        lambda: linear_path(1.0, 1.0, 4, dim),
+        lambda: sine_path(0.0, 1.0, 1.0, 1.0, 4, dim),
+        lambda: schedule_path([(0.5, 1.0)], 0.0, 1.0, dim),
+    ]
+    for build in builders:
+        with pytest.raises(InvalidParameter, match="dim must be an integer >= 1"):
+            build()
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_jump_barrier_refuses_two_levels_at_one_time(dim):
     # sorted by time alone, so the tie reaches the grid check

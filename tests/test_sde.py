@@ -318,8 +318,35 @@ def test_uniform_partition_ends_at_the_horizon():
 def preset_batch(replicates, **fields):
     """``fbm-reflected`` problems for replicates 0..R-1 sharing one Coefficients."""
     preset = dataclasses.replace(PROBLEM_PRESETS["fbm-reflected"], **fields)
-    problems = [build_problem(preset, seed=7, replicate=r) for r in range(replicates)]
-    return [dataclasses.replace(p, coeffs=problems[0].coeffs) for p in problems]
+    return build_problem(preset, seed=7, replicates=replicates)
+
+
+@pytest.mark.parametrize("sigma", ["unit", "twoblock", "sine"])
+def test_build_problem_shares_all_but_z_across_replicates(sigma):
+    # each replicate used to get its own a, l and Coefficients, and callers
+    # re-shared the Coefficients for the batch
+    preset = dataclasses.replace(PROBLEM_PRESETS["fbm-reflected"], sigma=sigma,
+                                 horizon=2.0, driver_steps=64)
+    problems = build_problem(preset, seed=7, replicates=3)
+    assert len(problems) == 3
+    for prob in problems[1:]:
+        assert prob.a is problems[0].a
+        assert prob.l is problems[0].l
+        assert prob.coeffs is problems[0].coeffs
+    # z of replicate r as it was built per replicate: components from
+    # (seed, 2 r + i), sigma as one (dim, steps + 1) array
+    spec = FbmSpec(hurst=0.75, horizon=2.0, steps=64, seed=7)
+    t = spec.times
+    vector = {"unit": np.ones(t.size), "twoblock": np.where(t < 1.0, 2.0, 0.0),
+              "sine": 1.0 + 0.5 * np.sin(2.0 * np.pi * t / 2.0)}[sigma]
+    vol = VolatilitySpec(sigma=np.vstack([vector, vector]))
+    for r, prob in enumerate(problems):
+        z = build_zh([sample_fbm(spec, path_index=2 * r + i) for i in range(2)], vol)
+        assert np.array_equal(prob.z.times, z.times)
+        assert np.array_equal(prob.z.values, z.values)
+    assert not np.array_equal(problems[0].z.values, problems[1].z.values)
+    with pytest.raises(InvalidParameter, match="replicates"):
+        build_problem(preset, seed=7, replicates=0)
 
 
 def _reference_euler(problem, times):
@@ -503,7 +530,7 @@ def test_sweeps_evaluate_guesses_that_are_not_path_states():
 
 def test_sweeps_are_few_on_a_smooth_long_run():
     preset = dataclasses.replace(PROBLEM_PRESETS["fbm-reflected"], dim=1, driver_steps=8192)
-    prob = build_problem(preset, seed=5)
+    (prob,) = build_problem(preset, seed=5)
     calls = []
     (sol,), sweeps = assert_sweeps_are_the_loop([prob], 8192, calls=calls)
     # windows that restart at one row and halve after a poor sweep took 54
