@@ -16,8 +16,8 @@ import numpy as np
 from .drivers import (FbmSpec, VolatilitySpec, build_zh, constant_path, linear_path,
                       sample_fbm, schedule_path, sine_path)
 from .errors import UnknownKind
-from .pathcore import StepPath, _check_count
-from .sde import Coefficients, Problem
+from .pathcore import StepPath, _check_count, _check_p
+from .sde import Coefficients, Problem, _check_start
 
 __all__ = [
     "coefficient_preset",
@@ -112,11 +112,13 @@ def _fbm_driver(pre: ProblemPreset, seed: int, replicate: int) -> StepPath:
     return build_zh(comps, VolatilitySpec(sigma=np.tile(sigma, (pre.dim, 1))))
 
 
-#: the p-variation driver ``z`` of one replicate
+#: the p-variation driver ``z`` of each replicate; a deterministic one is one
+#: path that every replicate shares
 DRIVER_PRESETS = {
-    "fbm": _fbm_driver,
-    "linear": lambda pre, seed, rep: linear_path(1.0, pre.horizon, pre.driver_steps, pre.dim),
-    "zero": lambda pre, seed, rep: constant_path(0.0, pre.horizon, pre.dim),
+    "fbm": lambda pre, seed, reps: [_fbm_driver(pre, seed, rep) for rep in range(reps)],
+    "linear": lambda pre, seed, reps:
+        [linear_path(1.0, pre.horizon, pre.driver_steps, pre.dim)] * reps,
+    "zero": lambda pre, seed, reps: [constant_path(0.0, pre.horizon, pre.dim)] * reps,
 }
 
 
@@ -157,9 +159,10 @@ PROBLEM_PRESETS = {
 def build_problem(preset: ProblemPreset, seed: int, replicates: int = 1) -> list[Problem]:
     """One Problem per replicate ``0 .. replicates - 1``.
 
-    Every name of the preset is looked up before any part is built.  The
-    replicates share one a-driver, one barrier and one `Coefficients`
-    object, as `sde.euler_batch` needs, and each samples its own ``z``.
+    Every name of the preset is looked up, and ``p`` and ``x0`` are checked,
+    before any driver is sampled.  The replicates share one a-driver, one
+    barrier and one `Coefficients` object, as `sde.euler_batch` needs; each
+    samples its own fBm ``z``, and a deterministic ``z`` is built once.
     """
     _check_count("replicates", replicates)
     _lookup("coefficient", COEFFICIENT_PRESETS, preset.coefficients)
@@ -170,6 +173,7 @@ def build_problem(preset: ProblemPreset, seed: int, replicates: int = 1) -> list
     a, l = a_driver(preset), barrier(preset)
     coeffs = coefficient_preset(preset.coefficients, preset.dim)
     x0 = np.full(preset.dim, preset.x0)
-    return [Problem(x0=x0, a=a, z=driver(preset, seed, rep), l=l, coeffs=coeffs, p=preset.p,
-                    horizon=preset.horizon)
-            for rep in range(replicates)]
+    _check_p(preset.p)
+    _check_start(x0, l)
+    return [Problem(x0=x0, a=a, z=z, l=l, coeffs=coeffs, p=preset.p, horizon=preset.horizon)
+            for z in driver(preset, seed, replicates)]

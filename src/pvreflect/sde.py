@@ -30,8 +30,9 @@ time; a sweep commits at least one row of each replicate whatever they do.
 Each replicate therefore gets, bit for bit, the values the one-step loop
 gives it alone.  `euler_uniform` and `euler_adaptive` are its R = 1 case.
 `refinement_ladder` runs it at n0, 2*n0, ... with the sup-distance between
-successive iterates (on the coarser grid); `solve` stops the ladder once that
-drops below a tolerance.  No convergence rate is assumed.
+successive iterates (on the coarser grid); `solve` walks those levels, each
+only as far as that distance stays below a tolerance, and stops at the first
+level where it does at every point.  No convergence rate is assumed.
 """
 
 from __future__ import annotations
@@ -50,11 +51,12 @@ from .errors import (
     InadmissibleStart,
     InvalidParameter,
     NoConvergence,
+    NonFiniteValue,
     PartitionOverflow,
 )
 from .pathcore import (STEP_CAP, StepPath, TimeGrid, _check_count, _check_p, _derived,
-                       _increment_norms, jump_adapted_times, sup_norm, variation_norm,
-                       variation_norms)
+                       _increment_norms, _locate, jump_adapted_times, sup_norm,
+                       variation_norm, variation_norms)
 from .skorokhod import Reflection
 
 __all__ = [
@@ -93,6 +95,11 @@ class Coefficients:
     g: Callable[[np.ndarray], np.ndarray]
 
 
+def _check_start(x0: np.ndarray, l: StepPath) -> None:
+    if not (np.isfinite(x0).all() and (x0 >= l.eval(0.0)).all()):
+        raise InadmissibleStart("x0 must be finite and at or above the barrier")
+
+
 @dataclass(frozen=True)
 class Problem:
     """Reflected equation instance: start point, drivers, barrier, exponent."""
@@ -116,8 +123,7 @@ class Problem:
             raise DimensionMismatch(
                 f"x0 has dim {d}, z dim {self.z.dim}, l dim {self.l.dim}"
             )
-        if not (np.isfinite(x0).all() and (x0 >= self.l.eval(0.0)).all()):
-            raise InadmissibleStart("x0 must be finite and at or above the barrier")
+        _check_start(x0, self.l)
         horizon = self.horizon
         if horizon is None:
             horizon = max(self.a.end_time, self.z.end_time, self.l.end_time)
@@ -153,13 +159,13 @@ class Solution:
         return self.reflection.k
 
 
-def _big_jump_times(problem: Problem, threshold: float) -> np.ndarray:
-    cut = []
-    for path in (problem.a, problem.z, problem.l):
-        times, incr = path.jumps()
-        sizes = _increment_norms(incr)
-        cut.append(times[(sizes > threshold) & (times <= problem.horizon)])
-    return np.unique(np.concatenate(cut))
+def _jump_table(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
+    """The jump times of ``a``, ``z`` and ``l`` up to the horizon and their
+    sizes; a partition of mesh 1/n stops at the distinct times of size > 1/n."""
+    jumps = [path.jumps() for path in (problem.a, problem.z, problem.l)]
+    times = np.concatenate([at for at, _ in jumps])
+    keep = times <= problem.horizon
+    return times[keep], np.concatenate([_increment_norms(d) for _, d in jumps])[keep]
 
 
 def _partition(horizon: float, n: int, jumps: np.ndarray, step_cap: int) -> np.ndarray:
@@ -167,7 +173,7 @@ def _partition(horizon: float, n: int, jumps: np.ndarray, step_cap: int) -> np.n
     return np.append(times, horizon) if times[-1] < horizon else times
 
 
-#: the most rows one sweep of `_run_recursion` evaluates, over all replicates.
+#: the most rows one sweep of `_Recursion` evaluates, over all replicates.
 #: On 8 `refine` ladders 1024 rows took 1.16 of 2048's time and 4096 0.93, but
 #: 4096 doubles the rows a sweep can waste on rough coefficients
 _SWEEP_ROWS = 2048
@@ -198,9 +204,8 @@ def _sweep_guesses(start: np.ndarray, step: np.ndarray, l_rows: np.ndarray):
     return np.maximum(sums, l_rows, out=sums), reflected
 
 
-def _run_recursion(problems: list[Problem], partitions: list[np.ndarray],
-                   scheme: str, n: int) -> list[Solution]:
-    """The Euler recursion of every problem, bit for bit, in sweeps.
+class _Recursion:
+    """The Euler recursion of every problem, bit for bit, in sweeps that can pause.
 
     A sweep evaluates ``f`` and ``g`` once, on a window of ``width`` rows of
     every replicate not yet done: its last exact row, then the guesses that
@@ -212,119 +217,140 @@ def _run_recursion(problems: list[Problem], partitions: list[np.ndarray],
     replicate.  The uncommitted rows get new guesses from the running sums
     of the new increments.  Every sweep is as wide as it may be:
     ``_SWEEP_ROWS`` over the replicates still running, capped at the rows the
-    longest has left; `refine`'s 8 levels take 150 sweeps, not the 300 of
-    windows that start at one row and halve after poor sweeps.  Rough
+    longest has left; `refine`'s 8 full levels take 150 sweeps, not the 300
+    of windows that start at one row and halve after poor sweeps.  Rough
     coefficients on coarse steps waste most of each window: for d = 1,
     ``g = diag(1 + 0.3 sin(200 x))`` and n = 4,096 driver steps, 3.5-3.9
     times those rows in 0.75-1.17 times the time (1.0-2.0 with a ``g`` 20
-    numpy passes dearer).
+    numpy passes dearer).  `advance` may pause between sweeps; the paused
+    recursion keeps its guesses and resumes with the sweeps it would have made.
     """
-    d = problems[0].dim
-    count = len(problems)
-    sizes = np.array([times.size for times in partitions])
-    m = int(sizes.max())
-    # replicate r owns rows r * m .. r * m + m - 1; its row j holds x_j, dy_j,
-    # and the increments of step j + 1 with the barrier at its end.  The row
-    # after them all takes what windows reaching past a replicate's end write
-    spare = count * m
-    da = np.zeros((spare + 1, 1))
-    dz = np.zeros((spare + 1, d, 1))
-    l_next = np.zeros((spare + 1, d))
-    x = np.zeros((spare + 1, d))
-    dy = np.zeros((spare + 1, d))
-    barriers = []
-    for r, (problem, times) in enumerate(zip(problems, partitions)):
-        l_s = problem.l.eval(times)
-        steps = slice(r * m, r * m + times.size - 1)
-        da[steps, 0] = np.diff(problem.a.eval(times)[:, 0])
-        dz[steps, :, 0] = np.diff(problem.z.eval(times), axis=0)
-        l_next[steps] = l_s[1:]
-        x[r * m] = dy[r * m] = problem.x0
-        barriers.append(l_s)
-    f, g = problems[0].coeffs.f, problems[0].coeffs.g
-    # one opaque item per row, so that copying rows by index moves each once
-    row = np.dtype((np.void, x.itemsize * d))
-    x_rows, dy_rows = x.view(row)[:, 0], dy.view(row)[:, 0]
-    # the replicates not yet done: rows up to done hold the exact recursion,
-    # rows past held hold no value yet, and last is the row of the last step
-    last = np.arange(count) * m + sizes - 2
-    done = last - sizes + 2
-    held = done.copy()
-    while done.size:
-        width = max(1, min(_SWEEP_ROWS // done.size, int((last - done).max()) + 1))
-        rows = done[:, None] + np.arange(width)
-        targets = rows + 1
-        if (done + (width - 1) > last).any():
-            # rows past a replicate's last step repeat it and write to the spare row
-            targets[rows > last[:, None]] = spare
-            np.minimum(rows, last[:, None], out=rows)
-        states = x.take(np.minimum(rows, held[:, None]).ravel(), axis=0)
-        fv = _eval_coefficient(f, states, (rows.size, d), "f")
-        gv = _eval_coefficient(g, states, (rows.size, d, d), "g")
-        # the arithmetic on guessed rows may overflow; the sequential
-        # recursion only ever sees the committed rows
-        with np.errstate(all="ignore"):
-            flat = rows.ravel()
-            step = fv * da.take(flat, axis=0) + (gv @ dz.take(flat, axis=0))[..., 0]
-            l_rows = l_next.take(flat, axis=0)
-            exact = np.maximum(states + step, l_rows)
-            # differs[r, j]: the guess of row j + 1 is not the step from row j;
-            # the window's last row ends a commit
-            differs = np.empty(states.size, dtype=bool)
-            np.not_equal(states.view(np.int64).ravel()[d:],
-                         exact.view(np.int64).ravel()[:-d], out=differs[:-d])
-            differs = differs.reshape(*rows.shape, d)
-            differs[:, -1, 0] = True
-            commit = differs.reshape(len(rows), -1).argmax(axis=1) // d + 1
-            committed = np.arange(width) < commit[:, None]
-            # a value that is not finite stops the loop only at a state it
-            # evaluates: here, a row that is committed
-            if not np.isfinite(fv.sum() + gv.sum()):
-                finite = np.isfinite(fv).all(axis=1)
-                bad = np.flatnonzero(committed.ravel()
-                                     & ~(finite & np.isfinite(gv).all(axis=(1, 2))))
-                if bad.size:
-                    raise CoefficientEvaluationFailure(
-                        f"{'g' if finite[bad[0]] else 'f'} is not finite on state "
-                        f"{states[bad[0]]}")
-            # every sweep writes all its rows; the one that commits a row
-            # writes it last
-            dy_rows[targets.ravel()] = step.view(row)[:, 0]
-            exact, step = exact.reshape(*rows.shape, d), step.reshape(*rows.shape, d)
-            guess, reflected = _sweep_guesses(x.take(done, axis=0), step,
-                                              l_rows.reshape(*rows.shape, d))
-            if reflected:
-                guess[committed] = exact[committed]
-            x_rows[targets.ravel()] = guess.reshape(-1, d).view(row)[:, 0]
-        held = np.maximum(held, np.minimum(done + width, last + 1))
-        done = done + commit
-        running = done <= last
-        if not running.all():
-            done, held, last = done[running], held[running], last[running]
-    x, y = x[:spare].reshape(count, m, d), dy[:spare].reshape(count, m, d)
-    np.add.accumulate(y, axis=1, out=y)  # the running sums of dy from y_0 = x0
-    solutions = [None] * count
-    for r, times in enumerate(partitions):
-        # the partition's points are rounded sums, so their order is checked
-        grid = TimeGrid(times)
-        # copies: views would keep the batch arrays alive, and a caller's
-        # p-variation DP would then fault in fresh pages for its own.  The
-        # steps and sums can overflow, and k = x - y is finite only when x
-        # and y are; the barrier was read off a checked path
-        xs, ys = x[r, :times.size].copy(), y[r, :times.size].copy()
-        reflection = Reflection(
-            x=_derived(StepPath, grid, xs),
-            k=_derived(StepPath, grid, xs - ys, check_finite=True),
-            y=_derived(StepPath, grid, ys),
-            l=_derived(StepPath, grid, barriers[r]),
-        )
-        diagnostics = {
-            "sup_k": sup_norm(reflection.k),
-            "steps": float(times.size),
-        }
-        solutions[r] = Solution(reflection=reflection, scheme=scheme, n=n,
-                                diagnostics=diagnostics)
-    return solutions
+
+    def __init__(self, problems: list[Problem], partitions: list[np.ndarray],
+                 scheme: str, n: int) -> None:
+        self.partitions, self.scheme, self.n = partitions, scheme, n
+        self.coeffs, d, count = problems[0].coeffs, problems[0].dim, len(problems)
+        sizes = np.array([times.size for times in partitions])
+        m = int(sizes.max())
+        # replicate r owns rows r * m .. r * m + m - 1; its row j holds x_j, dy_j,
+        # and the increments of step j + 1 with the barrier at its end.  The row
+        # after them all takes what windows reaching past a replicate's end write
+        self.spare = spare = count * m
+        self.da, self.dz = np.zeros((spare + 1, 1)), np.zeros((spare + 1, d, 1))
+        self.l_next, self.x, self.dy = (np.zeros((spare + 1, d)) for _ in range(3))
+        self.barriers = []
+        for r, (problem, times) in enumerate(zip(problems, partitions)):
+            l_s = problem.l.eval(times)
+            steps = slice(r * m, r * m + times.size - 1)
+            self.da[steps, 0] = np.diff(problem.a.eval(times)[:, 0])
+            self.dz[steps, :, 0] = np.diff(problem.z.eval(times), axis=0)
+            self.l_next[steps] = l_s[1:]
+            self.x[r * m] = self.dy[r * m] = problem.x0
+            self.barriers.append(l_s)
+        # per replicate: rows up to done hold the exact recursion, rows past
+        # held hold no value yet, last is the row of the last step, and dy
+        # holds the running sums y up to row summed
+        self.base = np.arange(count) * m
+        self.last = self.base + sizes - 2
+        self.done, self.held, self.summed = self.base.copy(), self.base.copy(), self.base.copy()
+        self.live = np.arange(count)  # the replicates not yet done
+
+    def advance(self, count: float = np.inf) -> None:
+        """Sweep until each replicate has committed ``count`` rows or finished."""
+        da, dz, l_next, x, dy, spare = self.da, self.dz, self.l_next, self.x, self.dy, self.spare
+        d, f, g = x.shape[1], self.coeffs.f, self.coeffs.g
+        # one opaque item per row, so that copying rows by index moves each once
+        row = np.dtype((np.void, x.itemsize * d))
+        x_rows, dy_rows = x.view(row)[:, 0], dy.view(row)[:, 0]
+        live = self.live
+        done, held, last = self.done[live], self.held[live], self.last[live]
+        goal = np.minimum(self.base[live] + count - 1, last + 1)
+        while (done < goal).any():
+            width = max(1, min(_SWEEP_ROWS // done.size, int((last - done).max()) + 1))
+            rows = done[:, None] + np.arange(width)
+            targets = rows + 1
+            if (done + (width - 1) > last).any():
+                # rows past a replicate's last step repeat it and write to the spare row
+                targets[rows > last[:, None]] = spare
+                np.minimum(rows, last[:, None], out=rows)
+            states = x.take(np.minimum(rows, held[:, None]).ravel(), axis=0)
+            fv = _eval_coefficient(f, states, (rows.size, d), "f")
+            gv = _eval_coefficient(g, states, (rows.size, d, d), "g")
+            # the arithmetic on guessed rows may overflow; the sequential
+            # recursion only ever sees the committed rows
+            with np.errstate(all="ignore"):
+                flat = rows.ravel()
+                step = fv * da.take(flat, axis=0) + (gv @ dz.take(flat, axis=0))[..., 0]
+                l_rows = l_next.take(flat, axis=0)
+                exact = np.maximum(states + step, l_rows)
+                # differs[r, j]: the guess of row j + 1 is not the step from row j;
+                # the window's last row ends a commit
+                differs = np.empty(states.size, dtype=bool)
+                np.not_equal(states.view(np.int64).ravel()[d:],
+                             exact.view(np.int64).ravel()[:-d], out=differs[:-d])
+                differs = differs.reshape(*rows.shape, d)
+                differs[:, -1, 0] = True
+                commit = differs.reshape(len(rows), -1).argmax(axis=1) // d + 1
+                committed = np.arange(width) < commit[:, None]
+                # a value that is not finite stops the loop only at a state it
+                # evaluates: here, a row that is committed
+                if not np.isfinite(fv.sum() + gv.sum()):
+                    finite = np.isfinite(fv).all(axis=1)
+                    bad = np.flatnonzero(committed.ravel()
+                                         & ~(finite & np.isfinite(gv).all(axis=(1, 2))))
+                    if bad.size:
+                        raise CoefficientEvaluationFailure(
+                            f"{'g' if finite[bad[0]] else 'f'} is not finite on state "
+                            f"{states[bad[0]]}")
+                # every sweep writes all its rows; the one that commits a row
+                # writes it last
+                dy_rows[targets.ravel()] = step.view(row)[:, 0]
+                exact, step = exact.reshape(*rows.shape, d), step.reshape(*rows.shape, d)
+                guess, reflected = _sweep_guesses(x.take(done, axis=0), step,
+                                                  l_rows.reshape(*rows.shape, d))
+                if reflected:
+                    guess[committed] = exact[committed]
+                x_rows[targets.ravel()] = guess.reshape(-1, d).view(row)[:, 0]
+            held = np.maximum(held, np.minimum(done + width, last + 1))
+            done = done + commit
+            running = done <= last
+            if not running.all():
+                self.done[live] = done
+                live, done, held, last, goal = (v[running] for v in (live, done, held, last, goal))
+        self.done[live], self.held[live], self.live = done, held, live
+
+    def sums(self, r: int, rows: int) -> np.ndarray:
+        """``y`` on replicate ``r``'s first ``rows`` rows, all committed: ``dy`` summed
+        in place on from the last call; `NonFiniteValue` if ``x - y`` is not finite."""
+        base, start = self.base[r], self.summed[r]
+        ys = self.dy[start:base + rows]
+        np.add.accumulate(ys, axis=0, out=ys)
+        if not np.isfinite(self.x[start:base + rows] - ys).all():
+            raise NonFiniteValue("path values must be finite")
+        self.summed[r] = max(start, base + rows - 1)
+        return self.dy[base:base + rows]
+
+    def solutions(self) -> list[Solution]:
+        """One `Solution` per replicate, once all have finished."""
+        solutions = []
+        for r, times in enumerate(self.partitions):
+            # the partition's points are rounded sums, so their order is checked
+            grid = TimeGrid(times)
+            # copies: views would keep the batch arrays alive, and a caller's
+            # p-variation DP would then fault in fresh pages for its own.
+            # `sums` checked k, finite only where x and y are; l is a checked path's
+            ys = self.sums(r, times.size).copy()
+            xs = self.x[self.base[r]:self.base[r] + times.size].copy()
+            reflection = Reflection(
+                x=_derived(StepPath, grid, xs),
+                k=_derived(StepPath, grid, xs - ys),
+                y=_derived(StepPath, grid, ys),
+                l=_derived(StepPath, grid, self.barriers[r]),
+            )
+            diagnostics = {"sup_k": sup_norm(reflection.k), "steps": float(times.size)}
+            solutions.append(Solution(reflection=reflection, scheme=self.scheme, n=self.n,
+                                      diagnostics=diagnostics))
+        return solutions
 
 
 def euler_batch(problems, n: int, scheme: str = "adaptive",
@@ -334,7 +360,7 @@ def euler_batch(problems, n: int, scheme: str = "adaptive",
     Each problem runs on its own partition of ``scheme`` (``"adaptive"`` or
     ``"uniform"``) and gets the solution `euler_adaptive` or `euler_uniform`
     gives it alone, bit for bit: the one-step loop's.  Each sweep of the
-    recursion (see `_run_recursion`) makes one call of ``f`` and one of
+    recursion (see `_Recursion`) makes one call of ``f`` and one of
     ``g`` on a window of rows of every replicate not yet done, so every
     problem must carry the same `Coefficients` object; there are at most as
     many sweeps as the longest partition has steps.  Raises
@@ -356,17 +382,18 @@ def euler_batch(problems, n: int, scheme: str = "adaptive",
                                "every problem must carry it")
     if any(problem.dim != d for problem in problems):
         raise DimensionMismatch("every problem of a batch must have one dimension")
-    partitions = []
-    steps = 0
+    partitions, steps = [], 0
     for problem in problems:
-        jumps = _big_jump_times(problem, 1.0 / n) if scheme == "adaptive" else np.empty(0)
+        times, sizes = _jump_table(problem) if scheme == "adaptive" else (np.empty(0),) * 2
+        jumps = np.unique(times[sizes > 1.0 / n])
         partitions.append(_partition(problem.horizon, n, jumps, step_cap))
         steps = max(steps, partitions[-1].size - 1)
         if len(problems) * steps > step_cap:
             raise PartitionOverflow(
-                f"{len(problems)} replicates of up to {steps} steps exceed {step_cap}"
-            )
-    return _run_recursion(problems, partitions, scheme, n)
+                f"{len(problems)} replicates of up to {steps} steps exceed {step_cap}")
+    recursion = _Recursion(problems, partitions, scheme, n)
+    recursion.advance()
+    return recursion.solutions()
 
 
 def euler_uniform(problem: Problem, n: int) -> Solution:
@@ -386,15 +413,16 @@ def euler_adaptive(problem: Problem, n: int, step_cap: int = STEP_CAP) -> Soluti
     return euler_batch([problem], n, "adaptive", step_cap)[0]
 
 
+def _sup_gap(fine_x, fine_k, coarse_x, coarse_k) -> float:
+    """The largest norm of the differences of x and of k, 0 on no points."""
+    return max(float(_increment_norms(fine_x - coarse_x).max(initial=0.0)),
+               float(_increment_norms(fine_k - coarse_k).max(initial=0.0)))
+
+
 def solution_gap(fine: Solution, coarse: Solution) -> float:
     """Sup distance of (x, k) between refinement levels, on the coarser grid."""
     ts = coarse.reflection.times
-    gaps = []
-    for attr in ("x", "k"):
-        fine_vals = getattr(fine.reflection, attr).eval(ts)
-        coarse_vals = getattr(coarse.reflection, attr).values
-        gaps.append(float(_increment_norms(fine_vals - coarse_vals).max()))
-    return max(gaps)
+    return _sup_gap(fine.x.eval(ts), fine.k.eval(ts), coarse.x.values, coarse.k.values)
 
 
 def with_vbar_p_x(solutions, p: float) -> list[Solution]:
@@ -434,20 +462,45 @@ def solve(problem: Problem, tol: float, n0: int,
           max_doublings: int = 14, step_cap: int = STEP_CAP) -> Solution:
     """Adaptive scheme with a posteriori refinement control.
 
-    Walks `refinement_ladder` from n0 and stops once the sup-distance
-    between successive iterates falls below ``tol``, returning the finest
-    solution with the achieved gap recorded in ``diagnostics``.  Raises
-    :class:`NoConvergence` after ``max_doublings`` refinements (an integer
-    >= 1), which signals non-regular coefficients or an unreachable tolerance.
+    Returns the first level of `refinement_ladder` from n0 whose Cauchy
+    gap, its `solution_gap` to the level before, is below ``tol``, with the
+    gap in ``diagnostics``.  A rejected level stops at its first point where
+    the gap is not below ``tol`` (`refine`'s 8 levels take 101 sweeps, not
+    150), so `CoefficientEvaluationFailure` and `NonFiniteValue` come only
+    from rows the walk commits.  Raises :class:`NoConvergence` after
+    ``max_doublings`` refinements (an integer >= 1), which signals
+    non-regular coefficients or an unreachable tolerance.
     """
     _check_tol(tol)
     _check_count("max_doublings", max_doublings)
-    ladder = refinement_ladder(problem, n0, step_cap)
-    for cur, gap in itertools.islice(ladder, 1, max_doublings + 1):
+    _check_count("n0", n0)
+    times, sizes = _jump_table(problem)
+
+    def level(n: int) -> _Recursion:
+        partition = _partition(problem.horizon, n, np.unique(times[sizes > 1.0 / n]), step_cap)
+        return _Recursion([problem], [partition], "adaptive", n)
+
+    coarse = level(n0)
+    for doubling in range(1, max_doublings + 1):
+        fine = level(n0 * 2**doubling)
+        ft, ct = fine.partitions[0], coarse.partitions[0]
+        gap, folded, rows = 0.0, 0, 1
+        # the fine level doubles its committed rows between folds; a coarse point
+        # is known once the fine level's first uncommitted time lies beyond it
+        while gap < tol and folded < ct.size:
+            fine.advance(2 * rows)
+            rows = int(fine.done[0]) + 1
+            known = ct.size if rows == ft.size else int(ct.searchsorted(ft[rows]))
+            coarse.advance(known)
+            at, new = _locate(ft, ct[folded:known]), slice(folded, known)
+            fine_x, coarse_x = fine.x[at], coarse.x[new]
+            gap = max(gap, _sup_gap(fine_x, fine_x - fine.sums(0, rows)[at],
+                                    coarse_x, coarse_x - coarse.sums(0, known)[new]))
+            folded = known
         if gap < tol:
-            diagnostics = dict(cur.diagnostics)
-            diagnostics["cauchy_gap"] = gap
-            return Solution(cur.reflection, cur.scheme, cur.n, diagnostics)
+            (solution,) = fine.solutions()
+            return replace(solution, diagnostics=dict(solution.diagnostics, cauchy_gap=gap))
+        coarse = fine
     raise NoConvergence(
         f"no Cauchy gap below {tol} within {max_doublings} doublings from n0={n0}"
     )

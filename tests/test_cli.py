@@ -190,10 +190,10 @@ def test_simulate_tol_without_uniform_scheme_runs(tmp_path, scheme):
 @pytest.mark.parametrize("by_config", [False, True])
 def test_simulate_nan_tol_exits_2_before_any_level(tmp_path, capsys, monkeypatch, by_config):
     # NaN fails every gap < tol, so unchecked it would run the whole ladder
-    def no_ladder(*args, **kwargs):
-        raise AssertionError("the refinement ladder ran")
+    def no_level(*args, **kwargs):
+        raise AssertionError("a refinement level was built")
 
-    monkeypatch.setattr("pvreflect.sde.refinement_ladder", no_ladder)
+    monkeypatch.setattr("pvreflect.sde._partition", no_level)
     out = tmp_path / "x.csv"
     if by_config:
         cfg = tmp_path / "nan.ini"
@@ -474,6 +474,32 @@ def test_unknown_part_name_exits_2_before_any_sampling(tmp_path, capsys, monkeyp
     assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error=UnknownKind", f"unknown {kind} preset 'bogus'"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("p", "nan", "InvalidP"), ("p", "0.5", "InvalidP"), ("x0", "-5", "InadmissibleStart"),
+])
+def test_bad_p_or_x0_exits_2_before_any_sampling(tmp_path, capsys, monkeypatch,
+                                                 key, value, error):
+    # both used to be checked only when the first replicate's Problem was
+    # built, after its z was sampled
+    import pvreflect.presets as presets
+
+    calls = []
+
+    def counted(*args, sample=presets.sample_fbm, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(presets, "sample_fbm", counted)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[problem]\npreset = fbm-reflected\n{key} = {value}\n")
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--config", str(cfg), "--replicates", "50",
+                    "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == f"error={error}"
+    assert calls == []
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 import tracemalloc
@@ -38,9 +39,9 @@ from pvreflect.errors import (
     PartitionOverflow,
 )
 from pvreflect.presets import PROBLEM_PRESETS, build_problem, coefficient_preset
-from pvreflect.pathcore import STEP_CAP
-from pvreflect.sde import (_SWEEP_ROWS, _partition, refinement_ladder, solution_gap,
-                           with_vbar_p_x)
+from pvreflect.pathcore import STEP_CAP, _increment_norms
+from pvreflect.sde import (_SWEEP_ROWS, _jump_table, _partition, refinement_ladder,
+                           solution_gap, with_vbar_p_x)
 from pvreflect.drivers import philox_stream
 from conftest import random_step_path
 
@@ -282,6 +283,36 @@ def test_partition_cap_is_the_reference_cap():
         _partition(1.0, 8, big, 7)
 
 
+def _reference_big_jumps(problem, threshold):
+    """The big jumps of one level as each level used to find them."""
+    cut = []
+    for path in (problem.a, problem.z, problem.l):
+        times, incr = path.jumps()
+        sizes = _increment_norms(incr)
+        cut.append(times[(sizes > threshold) & (times <= problem.horizon)])
+    return np.unique(np.concatenate(cut))
+
+
+def test_jump_table_gives_each_levels_big_jumps():
+    # a, z and l jump at shared times too, with sizes on both sides of 1/n,
+    # and past the horizon
+    rng = philox_stream(17)
+    for case in range(40):
+        d = 1 + case % 3
+        shared = rng.uniform(0.05, 1.5, size=6)
+
+        def path(dim, shift=0.0):
+            times = np.unique(np.r_[0.0, rng.choice(shared, 3), rng.uniform(0.01, 1.5, 4)])
+            return make_path(times, rng.normal(scale=0.4, size=(times.size, dim)) + shift)
+
+        prob = Problem(x0=np.zeros(d), a=path(1), z=path(d), l=path(d, -5.0),
+                       coeffs=identity_coeffs(d), p=2.0, horizon=1.0)
+        times, sizes = _jump_table(prob)
+        for n in (1, 2, 3, 5, 10, 100):
+            expected = _reference_big_jumps(prob, 1.0 / n)
+            assert np.unique(times[sizes > 1.0 / n]).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("scheme, n", [(euler_uniform, 10**12), (euler_adaptive, 10**30)])
 def test_partition_overflow_raises_before_allocating(scheme, n):
     # 10**30 also exceeds int64: the count must be refused while still a float
@@ -347,6 +378,16 @@ def test_build_problem_shares_all_but_z_across_replicates(sigma):
     assert not np.array_equal(problems[0].z.values, problems[1].z.values)
     with pytest.raises(InvalidParameter, match="replicates"):
         build_problem(preset, seed=7, replicates=0)
+
+
+@pytest.mark.parametrize("driver", ["linear", "zero"])
+def test_build_problem_builds_a_deterministic_z_once(driver):
+    preset = dataclasses.replace(PROBLEM_PRESETS["geometric"], driver=driver, driver_steps=64)
+    problems = build_problem(preset, seed=7, replicates=3)
+    assert all(prob.z is problems[0].z for prob in problems)
+    (alone,) = build_problem(preset, seed=8)
+    assert np.array_equal(alone.z.times, problems[0].z.times)
+    assert np.array_equal(alone.z.values, problems[0].z.values)
 
 
 def _reference_euler(problem, times):
@@ -540,10 +581,16 @@ def test_sweeps_are_few_on_a_smooth_long_run():
     assert max(calls) <= _SWEEP_ROWS
     # refine's input: eight levels from n0 = 64, where halving windows made 258 f calls
     calls.clear()
-    solved = solve(dataclasses.replace(prob, coeffs=recording(prob.coeffs, calls)),
-                   tol=1e-4, n0=64)
+    recorded = dataclasses.replace(prob, coeffs=recording(prob.coeffs, calls))
+    solved = solve(recorded, tol=1e-4, n0=64)
     assert solved.n == 8192
-    assert len(calls) // 2 <= 150
+    lazy = len(calls) // 2
+    # the full levels took 122, and solve stops each rejected level early
+    assert lazy <= 100
+    calls.clear()
+    fine, _ = _ladder_solve(recorded, 1e-4, 64, 14)
+    assert fine.n == 8192
+    assert lazy < len(calls) // 2
 
 
 def test_batch_coefficient_failures_are_reported():
@@ -709,15 +756,45 @@ def test_refinement_ladder_is_lazy_and_feeds_solve(monkeypatch):
     assert np.array_equal(sol.x.values, levels[3][0].x.values)
 
 
+def _ladder_solve(problem, tol, n0, max_doublings):
+    """`solve` as a walk of the full levels of `refinement_ladder`: the first
+    ``(solution, gap)`` with the gap below ``tol``, or None."""
+    levels = itertools.islice(refinement_ladder(problem, n0), 1, max_doublings + 1)
+    return next(((sol, gap) for sol, gap in levels if gap < tol), None)
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEM_PRESETS))
+def test_solve_stops_where_the_full_ladder_stops(name):
+    # the rejected levels stop early, but the level solve returns and its
+    # gap are those of the full ladder, bit for bit
+    for dim, barrier, (tol, n0) in itertools.product(
+            (1, 2), ("zero", "minus-wall", "sine", "jump"), ((1e-3, 16), (1e-4, 64), (0.0, 4))):
+        preset = dataclasses.replace(PROBLEM_PRESETS[name], dim=dim, barrier=barrier,
+                                     driver_steps=1024)
+        (prob,) = build_problem(preset, seed=3)
+        expected = _ladder_solve(prob, tol, n0, 6)
+        if expected is None:
+            with pytest.raises(NoConvergence):
+                solve(prob, tol=tol, n0=n0, max_doublings=6)
+            continue
+        sol = solve(prob, tol=tol, n0=n0, max_doublings=6)
+        fine, gap = expected
+        assert (sol.n, sol.diagnostics) == (fine.n, dict(fine.diagnostics, cauchy_gap=gap))
+        for attr in ("x", "k", "y"):
+            got, want = getattr(sol.reflection, attr), getattr(fine.reflection, attr)
+            assert got.times.tobytes() == want.times.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()
+
+
 def test_solve_rejects_nan_tolerance_before_any_level(monkeypatch):
     prob = Problem(x0=[1.0], a=zero_a(), z=make_path([0, 1], [0, 1]),
                    l=constant_path(0.0, 1.0),
                    coeffs=identity_coeffs(), p=2.0)
 
-    def no_ladder(*args, **kwargs):
-        raise AssertionError("the ladder ran")
+    def no_level(*args, **kwargs):
+        raise AssertionError("a level was built")
 
-    monkeypatch.setattr("pvreflect.sde.refinement_ladder", no_ladder)
+    monkeypatch.setattr("pvreflect.sde._partition", no_level)
     for tol in (float("nan"), -1e-300, -float("inf")):
         with pytest.raises(InvalidParameter):
             solve(prob, tol=tol, n0=16)
@@ -728,10 +805,10 @@ def test_solve_rejects_bad_max_doublings_before_any_level(monkeypatch):
                    l=constant_path(0.0, 1.0),
                    coeffs=identity_coeffs(), p=2.0)
 
-    def no_ladder(*args, **kwargs):
-        raise AssertionError("the ladder ran")
+    def no_level(*args, **kwargs):
+        raise AssertionError("a level was built")
 
-    monkeypatch.setattr("pvreflect.sde.refinement_ladder", no_ladder)
+    monkeypatch.setattr("pvreflect.sde._partition", no_level)
     for max_doublings in (0, -1, 2.5, float("nan"), 3.0, "4", None):
         with pytest.raises(InvalidParameter, match="max_doublings"):
             solve(prob, tol=1e-3, n0=16, max_doublings=max_doublings)
