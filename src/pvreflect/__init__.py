@@ -55,6 +55,7 @@ from .drivers import (
     linear_path,
     philox_stream,
     sample_fbm,
+    sample_fbm_paths,
     schedule_path,
     sine_path,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "schedule_path",
     "philox_stream",
     "sample_fbm",
+    "sample_fbm_paths",
     "Coefficients",
     "Problem",
     "Solution",

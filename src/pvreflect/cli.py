@@ -21,6 +21,7 @@ machine-readable ``error=<code>`` line is written to stderr.
 from __future__ import annotations
 
 import argparse
+import collections
 import configparser
 import contextlib
 import dataclasses
@@ -32,8 +33,8 @@ import numpy as np
 
 from . import campaigns
 from .errors import NoConvergence, PartitionOverflow, PvreflectError
-from .pathcore import (CSV_FLOAT_FORMAT, STEP_CAP, _write_rows, p_variation, read_path_csv,
-                       write_path_csv)
+from .pathcore import (CSV_FLOAT_FORMAT, STEP_CAP, _chunk_templates, _write_rows, p_variation,
+                       read_path_csv, write_path_csv)
 from .drivers import FbmSpec, _check_hurst, sample_fbm
 from .presets import PROBLEM_PRESETS, ProblemPreset, build_problem
 from .sde import Solution, _check_tol, euler_batch, refinement_ladder, solve, with_vbar_p_x
@@ -181,11 +182,21 @@ def cmd_simulate(s: dict) -> int:
     solutions = with_vbar_p_x(solutions, problems[0].p)
     # a single replicate is written without the rep column and tags
     tags = [None] if replicates == 1 else range(replicates)
+    # replicates on one partition share its grid, whose time text is formatted
+    # once; a grid of one replicate is written with its cells in one call a chunk
+    users = collections.Counter(id(sol.x.grid) for sol in solutions)
+    templates = {}
     with _open_out(s["out"]) as fh:
         fh.write(_solution_header(solutions[0].x.dim, with_rep=replicates > 1) + "\n")
         for rep, sol in zip(tags, solutions):
-            _write_rows(fh, np.column_stack([sol.x.times, sol.x.values, sol.k.values]),
-                        "" if rep is None else f"{rep},")
+            grid, cells = sol.x.grid, np.column_stack([sol.x.values, sol.k.values])
+            prefix = "" if rep is None else f"{rep},"
+            if users[id(grid)] == 1:
+                _write_rows(fh, np.column_stack([grid.times, cells]), prefix)
+                continue
+            if id(grid) not in templates:
+                templates[id(grid)] = _chunk_templates(grid.times, cells.shape[1])
+            _write_rows(fh, cells, prefix, templates[id(grid)])
         for rep, sol in zip(tags, solutions):
             _write_diagnostics(fh, sol, replicate=rep)
     return 0

@@ -12,7 +12,11 @@ both laws with a two-sample KS test.
 
 Reproducibility contract: every sampled path derives its stream from the
 counter-based Philox generator keyed by ``(seed, path_index)``, so results do
-not depend on scheduling or worker counts.
+not depend on scheduling or worker counts.  A batch of paths of one
+`FbmSpec` (`sample_fbm_paths`, e.g. the ``R * d`` components of ``simulate
+--replicates R``) shares its grid, one check and clip of the embedding's
+eigenvalues, and one FFT call per chunk of rows; each path keeps the bits
+that `sample_fbm` gives it alone.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from .errors import (
     InvalidParameter,
     UnknownKind,
 )
-from .pathcore import StepPath, _check_count, _increment_norms, make_path
+from .pathcore import (StepPath, TimeGrid, _check_count, _derived, _increment_norms, _slices,
+                       make_path)
 from .young import grid_riemann_sum
 
 __all__ = [
@@ -39,6 +44,7 @@ __all__ = [
     "VolatilitySpec",
     "philox_stream",
     "sample_fbm",
+    "sample_fbm_paths",
     "build_zh",
     "empirical_pvar_profile",
     "constant_path",
@@ -149,23 +155,36 @@ def _circulant_eigenvalues(n: int, hurst: float) -> np.ndarray:
     return lam
 
 
-def _fgn_circulant(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
+#: complex cells of the circulant embedding that one FFT call holds: 8 paths of
+#: 1,024 steps at a time, and a path of more than 4,096 steps alone
+_FBM_CHUNK_CELLS = 1 << 14
+
+
+def _fgn_circulant(n: int, hurst: float, rngs: list[np.random.Generator]):
+    """Yield ``(k, n)`` rows of fGn increments, one row per generator in order: the
+    eigenvalues checked and clipped once, then one FFT call along the rows of
+    each chunk, which gives each row the bits of its own one-row transform."""
     lam = _circulant_eigenvalues(n, hurst)
     if lam.min() < -1e-10:
         raise EmbeddingFailure(
             f"circulant embedding not nonnegative (min eigenvalue {lam.min():g})"
         )
-    lam = np.clip(lam, 0.0, None)
     m = lam.size // 2
-    endpoints = rng.standard_normal(2)
-    inner = rng.standard_normal((m - 1, 2))
-    z = np.empty(2 * m, dtype=complex)
-    z[0] = endpoints[0]
-    z[m] = endpoints[1]
-    z[1:m] = (inner[:, 0] + 1j * inner[:, 1]) / np.sqrt(2.0)
-    z[m + 1 :] = np.conj(z[1:m][::-1])
-    spectrum = np.sqrt(lam / (2.0 * m)) * z
-    return np.fft.fft(spectrum).real[:n]
+    root = np.sqrt(np.clip(lam, 0.0, None) / (2.0 * m))
+    rows = max(_FBM_CHUNK_CELLS // lam.size, 1)
+    draws = np.empty((min(len(rngs), rows), 2 * m))
+    for part in _slices(len(rngs), rows):
+        # row k: the two real endpoints, then the m - 1 (real, imaginary) pairs
+        chunk = draws[: part.stop - part.start]
+        for rng, row in zip(rngs[part], chunk):
+            rng.standard_normal(out=row)
+        inner = chunk[:, 2:].reshape(len(chunk), m - 1, 2)
+        z = np.empty((len(chunk), 2 * m), dtype=complex)
+        z[:, 0] = chunk[:, 0]
+        z[:, m] = chunk[:, 1]
+        z[:, 1:m] = (inner[..., 0] + 1j * inner[..., 1]) / np.sqrt(2.0)
+        z[:, m + 1 :] = np.conj(z[:, m - 1 : 0 : -1])
+        yield np.fft.fft(root * z, axis=1).real[:, :n]
 
 
 #: largest step count of the dense Cholesky oracle (an n x n factor)
@@ -185,12 +204,15 @@ def _cholesky_factor(n: int, hurst: float) -> np.ndarray:
     return factor
 
 
-def _fgn_cholesky(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
+def _fgn_cholesky(n: int, hurst: float, rngs: list[np.random.Generator]):
+    """Yield one ``(1, n)`` row of fGn increments per generator, by the dense factor."""
     if n > CHOLESKY_MAX_STEPS:
         raise InvalidParameter(
             f"cholesky sampling is capped at {CHOLESKY_MAX_STEPS} steps, got {n}"
         )
-    return _cholesky_factor(n, hurst) @ rng.standard_normal(n)
+    factor = _cholesky_factor(n, hurst)
+    for rng in rngs:
+        yield (factor @ rng.standard_normal(n))[None]
 
 
 _SAMPLERS = {"circulant": _fgn_circulant, "cholesky": _fgn_cholesky}
@@ -200,24 +222,44 @@ _SAMPLERS = {"circulant": _fgn_circulant, "cholesky": _fgn_cholesky}
 FBM_MAX_STEPS = 2**20
 
 
-def sample_fbm(spec: FbmSpec, method: str = "circulant", path_index: int = 0) -> StepPath:
-    """Sample one fBm path as a scalar step path, ``B_0 = 0``.
+def sample_fbm_paths(spec: FbmSpec, path_indices, method: str = "circulant"):
+    """An iterator of one fBm path per index of ``path_indices``, in order: scalar
+    step paths on one shared grid, ``B_0 = 0``.
 
+    Path ``i`` draws from ``philox_stream(spec.seed, i)`` alone, so it has the
+    bits that `sample_fbm` gives it whatever batch it is sampled in.
     ``method`` is ``"circulant"`` (FFT, the sampler every caller uses) or
     ``"cholesky"`` (the dense oracle, at most ``CHOLESKY_MAX_STEPS`` steps).
-    Either raises :class:`InvalidParameter` above ``FBM_MAX_STEPS`` steps,
-    before any array is built.
-    Deterministic in ``(spec, method, path_index)``.
+    The method, the step cap ``FBM_MAX_STEPS`` (`InvalidParameter`) and each
+    index are checked at the call, before any array is built; the paths are
+    then sampled a bounded chunk at a time, as they are asked for.
     """
     if method not in _SAMPLERS:
         raise UnknownKind(f"unknown fbm sampling method {method!r}")
     n = spec.steps
     if n > FBM_MAX_STEPS:
         raise InvalidParameter(f"fbm sampling is capped at {FBM_MAX_STEPS} steps, got {n}")
-    fgn = _SAMPLERS[method](n, spec.hurst, philox_stream(spec.seed, path_index))
-    scale = (spec.horizon / n) ** spec.hurst
-    values = np.concatenate([[0.0], np.cumsum(scale * fgn)])
-    return make_path(spec.times, values)
+    rngs = [philox_stream(spec.seed, index) for index in path_indices]
+    return _fbm_paths(spec, _SAMPLERS[method](n, spec.hurst, rngs))
+
+
+def _fbm_paths(spec: FbmSpec, chunks):
+    """The paths of `sample_fbm_paths` from its chunks of fGn rows, as they are asked for."""
+    grid = TimeGrid(spec.times)
+    scale = (spec.horizon / spec.steps) ** spec.hurst
+    for fgn in chunks:
+        values = np.zeros((len(fgn), spec.steps + 1))
+        np.cumsum(scale * fgn, axis=1, out=values[:, 1:])
+        for row in values:
+            yield _derived(StepPath, grid, row[:, None], check_finite=True)
+
+
+def sample_fbm(spec: FbmSpec, method: str = "circulant", path_index: int = 0) -> StepPath:
+    """Sample one fBm path as a scalar step path, ``B_0 = 0``: the one-path case
+    of `sample_fbm_paths`, with its methods and checks.
+    Deterministic in ``(spec, method, path_index)``.
+    """
+    return next(sample_fbm_paths(spec, [path_index], method))
 
 
 def build_zh(components, vol: VolatilitySpec) -> StepPath:

@@ -305,28 +305,48 @@ def make_matrix_path(times: Sequence[float], values) -> MatrixStepPath:
 # increment norms and windowing
 # ---------------------------------------------------------------------------
 
+#: LAPACK's SVD rescales a matrix whose largest entry is not 0 and lies outside
+#: [sqrt(tiny) / eps, eps / sqrt(tiny)], as it computes these; inside, the
+#: operator norm of a 1 x 1 matrix is ``|x|`` bit for bit
+_SVD_SMALL = np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
+_SVD_BIG = 1.0 / _SVD_SMALL
+
+
+def _square_order(count: int) -> tuple[int, ...]:
+    """The components of a vector of ``count <= 3`` in the order their squares
+    are added: the order of ``einsum("ij,ij->i")``, which keeps printed results
+    unchanged to the last digit.  That is ``x0^2 + x1^2`` for two components
+    and ``(x0^2 + x2^2) + x1^2`` for three (numpy's baseline SSE, AVX2 and
+    AVX-512 kernels all add three that way; a test pins it)."""
+    return (0, *range(count - 1, 0, -1))
+
+
 def _increment_norms(diffs: np.ndarray, matrix: bool = False) -> np.ndarray:
     """Norms of stacked increments with any leading shape.
 
     Vectors (last axis) take the Euclidean norm, matrices (last two axes,
     ``matrix=True``) the operator (spectral) norm.  Up to three squares are
-    added directly, so a strided block needs no copy, in the order of
-    ``einsum("ij,ij->i")``, which keeps printed results unchanged to the last
-    digit: ``x0^2 + x1^2`` for two components, ``(x0^2 + x2^2) + x1^2`` for
-    three (numpy's baseline SSE, AVX2 and AVX-512 kernels all add three
-    that way; a test pins it).  Four or more go through that einsum on a
-    contiguous copy: it adds them in SIMD lanes, in an order a plain sum
-    does not reproduce.
+    added directly in `_square_order`, so a strided block needs no copy.
+    Four or more go through that einsum on a contiguous copy: it adds them
+    in SIMD lanes, in an order a plain sum does not reproduce.  A 1 x 1
+    matrix takes ``|x|`` wherever that is the SVD's value (``_SVD_SMALL``).
     """
     if matrix:
         if diffs.size == 0:
             return np.zeros(diffs.shape[:-2])
-        return np.linalg.norm(diffs, ord=2, axis=(-2, -1))
+        if diffs.shape[-2:] != (1, 1):
+            return np.linalg.norm(diffs, ord=2, axis=(-2, -1))
+        norms = np.abs(diffs[..., 0, 0])
+        exact = (norms == 0.0) | ((norms >= _SVD_SMALL) & (norms <= _SVD_BIG))
+        if exact.all():
+            return norms
+        return np.where(exact, norms, np.linalg.norm(diffs, ord=2, axis=(-2, -1)))
     if diffs.shape[-1] > 3:
         flat = np.ascontiguousarray(diffs).reshape(-1, diffs.shape[-1])
         return np.sqrt(np.einsum("ij,ij->i", flat, flat)).reshape(diffs.shape[:-1])
-    squares = np.square(diffs[..., 0])
-    for k in range(diffs.shape[-1] - 1, 0, -1):
+    first, *rest = _square_order(diffs.shape[-1])
+    squares = np.square(diffs[..., first])
+    for k in rest:
         squares += np.square(diffs[..., k])
     return np.sqrt(squares)
 
@@ -467,9 +487,24 @@ def _slices(n: int, step: int) -> list[slice]:
 
 
 def _dist_p(here: np.ndarray, there: np.ndarray, p: float, shape: tuple[int, ...]) -> np.ndarray:
-    """``|v_j - v_i|^p`` of components ``(B, D, n)`` against ``(B, D, C)``, ``(B, n, C)``."""
-    diffs = (here[..., :, None] - there[..., None, :]).transpose(0, 2, 3, 1)
-    return _increment_norms(diffs.reshape(*diffs.shape[:3], *shape), len(shape) == 2) ** p
+    """``|v_j - v_i|^p`` of components ``(B, D, n)`` against ``(B, D, C)``, ``(B, n, C)``.
+
+    A vector of at most three components adds its squared differences in
+    place, in `_square_order`, with no ``(B, D, n, C)`` difference tensor."""
+    if len(shape) == 2 or shape[0] > 3:
+        diffs = (here[..., :, None] - there[..., None, :]).transpose(0, 2, 3, 1)
+        return _increment_norms(diffs.reshape(*diffs.shape[:3], *shape), len(shape) == 2) ** p
+    first, *rest = _square_order(shape[0])
+    sums = np.subtract(here[:, first, :, None], there[:, first, None, :])
+    np.square(sums, out=sums)
+    if rest:
+        term = np.empty_like(sums)
+        for k in rest:
+            np.subtract(here[:, k, :, None], there[:, k, None, :], out=term)
+            sums += np.square(term, out=term)
+    np.sqrt(sums, out=sums)
+    sums **= p
+    return sums
 
 
 def _column_max(here: np.ndarray, there: np.ndarray, prior: np.ndarray, p: float,
@@ -937,17 +972,35 @@ def coarsen_jump_adapted(path: StepPath, delta: float, mesh: float) -> StepPath:
 _CSV_CHUNK_ROWS = 1024
 
 
-def _write_rows(fh, table: np.ndarray, prefix: str = "") -> None:
+#: stands for the prefix of each row of a chunk template; no formatted float has it
+_PREFIX = "\0"
+
+
+def _chunk_templates(times: np.ndarray, width: int) -> list[str]:
+    """A template of each chunk of ``_CSV_CHUNK_ROWS`` rows with the time column
+    ``times`` formatted: each row is ``_PREFIX``, its time's text and a format
+    of ``width`` more cells.  Tables that share the column format it once."""
+    row = _PREFIX + CSV_FLOAT_FORMAT + ("," + CSV_FLOAT_FORMAT.replace("%", "%%")) * width + "\n"
+    chunks = (times[start : start + _CSV_CHUNK_ROWS].tolist()
+              for start in range(0, len(times), _CSV_CHUNK_ROWS))
+    return [(row * len(chunk)) % tuple(chunk) for chunk in chunks]
+
+
+def _write_rows(fh, table: np.ndarray, prefix: str = "",
+                templates: list[str] | None = None) -> None:
     """Write each row of a 2-D table as ``prefix`` and its cells.
 
     Each chunk of ``_CSV_CHUNK_ROWS`` rows is one ``%`` call, the row format
     repeated once a row, and one ``fh.write``.  The cells are formatted in
     the same order by the same format, so the bytes do not depend on the
-    chunking."""
+    chunking.  With ``templates`` (`_chunk_templates`) each row is ``prefix``,
+    its template's time text and its cells: the bytes of the table with the
+    time column first."""
     row = prefix + ",".join([CSV_FLOAT_FORMAT] * table.shape[1]) + "\n"
-    for start in range(0, len(table), _CSV_CHUNK_ROWS):
-        chunk = table[start : start + _CSV_CHUNK_ROWS]
-        fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+    for chunk, start in enumerate(range(0, len(table), _CSV_CHUNK_ROWS)):
+        cells = table[start : start + _CSV_CHUNK_ROWS]
+        text = row * len(cells) if templates is None else templates[chunk].replace(_PREFIX, prefix)
+        fh.write(text % tuple(cells.ravel().tolist()))
 
 
 def write_path_csv(path: StepPath, dest) -> None:

@@ -9,12 +9,13 @@ shape ``(N, d)``, as `sde.Coefficients` describes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .drivers import (FbmSpec, VolatilitySpec, build_zh, constant_path, linear_path,
-                      sample_fbm, schedule_path, sine_path)
+                      sample_fbm_paths, schedule_path, sine_path)
 from .errors import UnknownKind
 from .pathcore import StepPath, _check_count, _check_p
 from .sde import Coefficients, Problem, _check_start
@@ -104,18 +105,20 @@ A_DRIVER_PRESETS = {
 }
 
 
-def _fbm_driver(pre: ProblemPreset, seed: int, replicate: int) -> StepPath:
-    """Integrated fBm noise; components draw from ``(seed, replicate * dim + i)``."""
+def _fbm_drivers(pre: ProblemPreset, seed: int, reps: int) -> list[StepPath]:
+    """Integrated fBm noise of each replicate, from one batch of ``reps * dim`` fBm
+    paths: component ``i`` of replicate ``r`` draws from ``(seed, r * dim + i)``."""
     spec = FbmSpec(hurst=pre.hurst, horizon=pre.horizon, steps=pre.driver_steps, seed=seed)
-    comps = [sample_fbm(spec, path_index=replicate * pre.dim + i) for i in range(pre.dim)]
+    paths = sample_fbm_paths(spec, range(reps * pre.dim))  # checks the step cap first
     sigma = SIGMA_PRESETS[pre.sigma](spec.times)
-    return build_zh(comps, VolatilitySpec(sigma=np.tile(sigma, (pre.dim, 1))))
+    vol = VolatilitySpec(sigma=np.tile(sigma, (pre.dim, 1)))
+    return [build_zh(itertools.islice(paths, pre.dim), vol) for _ in range(reps)]
 
 
 #: the p-variation driver ``z`` of each replicate; a deterministic one is one
 #: path that every replicate shares
 DRIVER_PRESETS = {
-    "fbm": lambda pre, seed, reps: [_fbm_driver(pre, seed, rep) for rep in range(reps)],
+    "fbm": _fbm_drivers,
     "linear": lambda pre, seed, reps:
         [linear_path(1.0, pre.horizon, pre.driver_steps, pre.dim)] * reps,
     "zero": lambda pre, seed, reps: [constant_path(0.0, pre.horizon, pre.dim)] * reps,
@@ -162,7 +165,8 @@ def build_problem(preset: ProblemPreset, seed: int, replicates: int = 1) -> list
     Every name of the preset is looked up, and ``p`` and ``x0`` are checked,
     before any driver is sampled.  The replicates share one a-driver, one
     barrier and one `Coefficients` object, as `sde.euler_batch` needs; each
-    samples its own fBm ``z``, and a deterministic ``z`` is built once.
+    has its own fBm ``z``, all sampled as one batch, and a deterministic ``z``
+    is built once.
     """
     _check_count("replicates", replicates)
     _lookup("coefficient", COEFFICIENT_PRESETS, preset.coefficients)

@@ -332,10 +332,13 @@ class _Recursion:
 
     def solutions(self) -> list[Solution]:
         """One `Solution` per replicate, once all have finished."""
-        solutions = []
+        solutions, grids = [], {}
         for r, times in enumerate(self.partitions):
-            # the partition's points are rounded sums, so their order is checked
-            grid = TimeGrid(times)
+            # the partition's points are rounded sums, so their order is checked;
+            # replicates that share a partition array share its grid
+            if id(times) not in grids:
+                grids[id(times)] = TimeGrid(times)
+            grid = grids[id(times)]
             # copies: views would keep the batch arrays alive, and a caller's
             # p-variation DP would then fault in fresh pages for its own.
             # `sums` checked k, finite only where x and y are; l is a checked path's
@@ -363,7 +366,8 @@ def euler_batch(problems, n: int, scheme: str = "adaptive",
     recursion (see `_Recursion`) makes one call of ``f`` and one of
     ``g`` on a window of rows of every replicate not yet done, so every
     problem must carry the same `Coefficients` object; there are at most as
-    many sweeps as the longest partition has steps.  Raises
+    many sweeps as the longest partition has steps.  Solutions whose
+    partitions coincide share one `TimeGrid` object.  Raises
     :class:`PartitionOverflow` before the batch arrays are allocated when R
     times the longest partition's step count exceeds ``step_cap``, and
     :class:`CoefficientEvaluationFailure` when ``f`` or ``g`` returns the
@@ -382,11 +386,13 @@ def euler_batch(problems, n: int, scheme: str = "adaptive",
                                "every problem must carry it")
     if any(problem.dim != d for problem in problems):
         raise DimensionMismatch("every problem of a batch must have one dimension")
-    partitions, steps = [], 0
+    partitions, steps, distinct = [], 0, {}
     for problem in problems:
         times, sizes = _jump_table(problem) if scheme == "adaptive" else (np.empty(0),) * 2
         jumps = np.unique(times[sizes > 1.0 / n])
-        partitions.append(_partition(problem.horizon, n, jumps, step_cap))
+        partition = _partition(problem.horizon, n, jumps, step_cap)
+        # problems whose partitions coincide share one array, and so one grid
+        partitions.append(distinct.setdefault(partition.tobytes(), partition))
         steps = max(steps, partitions[-1].size - 1)
         if len(problems) * steps > step_cap:
             raise PartitionOverflow(

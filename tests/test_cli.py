@@ -314,6 +314,33 @@ def test_simulate_replicates_batch_bytes_are_golden(tmp_path, seed):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPLICATES_16[seed]
 
 
+#: sha256 of two runs written before replicates on one partition shared its
+#: time text: (arguments, partitions the replicates have, digest).  The four
+#: replicates of the first have four partitions (837, 823, 841 and 809 points),
+#: the three of the second one
+GOLDEN_PARTITIONS = {
+    "distinct": (["--preset", "fbm-reflected", "--replicates", "4", "--n", "256", "--seed", "3"],
+                 4, "ff352d17b17d597f60fed8ff65c100a469105d407e6427cf48f737fb96067faf"),
+    "shared": (["--preset", "linear-reflected", "--scheme", "uniform", "--replicates", "3",
+                "--n", "64", "--seed", "3"],
+               1, "277296a4b0ae4d0ddc95979d64e36934afbcf312cdc56b3c4e4548efcc41b6e2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_PARTITIONS))
+def test_simulate_shared_and_distinct_partition_bytes_are_golden(tmp_path, case):
+    args, partitions, digest = GOLDEN_PARTITIONS[case]
+    out = tmp_path / "sim.csv"
+    assert run_cli(["simulate", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    times = {}
+    for line in out.read_text().splitlines()[1:]:
+        if not line.startswith("#"):
+            rep, t = line.split(",")[:2]
+            times.setdefault(rep, []).append(t)
+    assert len({tuple(column) for column in times.values()}) == partitions
+
+
 #: sha256 of the benchmark's ``refine`` run: ``simulate --preset fbm-reflected
 #: --dimension 1 --driver-steps 8192 --tol 1e-4 --n 64 --seed 1``, an 8-level
 #: refinement ladder of single-replicate Euler runs, as written by the
@@ -467,7 +494,7 @@ def test_unknown_part_name_exits_2_before_any_sampling(tmp_path, capsys, monkeyp
     def no_sample(*args, **kwargs):
         raise AssertionError("an fBm path was sampled")
 
-    monkeypatch.setattr("pvreflect.presets.sample_fbm", no_sample)
+    monkeypatch.setattr("pvreflect.presets.sample_fbm_paths", no_sample)
     cfg = tmp_path / "bad.ini"
     cfg.write_text(f"[problem]\npreset = {preset}\n{key} = bogus\n")
     out = tmp_path / "x.csv"
@@ -484,15 +511,7 @@ def test_bad_p_or_x0_exits_2_before_any_sampling(tmp_path, capsys, monkeypatch,
                                                  key, value, error):
     # both used to be checked only when the first replicate's Problem was
     # built, after its z was sampled
-    import pvreflect.presets as presets
-
-    calls = []
-
-    def counted(*args, sample=presets.sample_fbm, **kwargs):
-        calls.append(args)
-        return sample(*args, **kwargs)
-
-    monkeypatch.setattr(presets, "sample_fbm", counted)
+    calls = _count_sampling(monkeypatch)
     cfg = tmp_path / "bad.ini"
     cfg.write_text(f"[problem]\npreset = fbm-reflected\n{key} = {value}\n")
     out = tmp_path / "x.csv"
@@ -501,6 +520,30 @@ def test_bad_p_or_x0_exits_2_before_any_sampling(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().err.splitlines()[0] == f"error={error}"
     assert calls == []
     assert not out.exists()
+
+
+def _count_sampling(monkeypatch) -> list:
+    """The calls of the fBm sampler that `presets` calls, recorded as they are made."""
+    import pvreflect.presets as presets
+
+    calls = []
+
+    def counted(spec, path_indices, *args, sample=presets.sample_fbm_paths):
+        calls.append(list(path_indices))
+        return sample(spec, calls[-1], *args)
+
+    monkeypatch.setattr(presets, "sample_fbm_paths", counted)
+    return calls
+
+
+def test_sampling_patches_see_a_valid_run_sample(tmp_path, monkeypatch):
+    # the positive control of the two tests above: the name they patch is the
+    # one a valid run samples through, once for all replicates
+    calls = _count_sampling(monkeypatch)
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--preset", "fbm-reflected", "--replicates", "3", "--n", "16",
+                    "--driver-steps", "64", "--out", str(out)]) == 0
+    assert calls == [list(range(6))]
 
 
 @pytest.mark.parametrize("text", [

@@ -17,6 +17,7 @@ from pvreflect import (
     p_variation,
     philox_stream,
     sample_fbm,
+    sample_fbm_paths,
     schedule_path,
     sine_path,
 )
@@ -91,6 +92,44 @@ def test_fbm_methods_deterministic_and_distinct():
     assert np.array_equal(chol.values, sample_fbm(spec, method="cholesky").values)
     with pytest.raises(UnknownKind):
         sample_fbm(spec, method="magic")
+
+
+@pytest.mark.parametrize("hurst", [0.55, 0.75, 0.95])
+@pytest.mark.parametrize("steps", [1, 2, 1000, 1024, 4097])
+def test_fbm_batch_equals_per_path_sampling_bit_for_bit(steps, hurst):
+    # one FFT call takes several rows of short paths and a single row of long
+    # ones; every row keeps the bits of its one-path sample
+    spec = FbmSpec(hurst=hurst, horizon=1.5, steps=steps, seed=41)
+    for count in (1, 2, 7, 9, 33):
+        batch = list(sample_fbm_paths(spec, range(count)))
+        assert len(batch) == count
+        assert all(path.grid is batch[0].grid for path in batch)
+        for index, path in enumerate(batch):
+            alone = sample_fbm(spec, path_index=index)
+            assert np.array_equal(path.times, alone.times)
+            assert np.array_equal(path.values.view(np.int64), alone.values.view(np.int64))
+    # any indices, in the order given, and none
+    picked = [path.values for path in sample_fbm_paths(spec, [30, 4, 30])]
+    assert np.array_equal(picked[0], picked[2])
+    assert np.array_equal(picked[1], sample_fbm(spec, path_index=4).values)
+    assert list(sample_fbm_paths(spec, [])) == []
+
+
+def test_fbm_batch_of_the_cholesky_oracle_equals_per_path_sampling():
+    spec = FbmSpec(hurst=0.7, steps=96, seed=2)
+    batch = [path.values for path in sample_fbm_paths(spec, range(5), "cholesky")]
+    for index, values in enumerate(batch):
+        assert np.array_equal(values, sample_fbm(spec, "cholesky", index).values)
+
+
+def test_fbm_batch_checks_method_cap_and_indices_at_the_call():
+    spec = FbmSpec(hurst=0.75, steps=64, seed=1)
+    with pytest.raises(UnknownKind):
+        sample_fbm_paths(spec, range(3), "magic")
+    with pytest.raises(InvalidParameter, match="path_index"):
+        sample_fbm_paths(spec, [0, -1])
+    with pytest.raises(InvalidParameter, match="capped"):
+        sample_fbm_paths(FbmSpec(hurst=0.75, steps=FBM_MAX_STEPS + 1), range(2))
 
 
 def test_philox_stream_contract():

@@ -44,8 +44,11 @@ from pvreflect.pathcore import (
     _CSV_CHUNK_ROWS,
     _PVAR_BLOCK_CELLS,
     _PVAR_CHUNK,
+    _SVD_BIG,
+    _SVD_SMALL,
     _balls,
     _chunk_bounds,
+    _dist_p,
     _increment_norms,
     _pvar_block_shape,
     _pvar_dp,
@@ -658,6 +661,66 @@ def test_three_component_norms_equal_einsum_bit_for_bit(rng):
         comps = np.ascontiguousarray(vals.T)
         assert np.array_equal(_increment_norms(comps.T), expected)
         assert np.array_equal(_increment_norms(vals.reshape(-1, 100, 3)), expected.reshape(-1, 100))
+
+
+def _dist_p_from_differences(here, there, p, shape):
+    """The DP's distances as they were computed before they were summed in
+    place: the ``(B, D, n, C)`` differences, transposed, into `_increment_norms`."""
+    diffs = (here[..., :, None] - there[..., None, :]).transpose(0, 2, 3, 1)
+    return _increment_norms(diffs.reshape(*diffs.shape[:3], *shape), len(shape) == 2) ** p
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_dist_p_in_place_equals_the_difference_tensor_bit_for_bit(d, p, rng):
+    # per window, magnitudes from 2^-540 (squares underflow) to 2^500 (the
+    # p-th power overflows), zeros, subnormals and equal points
+    for b, n, c in ((1, 1, 1), (3, 32, 37), (5, 7, 300)):
+        scale = np.exp2(rng.integers(-540, 501, size=(b, 1, 1)).astype(float))
+        here = rng.standard_normal((b, d, n)) * scale
+        there = rng.standard_normal((b, d, c)) * scale
+        there[:, :, ::5] = 0.0
+        there[:, :, 1::7] = rng.uniform(-1.0, 1.0, size=there[:, :, 1::7].shape) * 2.0 ** -1022
+        there[:, :, 2::9] = here[:, :, :1]
+        with np.errstate(under="ignore", over="ignore"):
+            got = _dist_p(here, there, p, (d,))
+            assert got.shape == (b, n, c)
+            assert np.array_equal(got.view(np.int64),
+                                  _dist_p_from_differences(here, there, p, (d,)).view(np.int64))
+
+
+def _one_by_one_norms_agree(values):
+    mats = np.asarray(values, dtype=float)[:, None, None]
+    expected = np.linalg.norm(mats, ord=2, axis=(-2, -1))
+    return np.array_equal(_increment_norms(mats, True).view(np.int64), expected.view(np.int64))
+
+
+def test_one_by_one_operator_norms_equal_the_svd_bit_for_bit(rng):
+    edges = [0.0, 5e-324, 2.0 ** -1022, 1e-300, _SVD_SMALL, _SVD_BIG, 1e300,
+             np.finfo(float).max]
+    with np.errstate(over="ignore"):  # past the largest float is inf, left out
+        near = [np.nextafter(v, towards) for v in edges for towards in (0.0, np.inf)]
+    values = np.array(edges + near)
+    values = values[np.isfinite(values)]
+    assert _one_by_one_norms_agree(np.concatenate([values, -values]))
+    # random bit patterns: about a tenth lie outside the unscaled range, where
+    # |x| and the SVD differ
+    bits = rng.integers(0, 2 ** 64, size=400_000, dtype=np.uint64).view(float)
+    bits = bits[np.isfinite(bits)]
+    assert _one_by_one_norms_agree(bits)
+    assert not np.array_equal(np.abs(bits), np.linalg.norm(bits[:, None, None], ord=2,
+                                                            axis=(-2, -1)))
+    # leading axes, a lone matrix and an empty stack
+    stack = bits[:600].reshape(20, 30, 1, 1)
+    assert np.array_equal(_increment_norms(stack, True),
+                          np.linalg.norm(stack, ord=2, axis=(-2, -1)))
+    for value in (3.0, 1e-200, -1e200):
+        assert float(_increment_norms(np.array([[value]]), True)) == float(
+            np.linalg.norm(np.array([[value]]), ord=2))
+    assert _increment_norms(np.zeros((0, 1, 1)), True).shape == (0,)
+    # a 1x1 matrix path outside the range, whose first value takes a lone norm
+    path = make_matrix_path([0.0, 1.0, 2.0], [1e-200, -3e-200, 2e-200])
+    assert variation_norms([path], 2.0) == [variation_norm(path, 2.0)]
 
 
 @pytest.mark.parametrize("p", [1.1, 1.2, 1.5, 2.0, 2.5, 3.0, 4.0])

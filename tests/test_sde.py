@@ -435,6 +435,11 @@ def test_batch_equals_per_replicate_runs(n):
     sizes = {sol.x.times.size for sol in batch}
     if n < 1024:
         assert len(sizes) > 1  # ragged: replicates stop at different steps
+    # replicates whose partitions coincide (all of them at n = 1024, the
+    # driver's mesh) share one grid object, and only those
+    partitions = {sol.x.times.tobytes() for sol in batch}
+    assert len({id(sol.x.grid) for sol in batch}) == len(partitions)
+    assert (len(partitions) == 1) == (n == 1024)
 
 
 @pytest.mark.parametrize("scheme", ["adaptive", "uniform"])
