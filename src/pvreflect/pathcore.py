@@ -329,7 +329,7 @@ def _increment_norms(diffs: np.ndarray, matrix: bool = False) -> np.ndarray:
     added directly in `_square_order`, so a strided block needs no copy.
     Four or more go through that einsum on a contiguous copy: it adds them
     in SIMD lanes, in an order a plain sum does not reproduce.  A 1 x 1
-    matrix takes ``|x|`` wherever that is the SVD's value (``_SVD_SMALL``).
+    matrix takes ``|x|`` wherever that is the SVD's value, from ``_SVD_SMALL`` to ``_SVD_BIG``.
     """
     if matrix:
         if diffs.size == 0:
