@@ -35,7 +35,7 @@ from . import campaigns
 from .errors import NoConvergence, PartitionOverflow, PvreflectError
 from .pathcore import (CSV_FLOAT_FORMAT, STEP_CAP, _chunk_templates, _write_rows, p_variation,
                        read_path_csv, write_path_csv)
-from .drivers import FbmSpec, _check_hurst, sample_fbm
+from .drivers import FbmSpec, _check_hurst, _check_seed, sample_fbm
 from .presets import PROBLEM_PRESETS, ProblemPreset, build_problem
 from .sde import Solution, _check_tol, euler_batch, refinement_ladder, solve, with_vbar_p_x
 
@@ -335,7 +335,11 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _load_config(args.config, args.rows)
-        return args.func(_settings(args, cfg, args.rows))
+        settings = _settings(args, cfg, args.rows)
+        # checked once here, before a command opens its output or starts work
+        if _SEED in args.rows:
+            _check_seed("seed", settings["seed"])
+        return args.func(settings)
     except NoConvergence as exc:
         print(f"error={type(exc).__name__}", file=sys.stderr)
         print(str(exc), file=sys.stderr)

@@ -29,10 +29,10 @@ guesses, rebuilt each sweep from the new increments, settle a window at a
 time; a sweep commits at least one row of each replicate whatever they do.
 Each replicate therefore gets, bit for bit, the values the one-step loop
 gives it alone.  `euler_uniform` and `euler_adaptive` are its R = 1 case.
-`refinement_ladder` runs it at n0, 2*n0, ... with the sup-distance between
-successive iterates (on the coarser grid); `solve` walks those levels, each
-only as far as that distance stays below a tolerance, and stops at the first
-level where it does at every point.  No convergence rate is assumed.
+One walk runs it at n0, 2*n0, ... with the sup-distance between successive
+iterates (on the coarser grid): `refinement_ladder` sweeps each level to its
+end, `solve` only as far as that distance stays below a tolerance, up to the
+first level where it does at every point.  No convergence rate is assumed.
 """
 
 from __future__ import annotations
@@ -226,12 +226,21 @@ class _Recursion:
     recursion keeps its guesses and resumes with the sweeps it would have made.
     """
 
-    def __init__(self, problems: list[Problem], partitions: list[np.ndarray],
-                 scheme: str, n: int) -> None:
+    def __init__(self, problems: list[Problem], tables, scheme: str, n: int,
+                 step_cap: int) -> None:
+        # the one place partitions are built: each from its problem's `_jump_table`
+        count, m, partitions, distinct = len(problems), 0, [], {}
+        for problem, (times, norms) in zip(problems, tables):
+            partition = _partition(problem.horizon, n, np.unique(times[norms > 1.0 / n]), step_cap)
+            # problems whose partitions coincide share one array, and so one grid
+            partitions.append(distinct.setdefault(partition.tobytes(), partition))
+            m = max(m, partition.size)
+            if count * (m - 1) > step_cap:  # before any batch array is allocated
+                raise PartitionOverflow(
+                    f"{count} replicates of up to {m - 1} steps exceed {step_cap}")
         self.partitions, self.scheme, self.n = partitions, scheme, n
-        self.coeffs, d, count = problems[0].coeffs, problems[0].dim, len(problems)
+        self.coeffs, d = problems[0].coeffs, problems[0].dim
         sizes = np.array([times.size for times in partitions])
-        m = int(sizes.max())
         # replicate r owns rows r * m .. r * m + m - 1; its row j holds x_j, dy_j,
         # and the increments of step j + 1 with the barrier at its end.  The row
         # after them all takes what windows reaching past a replicate's end write
@@ -331,7 +340,8 @@ class _Recursion:
         return self.dy[base:base + rows]
 
     def solutions(self) -> list[Solution]:
-        """One `Solution` per replicate, once all have finished."""
+        """One `Solution` per replicate, each swept to its end."""
+        self.advance()
         solutions, grids = [], {}
         for r, times in enumerate(self.partitions):
             # the partition's points are rounded sums, so their order is checked;
@@ -386,20 +396,8 @@ def euler_batch(problems, n: int, scheme: str = "adaptive",
                                "every problem must carry it")
     if any(problem.dim != d for problem in problems):
         raise DimensionMismatch("every problem of a batch must have one dimension")
-    partitions, steps, distinct = [], 0, {}
-    for problem in problems:
-        times, sizes = _jump_table(problem) if scheme == "adaptive" else (np.empty(0),) * 2
-        jumps = np.unique(times[sizes > 1.0 / n])
-        partition = _partition(problem.horizon, n, jumps, step_cap)
-        # problems whose partitions coincide share one array, and so one grid
-        partitions.append(distinct.setdefault(partition.tobytes(), partition))
-        steps = max(steps, partitions[-1].size - 1)
-        if len(problems) * steps > step_cap:
-            raise PartitionOverflow(
-                f"{len(problems)} replicates of up to {steps} steps exceed {step_cap}")
-    recursion = _Recursion(problems, partitions, scheme, n)
-    recursion.advance()
-    return recursion.solutions()
+    tables = (_jump_table(p) if scheme == "adaptive" else (np.empty(0),) * 2 for p in problems)
+    return _Recursion(problems, tables, scheme, n, step_cap).solutions()
 
 
 def euler_uniform(problem: Problem, n: int) -> Solution:
@@ -445,50 +443,18 @@ def with_vbar_p_x(solutions, p: float) -> list[Solution]:
             for solution, norm in zip(solutions, norms)]
 
 
-def refinement_ladder(problem: Problem, n0: int, step_cap: int = STEP_CAP):
-    """Yield ``(solution, gap)`` for the adaptive scheme at n0, 2*n0, 4*n0, ...
-
-    ``gap`` is the `solution_gap` to the level before, ``None`` at n0.  Each
-    level is computed only when it is asked for.
-    """
+def _walk(problem: Problem, n0: int, tol: float, step_cap: int):
+    """Yield ``(level, gap)``: `_Recursion`s of the adaptive scheme at n0, 2*n0,
+    ... on one jump table, each built when asked for, n0 unswept with gap
+    ``None``.  Each finer level is swept only as far as its Cauchy gap, folded
+    in as the coarse points become known, stays below ``tol``; it is then the
+    next level's coarse one, paused."""
     _check_count("n0", n0)
-    prev = None
-    for level in itertools.count():
-        cur = euler_adaptive(problem, n0 * 2**level, step_cap)
-        yield cur, (None if prev is None else solution_gap(cur, prev))
-        prev = cur
-
-
-def _check_tol(tol: float) -> None:
-    if not tol >= 0.0:  # NaN fails this too
-        raise InvalidParameter("tol must be >= 0")
-
-
-def solve(problem: Problem, tol: float, n0: int,
-          max_doublings: int = 14, step_cap: int = STEP_CAP) -> Solution:
-    """Adaptive scheme with a posteriori refinement control.
-
-    Returns the first level of `refinement_ladder` from n0 whose Cauchy
-    gap, its `solution_gap` to the level before, is below ``tol``, with the
-    gap in ``diagnostics``.  A rejected level stops at its first point where
-    the gap is not below ``tol`` (`refine`'s 8 levels take 101 sweeps, not
-    150), so `CoefficientEvaluationFailure` and `NonFiniteValue` come only
-    from rows the walk commits.  Raises :class:`NoConvergence` after
-    ``max_doublings`` refinements (an integer >= 1), which signals
-    non-regular coefficients or an unreachable tolerance.
-    """
-    _check_tol(tol)
-    _check_count("max_doublings", max_doublings)
-    _check_count("n0", n0)
-    times, sizes = _jump_table(problem)
-
-    def level(n: int) -> _Recursion:
-        partition = _partition(problem.horizon, n, np.unique(times[sizes > 1.0 / n]), step_cap)
-        return _Recursion([problem], [partition], "adaptive", n)
-
-    coarse = level(n0)
-    for doubling in range(1, max_doublings + 1):
-        fine = level(n0 * 2**doubling)
+    tables = [_jump_table(problem)]
+    coarse = _Recursion([problem], tables, "adaptive", n0, step_cap)
+    yield coarse, None
+    for doubling in itertools.count(1):
+        fine = _Recursion([problem], tables, "adaptive", n0 * 2**doubling, step_cap)
         ft, ct = fine.partitions[0], coarse.partitions[0]
         gap, folded, rows = 0.0, 0, 1
         # the fine level doubles its committed rows between folds; a coarse point
@@ -503,10 +469,43 @@ def solve(problem: Problem, tol: float, n0: int,
             gap = max(gap, _sup_gap(fine_x, fine_x - fine.sums(0, rows)[at],
                                     coarse_x, coarse_x - coarse.sums(0, known)[new]))
             folded = known
-        if gap < tol:
+        yield fine, gap
+        coarse = fine
+
+
+def refinement_ladder(problem: Problem, n0: int, step_cap: int = STEP_CAP):
+    """Yield ``(solution, gap)`` for the adaptive scheme at n0, 2*n0, 4*n0, ...:
+    `_walk` with no tolerance, each level swept to its end when it is asked for,
+    so the `euler_adaptive` solutions and their `solution_gap`s (``None`` at n0)."""
+    # a level's folds stop early here only at an infinite gap, its gap over all points
+    for level, gap in _walk(problem, n0, math.inf, step_cap):
+        yield level.solutions()[0], gap
+
+
+def _check_tol(tol: float) -> None:
+    if not tol >= 0.0:  # NaN fails this too
+        raise InvalidParameter("tol must be >= 0")
+
+
+def solve(problem: Problem, tol: float, n0: int,
+          max_doublings: int = 14, step_cap: int = STEP_CAP) -> Solution:
+    """Adaptive scheme with a posteriori refinement control.
+
+    Returns the first level of `refinement_ladder` past n0 whose Cauchy gap,
+    its `solution_gap` to the level before, is below ``tol``, with the gap in
+    ``diagnostics``.  Both walk `_walk`, but here a rejected level stops at
+    its first point where the gap is not below ``tol`` (`refine`'s 8 levels
+    take 101 sweeps, not 150), so `CoefficientEvaluationFailure` and
+    `NonFiniteValue` come only from rows the walk commits.  Raises
+    :class:`NoConvergence` after ``max_doublings`` refinements (an integer
+    >= 1), which signals non-regular coefficients or an unreachable tolerance.
+    """
+    _check_tol(tol)
+    _check_count("max_doublings", max_doublings)
+    for doubling, (fine, gap) in zip(range(max_doublings + 1), _walk(problem, n0, tol, step_cap)):
+        if doubling and gap < tol:
             (solution,) = fine.solutions()
             return replace(solution, diagnostics=dict(solution.diagnostics, cauchy_gap=gap))
-        coarse = fine
     raise NoConvergence(
         f"no Cauchy gap below {tol} within {max_doublings} doublings from n0={n0}"
     )

@@ -522,6 +522,35 @@ def test_bad_p_or_x0_exits_2_before_any_sampling(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--preset", "geometric"], ["convergence", "--preset", "geometric"],
+    ["fbm"], ["verify", "--cases", "0"],
+], ids=["simulate", "convergence", "fbm", "verify"])
+def test_out_of_range_seed_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                   argv, seed, by_config):
+    # the seed used to be checked only where a sampler read it: fBm-free
+    # presets ran with it, and verify wrote its header first
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("pvreflect.cli.build_problem", "pvreflect.cli.sample_fbm",
+                 "pvreflect.campaigns.iter_campaigns"):
+        monkeypatch.setattr(name, no_work)
+    if by_config:
+        cfg = tmp_path / "seed.ini"
+        cfg.write_text(f"[run]\nseed = {seed}\n")
+        argv = [*argv, "--config", str(cfg)]
+    else:
+        argv = [*argv, f"--seed={seed}"]
+    out = tmp_path / "x.csv"
+    assert run_cli([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error=InvalidParameter", "seed must fit in 64 unsigned bits"]
+    assert not out.exists()
+
+
 def _count_sampling(monkeypatch) -> list:
     """The calls of the fBm sampler that `presets` calls, recorded as they are made."""
     import pvreflect.presets as presets
@@ -654,6 +683,29 @@ def test_convergence_levels_bound(tmp_path, monkeypatch, levels, rc):
     assert run_cli(["convergence", "--preset", "geometric", "--n0", "16",
                     "--levels", levels, "--out", str(out)]) == rc
     assert out.exists() == (rc == 0)
+
+
+#: sha256 of the ``n,gap`` columns of ``convergence`` runs (``runtime_s``,
+#: a wall time, dropped), as written when each level was a full
+#: ``euler_adaptive`` run and its gap ``solution_gap``: (arguments, digest).
+#: The fBm-free ``geometric`` case pins the same bytes at every SIMD level
+GOLDEN_CONVERGENCE = {
+    "geometric": (["--preset", "geometric", "--n0", "16", "--levels", "6"],
+                  "4ecc6b4f97226e2a2b952078ee5d3efd1b27620d38eecb2cf49b55976c1819d8"),
+    "fbm-reflected": (["--preset", "fbm-reflected", "--levels", "5", "--seed", "3"],
+                      "34a372bdc9381c1e09b8643fa8c23ff2424278bf5bfb5fbf5781f05536c6e5bf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CONVERGENCE))
+def test_convergence_bytes_are_golden(tmp_path, case):
+    args, digest = GOLDEN_CONVERGENCE[case]
+    out = tmp_path / "conv.csv"
+    assert run_cli(["convergence", *args, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + int(args[args.index("--levels") + 1])
+    columns = "".join(",".join(line.split(",")[:2]) + "\n" for line in lines)
+    assert hashlib.sha256(columns.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

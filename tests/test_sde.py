@@ -734,21 +734,20 @@ def test_refinement_ladder_is_lazy_and_feeds_solve(monkeypatch):
         l=constant_path(-1e6, 1.0),
         coeffs=coefficient_preset("geometric", 1), p=2.0,
     )
-    # the ladder looks both steps up in the module, where tracers wrap them
-    calls = []
+    # every level builds its partition in one place, so each next builds one
+    built, partition = [], sde._partition
 
-    def counted(name, func):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return func(*args, **kwargs)
-        return wrapper
+    def counted(horizon, n, *args):
+        built.append(n)
+        return partition(horizon, n, *args)
 
-    for name in ("euler_adaptive", "solution_gap"):
-        monkeypatch.setattr(sde, name, counted(name, getattr(sde, name)))
+    monkeypatch.setattr(sde, "_partition", counted)
     ladder = refinement_ladder(prob, 8)
-    assert calls == []
-    levels = [next(ladder) for _ in range(4)]
-    assert calls == ["euler_adaptive"] + ["euler_adaptive", "solution_gap"] * 3
+    assert built == []
+    levels = []
+    for count in range(1, 5):
+        levels.append(next(ladder))
+        assert built == [8 * 2**level for level in range(count)]
     assert [sol.n for sol, _ in levels] == [8, 16, 32, 64]
     assert levels[0][1] is None
     for (fine, gap), (coarse, _) in zip(levels[1:], levels[:-1]):
@@ -762,10 +761,42 @@ def test_refinement_ladder_is_lazy_and_feeds_solve(monkeypatch):
 
 
 def _ladder_solve(problem, tol, n0, max_doublings):
-    """`solve` as a walk of the full levels of `refinement_ladder`: the first
-    ``(solution, gap)`` with the gap below ``tol``, or None."""
-    levels = itertools.islice(refinement_ladder(problem, n0), 1, max_doublings + 1)
-    return next(((sol, gap) for sol, gap in levels if gap < tol), None)
+    """`solve` as a walk of full `euler_adaptive` levels and their
+    `solution_gap`s: the first ``(solution, gap)`` past n0 with the gap below
+    ``tol``, or None."""
+    coarse = euler_adaptive(problem, n0)
+    for doubling in range(1, max_doublings + 1):
+        fine = euler_adaptive(problem, n0 * 2**doubling)
+        gap = solution_gap(fine, coarse)
+        if gap < tol:
+            return fine, gap
+        coarse = fine
+    return None
+
+
+def _assert_same_reflection(got, want):
+    for attr in ("x", "k", "y"):
+        got_path, want_path = getattr(got.reflection, attr), getattr(want.reflection, attr)
+        assert got_path.times.tobytes() == want_path.times.tobytes()
+        assert got_path.values.tobytes() == want_path.values.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEM_PRESETS))
+def test_refinement_ladder_equals_full_levels(name):
+    # the ladder sweeps each level in the walk's doubling folds; its levels and
+    # gaps are those of full euler_adaptive runs and solution_gap, bit for bit
+    for dim, barrier, seed in itertools.product((1, 2), ("zero", "minus-wall", "sine", "jump"),
+                                                (1, 2)):
+        preset = dataclasses.replace(PROBLEM_PRESETS[name], dim=dim, barrier=barrier,
+                                     driver_steps=1024)
+        (prob,) = build_problem(preset, seed=seed)
+        coarse = None
+        for level, (sol, gap) in zip(range(6), refinement_ladder(prob, 16)):
+            fine = euler_adaptive(prob, 16 * 2**level)
+            assert gap == (None if coarse is None else solution_gap(fine, coarse))
+            assert (sol.n, sol.scheme, sol.diagnostics) == (fine.n, fine.scheme, fine.diagnostics)
+            _assert_same_reflection(sol, fine)
+            coarse = fine
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEM_PRESETS))
@@ -785,10 +816,7 @@ def test_solve_stops_where_the_full_ladder_stops(name):
         sol = solve(prob, tol=tol, n0=n0, max_doublings=6)
         fine, gap = expected
         assert (sol.n, sol.diagnostics) == (fine.n, dict(fine.diagnostics, cauchy_gap=gap))
-        for attr in ("x", "k", "y"):
-            got, want = getattr(sol.reflection, attr), getattr(fine.reflection, attr)
-            assert got.times.tobytes() == want.times.tobytes()
-            assert got.values.tobytes() == want.values.tobytes()
+        _assert_same_reflection(sol, fine)
 
 
 def test_solve_rejects_nan_tolerance_before_any_level(monkeypatch):
