@@ -8,6 +8,10 @@ at a time.  The inequalities are theorems, so any violation beyond
 floating-point slack is an implementation bug; the ``corrupt`` switch
 deliberately inflates the left sides to provide a negative control for the
 harness itself.
+
+A campaign is one case function, ``(rng, case) -> [(name, lhs, rhs), ...]``,
+and one public wrapper that hands it to `_run`: the one case loop, which
+derives each case's stream, applies ``corrupt`` and builds the rows.
 """
 
 from __future__ import annotations
@@ -42,11 +46,8 @@ __all__ = [
 
 CAMPAIGN_CSV_HEADER = ["campaign", "case", "check", "lhs", "rhs", "margin", "pass"]
 
-# distinct Philox stream blocks per campaign so case streams never collide
+# each campaign's cases draw from their own Philox block, so streams never collide
 _STREAM_BLOCK = 1 << 32
-_BLOCK_RUNNING_MAX = 0
-_BLOCK_REFLECTION = 1
-_BLOCK_STIELTJES = 2
 
 #: the exponents, dimensions and path sizes the campaigns cycle through
 _P_VALUES = (1.0, 1.5, 2.0, 3.0)
@@ -65,11 +66,6 @@ class CampaignRow(InequalityCheck):
 
     def csv_row(self) -> list[str]:
         return [self.campaign, str(self.case)] + super().csv_row()
-
-
-def _case_numbers(cases: int | range) -> range:
-    """A campaign's cases: ``0 .. cases - 1`` for a count, else the range given."""
-    return cases if isinstance(cases, range) else range(cases)
 
 
 def _random_times(rng: np.random.Generator, max_points: int, horizon: float = 1.0) -> np.ndarray:
@@ -93,13 +89,28 @@ def _random_path(rng: np.random.Generator, max_points: int, d: int = 1) -> StepP
     return make_path(times, _random_values(rng, times.size, d))
 
 
-def _row(campaign: str, case: int, name: str, lhs: float, rhs: float,
-         corrupt: bool) -> CampaignRow:
-    """One evaluated check; ``corrupt`` inflates its left side past any slack."""
-    if corrupt:
-        lhs = lhs + 1.0 + abs(lhs)
-    return CampaignRow(name=name, lhs=lhs, rhs=rhs, passed=holds_with_slack(lhs, rhs),
-                       campaign=campaign, case=case)
+def _run(campaign: str, block: int, case_checks, cases: int | range, seed: int,
+         corrupt: bool) -> list[CampaignRow]:
+    """One row per ``(name, lhs, rhs)`` of ``case_checks(rng, case)`` for each case,
+    ``0 .. cases - 1`` for a count, else the range given; case ``c`` draws from
+    Philox stream ``block * _STREAM_BLOCK + c``.  ``corrupt`` adds ``1 + |lhs|``
+    to each left side; a row fails only where that lifts it past its right side."""
+    rows = []
+    for case in cases if isinstance(cases, range) else range(cases):
+        rng = philox_stream(seed, block * _STREAM_BLOCK + case)
+        for name, lhs, rhs in case_checks(rng, case):
+            if corrupt:
+                lhs = lhs + 1.0 + abs(lhs)
+            rows.append(CampaignRow(name=name, lhs=lhs, rhs=rhs, passed=holds_with_slack(lhs, rhs),
+                                    campaign=campaign, case=case))
+    return rows
+
+
+def _running_max_case(rng: np.random.Generator, case: int) -> list[tuple]:
+    p = _P_VALUES[case % len(_P_VALUES)]
+    y1, y2 = align([_random_path(rng, _MAX_POINTS), _random_path(rng, _MAX_POINTS)])
+    return [(f"vp_contraction_p{p:g}", p_variation(running_max(y1) - running_max(y2), p),
+             p_variation(y1 - y2, p))]
 
 
 def running_max_contraction_campaign(cases: int | range, seed: int,
@@ -109,18 +120,7 @@ def running_max_contraction_campaign(cases: int | range, seed: int,
     Each case draws two scalar step paths on independent grids, aligns them,
     and compares the two p-variations at one exponent from ``_P_VALUES``.
     """
-    rows = []
-    for case in _case_numbers(cases):
-        rng = philox_stream(seed, _BLOCK_RUNNING_MAX * _STREAM_BLOCK + case)
-        p = _P_VALUES[case % len(_P_VALUES)]
-        y1 = _random_path(rng, _MAX_POINTS)
-        y2 = _random_path(rng, _MAX_POINTS)
-        y1, y2 = align([y1, y2])
-        lhs = p_variation(running_max(y1) - running_max(y2), p)
-        rhs = p_variation(y1 - y2, p)
-        rows.append(_row("running_max_contraction", case, f"vp_contraction_p{p:g}",
-                         lhs, rhs, corrupt))
-    return rows
+    return _run("running_max_contraction", 0, _running_max_case, cases, seed, corrupt)
 
 
 def _admissible_pair(rng: np.random.Generator, d: int) -> tuple[StepPath, StepPath]:
@@ -131,20 +131,19 @@ def _admissible_pair(rng: np.random.Generator, d: int) -> tuple[StepPath, StepPa
     return y, make_path(l.times, l.values - shift)
 
 
+def _reflection_case(rng: np.random.Generator, case: int) -> list[tuple]:
+    d = _DIMS[case % len(_DIMS)]
+    p = _P_VALUES[(case // len(_DIMS)) % len(_P_VALUES)]
+    y, l = _admissible_pair(rng, d)
+    y2, l2 = _admissible_pair(rng, d)
+    return [(f"{chk.name}_d{d}_p{p:g}", chk.lhs, chk.rhs)
+            for chk in check_estimates(y, l, y2, l2, p)]
+
+
 def reflection_estimates_campaign(cases: int | range, seed: int,
                                   corrupt: bool = False) -> list[CampaignRow]:
     """Lipschitz estimates of the reflection map on random problem pairs."""
-    rows = []
-    for case in _case_numbers(cases):
-        rng = philox_stream(seed, _BLOCK_REFLECTION * _STREAM_BLOCK + case)
-        d = _DIMS[case % len(_DIMS)]
-        p = _P_VALUES[(case // len(_DIMS)) % len(_P_VALUES)]
-        y, l = _admissible_pair(rng, d)
-        y2, l2 = _admissible_pair(rng, d)
-        rows += [_row("reflection_estimates", case, f"{chk.name}_d{d}_p{p:g}",
-                      chk.lhs, chk.rhs, corrupt)
-                 for chk in check_estimates(y, l, y2, l2, p)]
-    return rows
+    return _run("reflection_estimates", 1, _reflection_case, cases, seed, corrupt)
 
 
 def _random_matrix_path(rng: np.random.Generator, max_points: int, d: int) -> MatrixStepPath:
@@ -153,20 +152,18 @@ def _random_matrix_path(rng: np.random.Generator, max_points: int, d: int) -> Ma
     return make_matrix_path(times, np.cumsum(steps, axis=0))
 
 
+def _stieltjes_case(rng: np.random.Generator, case: int) -> list[tuple]:
+    p, q = _PQ_PAIRS[case % len(_PQ_PAIRS)]
+    d = int(rng.integers(1, 3))
+    integrand = _random_matrix_path(rng, _STIELTJES_MAX_POINTS, d)
+    chk = young_bound_check(integrand, _random_path(rng, _STIELTJES_MAX_POINTS, d), p, q)
+    return [(f"zeta_bound_p{p:g}_q{q:g}", chk.lhs, chk.rhs)]
+
+
 def stieltjes_bound_campaign(cases: int | range, seed: int,
                              corrupt: bool = False) -> list[CampaignRow]:
     """zeta-constant bound for random (matrix integrand, vector driver) pairs."""
-    rows = []
-    for case in _case_numbers(cases):
-        rng = philox_stream(seed, _BLOCK_STIELTJES * _STREAM_BLOCK + case)
-        p, q = _PQ_PAIRS[case % len(_PQ_PAIRS)]
-        d = int(rng.integers(1, 3))
-        integrand = _random_matrix_path(rng, _STIELTJES_MAX_POINTS, d)
-        driver = _random_path(rng, _STIELTJES_MAX_POINTS, d)
-        chk = young_bound_check(integrand, driver, p, q)
-        rows.append(_row("stieltjes_bound", case, f"zeta_bound_p{p:g}_q{q:g}",
-                         chk.lhs, chk.rhs, corrupt))
-    return rows
+    return _run("stieltjes_bound", 2, _stieltjes_case, cases, seed, corrupt)
 
 
 def iter_campaigns(cases: int, seed: int, corrupt: bool = False) -> Iterator[CampaignRow]:

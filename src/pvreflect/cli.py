@@ -33,8 +33,8 @@ import numpy as np
 
 from . import campaigns
 from .errors import NoConvergence, PartitionOverflow, PvreflectError
-from .pathcore import (CSV_FLOAT_FORMAT, STEP_CAP, _chunk_templates, _write_rows, p_variation,
-                       read_path_csv, write_path_csv)
+from .pathcore import (CSV_FLOAT_FORMAT, STEP_CAP, Interval, _chunk_templates, _write_rows,
+                       p_variation, read_path_csv, write_path_csv)
 from .drivers import FbmSpec, _check_hurst, _check_seed, sample_fbm
 from .presets import PROBLEM_PRESETS, ProblemPreset, build_problem
 from .sde import Solution, _check_tol, euler_batch, refinement_ladder, solve, with_vbar_p_x
@@ -259,10 +259,10 @@ def cmd_pvar(s: dict) -> int:
     p, a, b = s["p"], s["a"], s["b"]
     if not 1.0 <= p < np.inf:
         raise UsageError(f"p must be finite and >= 1, got {p}")
+    lo = 0.0 if a is None else a
+    Interval(lo, lo if b is None else b)  # refuses bad bounds before the input is read
     path = read_path_csv(s["input"])
-    window = None
-    if a is not None or b is not None:
-        window = (float(a or 0.0), float(b if b is not None else path.end_time))
+    window = None if a is None and b is None else (lo, path.end_time if b is None else b)
     value = p_variation(path, p, window) ** (1.0 / p)
     with _open_out(s["out"]) as fh:
         fh.write(CSV_FLOAT_FORMAT % value + "\n")

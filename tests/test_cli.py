@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import pvreflect
-from pvreflect import campaigns, read_path_csv, write_path_csv
+from pvreflect import campaigns, cli, read_path_csv, write_path_csv
+from pvreflect.checks import holds_with_slack
 from pvreflect.cli import CORRUPT_ENV, main
 from pvreflect.drivers import FBM_MAX_STEPS
 from pvreflect.pathcore import STEP_CAP
@@ -781,6 +782,33 @@ def test_pvar_window(tmp_path, capsys):
                   "--a", "0", "--b", "1"])
     assert rc == 0
     assert float(capsys.readouterr().out.strip()) == 1.0
+    # a window past the path's end is refused once the input is read
+    out = tmp_path / "p.txt"
+    assert run_cli(["pvar", "--input", str(fixture), "--p", "2", "--a", "5",
+                    "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == "error=InvalidParameter"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("by_config", [False, True])
+@pytest.mark.parametrize("window", [{"a": "-1"}, {"a": "nan"}, {"b": "-1"}, {"b": "inf"},
+                                    {"a": "2", "b": "1"}],
+                         ids=["a-negative", "a-nan", "b-negative", "b-inf", "a-above-b"])
+def test_pvar_bad_window_exits_2_before_reading_the_input(tmp_path, capsys, monkeypatch,
+                                                          window, by_config):
+    reads = []
+    monkeypatch.setattr(cli, "read_path_csv", lambda path: reads.append(path))
+    if by_config:
+        config = tmp_path / "pvar.ini"
+        config.write_text("[pvar]\n" + "".join(f"{k} = {v}\n" for k, v in window.items()))
+        flags = ["--config", str(config)]
+    else:
+        flags = [arg for key, value in window.items() for arg in (f"--{key}", value)]
+    out = tmp_path / "p.txt"
+    assert run_cli(["pvar", "--input", ZIGZAG, "--p", "2", "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == "error=InvalidParameter"
+    assert not out.exists()
+    assert reads == []
 
 
 # ---------------------------------------------------------------------------
@@ -853,6 +881,28 @@ def test_verify_corrupted_solver_exits_1(tmp_path, monkeypatch):
     out = tmp_path / "v.csv"
     rc = run_cli(["verify", "--cases", "3", "--seed", "7", "--out", str(out)])
     assert rc == 1
+
+
+def test_verify_corrupt_control_inflates_every_row_of_every_campaign(tmp_path, monkeypatch):
+    # adding 1 + |lhs| fails a row only where rhs is below the inflated side,
+    # so each row is checked against its clean twin rather than for pass = 0
+    tables = {}
+    for corrupt in (False, True):
+        if corrupt:
+            monkeypatch.setenv(CORRUPT_ENV, "1")
+        out = tmp_path / f"v{corrupt:d}.csv"
+        rc = run_cli(["verify", "--cases", "3", "--seed", "7", "--out", str(out)])
+        assert rc == (1 if corrupt else 0)
+        tables[corrupt] = [line.split(",") for line in out.read_text().splitlines()[1:-1]]
+    assert {row[-1] for row in tables[False]} == {"1"}
+    assert {row[0] for row in tables[True]} == {"running_max_contraction",
+                                                "reflection_estimates", "stieltjes_bound"}
+    assert [row[:3] for row in tables[True]] == [row[:3] for row in tables[False]]
+    for clean, bad in zip(tables[False], tables[True]):
+        lhs, rhs = float(clean[3]), float(clean[4])
+        inflated = lhs + 1.0 + abs(lhs)
+        assert (float(bad[3]), float(bad[4])) == (inflated, rhs)
+        assert bad[-1] == str(int(holds_with_slack(inflated, rhs)))
 
 
 # ---------------------------------------------------------------------------
