@@ -93,14 +93,14 @@ def _run(campaign: str, block: int, case_checks, cases: int | range, seed: int,
          corrupt: bool) -> list[CampaignRow]:
     """One row per ``(name, lhs, rhs)`` of ``case_checks(rng, case)`` for each case,
     ``0 .. cases - 1`` for a count, else the range given; case ``c`` draws from
-    Philox stream ``block * _STREAM_BLOCK + c``.  ``corrupt`` adds ``1 + |lhs|``
-    to each left side; a row fails only where that lifts it past its right side."""
+    Philox stream ``block * _STREAM_BLOCK + c``.  ``corrupt`` sets each left side
+    to ``max(lhs, rhs) + 1 + |lhs| + |rhs|``, past any slack, so every finite row fails."""
     rows = []
     for case in cases if isinstance(cases, range) else range(cases):
         rng = philox_stream(seed, block * _STREAM_BLOCK + case)
         for name, lhs, rhs in case_checks(rng, case):
             if corrupt:
-                lhs = lhs + 1.0 + abs(lhs)
+                lhs = max(lhs, rhs) + 1.0 + abs(lhs) + abs(rhs)
             rows.append(CampaignRow(name=name, lhs=lhs, rhs=rhs, passed=holds_with_slack(lhs, rhs),
                                     campaign=campaign, case=case))
     return rows

@@ -25,6 +25,7 @@ import collections
 import configparser
 import contextlib
 import dataclasses
+import functools
 import os
 import sys
 import time
@@ -37,7 +38,8 @@ from .pathcore import (CSV_FLOAT_FORMAT, STEP_CAP, Interval, _chunk_templates, _
                        p_variation, read_path_csv, write_path_csv)
 from .drivers import FbmSpec, _check_hurst, _check_seed, sample_fbm
 from .presets import PROBLEM_PRESETS, ProblemPreset, build_problem
-from .sde import Solution, _check_tol, euler_batch, refinement_ladder, solve, with_vbar_p_x
+from .sde import (_SWEEP_ROWS, Solution, _check_tol, euler_batch, refinement_ladder, solve,
+                  with_vbar_p_x)
 
 __all__ = ["main", "console_main"]
 
@@ -79,52 +81,73 @@ def _load_config(path: str | None, rows) -> configparser.ConfigParser:
     return cfg
 
 
-#: a setting is (name, config section, type, default, flag help); ``--name``
-#: is its flag and ``name`` its key in the section
-_SEED = ("seed", "run", int, 0, "64-bit unsigned RNG seed")
-_OUT = ("out", "run", str, None, "output CSV path (default stdout)")
-_PRESET = ("preset", "problem", str, "linear-reflected", ", ".join(sorted(PROBLEM_PRESETS)))
+def _positive_int(name: str, value: int, cap: int | None = None) -> None:
+    if value < 1:
+        raise UsageError(f"{name} must be >= 1, got {value}")
+    if cap is not None and value > cap:
+        raise UsageError(f"{name} must be <= {cap}, got {value}")
+
+
+def _rule(admits, message: str):
+    """A row check: `UsageError` with ``message``, formatted, where ``admits(value)`` fails."""
+    def check(name, value):
+        if not admits(value):  # NaN fails every comparison, so it is refused too
+            raise UsageError(message.format(name=name, value=value))
+    return check
+
+
+#: a setting is (name, config section, type, default, flag help, check);
+#: ``--name`` is its flag and ``name`` its key in the section, and
+#: ``check(name, value)``, unless None, refuses a value given by either
+_SEED = ("seed", "run", int, 0, "64-bit unsigned RNG seed", _check_seed)
+_OUT = ("out", "run", str, None, "output CSV path (default stdout)", None)
+_PRESET = ("preset", "problem", str, "linear-reflected", ", ".join(sorted(PROBLEM_PRESETS)),
+           _rule(PROBLEM_PRESETS.__contains__, "unknown problem preset {value!r}"))
+#: by field: the checks of [problem] keys; `build_problem` checks ``x0``, ``p``
+#: and the part names itself, before it samples anything
+_PROBLEM_CHECKS = {
+    "dim": _positive_int,
+    "driver_steps": functools.partial(_positive_int, cap=STEP_CAP),
+    "horizon": _rule(lambda h: 0 < h < np.inf, "{name} must be finite and positive, got {value}"),
+    # refused for every preset, not only where an fBm driver would refuse it
+    "hurst": lambda name, value: _check_hurst(value),
+}
 #: by field: the [problem] keys that override the named preset's fields
 _PROBLEM = {f.name: ("dimension" if f.name == "dim" else f.name.replace("_", "-"),
-                     "problem", type(f.default), None, None)
+                     "problem", type(f.default), None, None, _PROBLEM_CHECKS.get(f.name))
             for f in dataclasses.fields(ProblemPreset)}
 
 
 def _settings(args, cfg: configparser.ConfigParser, rows) -> dict:
-    """Each setting's flag if given, else its config key, else its default."""
+    """Each setting's flag if given, else its config key, else its default; a value
+    given by either passes its row's check, before a command opens its output."""
     values = {}
-    for name, section, cast, default, _ in rows:
+    for name, section, cast, default, _, check in rows:
         value = getattr(args, name.replace("-", "_"), None)
         if value is None and cfg.has_option(section, name):
             try:
                 value = cast(cfg.get(section, name))
             except (ValueError, configparser.Error) as exc:
                 raise UsageError(f"bad value for [{section}] {name}: {exc}") from exc
+        if value is not None and check is not None:
+            check(name, value)
         values[name] = default if value is None else value
     return values
 
 
-def _positive_int(name: str, value: int, cap: int | None = None) -> int:
-    if value < 1:
-        raise UsageError(f"{name} must be >= 1, got {value}")
-    if cap is not None and value > cap:
-        raise UsageError(f"{name} must be <= {cap}, got {value}")
-    return int(value)
-
-
 def _resolve_preset(s: dict) -> ProblemPreset:
     """Named problem preset with per-field [problem] / flag overrides."""
-    if s["preset"] not in PROBLEM_PRESETS:
-        raise UsageError(f"unknown problem preset {s['preset']!r}")
     overrides = {field: s[key] for field, (key, *_) in _PROBLEM.items() if s[key] is not None}
-    preset = dataclasses.replace(PROBLEM_PRESETS[s["preset"]], **overrides)
-    _positive_int("dimension", preset.dim)
-    _positive_int("driver-steps", preset.driver_steps, STEP_CAP)
-    if not 0.0 < preset.horizon < np.inf:
-        raise UsageError(f"horizon must be finite and positive, got {preset.horizon}")
-    # refused for every preset, not only where an fBm driver would refuse it
-    _check_hurst(preset.hurst)
-    return preset
+    return dataclasses.replace(PROBLEM_PRESETS[s["preset"]], **overrides)
+
+
+def _check_dimension(preset: ProblemPreset, replicates: int, batch: int, steps: int) -> None:
+    """Refuse a dimension d that puts over STEP_CAP values in one array: ``replicates x d``
+    driver paths, ``batch`` partitions of ``steps`` steps or more, or a sweep's g block."""
+    d = preset.dim
+    values = d * max(replicates * preset.driver_steps, batch * steps, max(_SWEEP_ROWS, batch) * d)
+    if values > STEP_CAP:
+        raise UsageError(f"dimension {d} would make an array of {values} values, over {STEP_CAP}")
 
 
 def _open_out(path: str | None):
@@ -151,11 +174,7 @@ def _write_diagnostics(fh, solution: Solution, replicate: int | None = None) -> 
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(s: dict) -> int:
-    preset = _resolve_preset(s)
-    replicates = _positive_int("replicates", s["replicates"])
-    # validated but unused: replicates run as one batch in one thread
-    _positive_int("workers", s["workers"])
-    n, tol, scheme = _positive_int("n", s["n"]), s["tol"], s["scheme"]
+    preset, replicates, n, tol = _resolve_preset(s), s["replicates"], s["n"], s["tol"]
     # a partition has at least n x horizon steps, exact in integers, and a
     # batch without tol holds every replicate's partition at once
     num, den = preset.horizon.as_integer_ratio()
@@ -163,22 +182,17 @@ def cmd_simulate(s: dict) -> int:
     if batch * n * num > STEP_CAP * den:
         raise PartitionOverflow(f"{batch} partition(s) of n x horizon steps exceed {STEP_CAP}, "
                                 f"got n={n}, horizon={preset.horizon}")
-    if scheme not in ("adaptive", "uniform"):
-        raise UsageError(f"scheme must be adaptive or uniform, got {scheme!r}")
-    if tol is not None:
-        _check_tol(tol)
-        if scheme == "uniform":
-            raise UsageError("tol refines the adaptive scheme; it cannot be used "
-                             "with scheme uniform")
-
+    if tol is not None and s["scheme"] == "uniform":
+        raise UsageError("tol refines the adaptive scheme; it cannot be used with scheme uniform")
     if replicates * preset.driver_steps > STEP_CAP:
         raise UsageError(f"replicates x driver-steps must be <= {STEP_CAP}, "
                          f"got {replicates} x {preset.driver_steps}")
+    _check_dimension(preset, replicates, batch, n * num // den)
     problems = build_problem(preset, seed=s["seed"], replicates=replicates)
     if tol is not None:
         solutions = [solve(problem, tol=tol, n0=n) for problem in problems]
     else:
-        solutions = euler_batch(problems, n, scheme)
+        solutions = euler_batch(problems, n, s["scheme"])
     solutions = with_vbar_p_x(solutions, problems[0].p)
     # a single replicate is written without the rep column and tags
     tags = [None] if replicates == 1 else range(replicates)
@@ -203,16 +217,14 @@ def cmd_simulate(s: dict) -> int:
 
 
 def cmd_convergence(s: dict) -> int:
-    preset = _resolve_preset(s)
-    n0 = _positive_int("n0", s["n0"])
-    levels = _positive_int("levels", s["levels"])
+    preset, n0, levels = _resolve_preset(s), s["n0"], s["levels"]
     # the last level has about n0 * 2**(levels-1) * horizon steps, exact in
     # integers; as horizon >= 2**-1074, 1100 doublings are over the cap anyway
     num, den = preset.horizon.as_integer_ratio()
     if (n0 * num) << min(levels - 1, 1100) > STEP_CAP * den:
         raise UsageError(f"n0 x 2^(levels-1) x horizon must be <= {STEP_CAP}, "
                          f"got n0={n0}, levels={levels}, horizon={preset.horizon}")
-
+    _check_dimension(preset, 1, 1, ((n0 * num) << (levels - 1)) // den)
     (problem,) = build_problem(preset, seed=s["seed"])
     with _open_out(s["out"]) as fh:
         fh.write("n,gap,runtime_s\n")
@@ -228,17 +240,14 @@ def cmd_convergence(s: dict) -> int:
 
 
 def cmd_fbm(s: dict) -> int:
-    steps = _positive_int("steps", s["steps"], STEP_CAP)
-    spec = FbmSpec(hurst=s["hurst"], horizon=s["horizon"], steps=steps, seed=s["seed"])
-    path = sample_fbm(spec)
+    path = sample_fbm(FbmSpec(hurst=s["hurst"], horizon=s["horizon"], steps=s["steps"],
+                              seed=s["seed"]))
     with _open_out(s["out"]) as fh:
         write_path_csv(path, fh)
     return 0
 
 
 def cmd_verify(s: dict) -> int:
-    if s["cases"] < 0:
-        raise UsageError("cases must be >= 0")
     corrupt = bool(os.environ.get(CORRUPT_ENV))
     total = failures = 0
     with _open_out(s["out"]) as fh:
@@ -248,8 +257,7 @@ def cmd_verify(s: dict) -> int:
             fh.write(",".join(row.csv_row()) + "\n")
             total += 1
             failures += not row.passed
-        fh.write(f"summary,,total,{total},{total - failures},{failures},"
-                 f"{1 if failures == 0 else 0}\n")
+        fh.write(f"summary,,total,{total},{total - failures},{failures},{int(not failures)}\n")
     return 0 if failures == 0 else 1
 
 
@@ -257,8 +265,6 @@ def cmd_pvar(s: dict) -> int:
     if s["input"] is None:
         raise UsageError("pvar requires --input <csv>")
     p, a, b = s["p"], s["a"], s["b"]
-    if not 1.0 <= p < np.inf:
-        raise UsageError(f"p must be finite and >= 1, got {p}")
     lo = 0.0 if a is None else a
     Interval(lo, lo if b is None else b)  # refuses bad bounds before the input is read
     path = read_path_csv(s["input"])
@@ -277,31 +283,37 @@ def cmd_pvar(s: dict) -> int:
 _COMMANDS = {
     "simulate": (cmd_simulate, "run one reflected simulation", (
         _SEED, _OUT, _PRESET,
-        ("replicates", "run", int, 1, None),
+        ("replicates", "run", int, 1, None, _positive_int),
         ("workers", "run", int, 1,
-         "accepted and checked (>= 1); replicates run as one batch in one thread"),
-        ("n", "problem", int, 256, "resolution parameter"),
-        ("tol", "problem", float, None, "refine the adaptive scheme until this Cauchy gap"),
-        ("scheme", "problem", str, "adaptive", "adaptive or uniform"),
+         "accepted and checked (>= 1); replicates run as one batch in one thread",
+         _positive_int),
+        ("n", "problem", int, 256, "resolution parameter", _positive_int),
+        ("tol", "problem", float, None, "refine the adaptive scheme until this Cauchy gap",
+         lambda name, value: _check_tol(value)),
+        ("scheme", "problem", str, "adaptive", "adaptive or uniform",
+         _rule(("adaptive", "uniform").__contains__, "{name} must be adaptive or uniform, "
+                                                      "got {value!r}")),
         _PROBLEM["hurst"], _PROBLEM["dim"], _PROBLEM["driver_steps"])),
     "convergence": (cmd_convergence, "dyadic refinement ladder", (
         _SEED, _OUT, _PRESET,
-        ("n0", "convergence", int, 16, None),
-        ("levels", "convergence", int, 6, None),
+        ("n0", "convergence", int, 16, None, _positive_int),
+        ("levels", "convergence", int, 6, None, _positive_int),
         _PROBLEM["hurst"])),
     "fbm": (cmd_fbm, "sample one fractional Brownian path", (
         _SEED, _OUT,
-        ("hurst", "fbm", float, 0.75, None),
-        ("steps", "fbm", int, 1024, None),
-        ("horizon", "fbm", float, 1.0, None))),
+        ("hurst", "fbm", float, 0.75, None, None),  # FbmSpec checks hurst and horizon
+        ("steps", "fbm", int, 1024, None, functools.partial(_positive_int, cap=STEP_CAP)),
+        ("horizon", "fbm", float, 1.0, None, None))),
     "verify": (cmd_verify, "randomized inequality campaigns", (
-        _SEED, _OUT, ("cases", "verify", int, 1000, None))),
+        _SEED, _OUT, ("cases", "verify", int, 1000, None,
+                      _rule(lambda cases: cases >= 0, "{name} must be >= 0")))),
     "pvar": (cmd_pvar, "p-variation seminorm v_p(x)^(1/p) of a CSV path", (
         _OUT,
-        ("input", "pvar", str, None, None),
-        ("p", "pvar", float, 1.0, None),
-        ("a", "pvar", float, None, None),
-        ("b", "pvar", float, None, None))),
+        ("input", "pvar", str, None, None, None),
+        ("p", "pvar", float, 1.0, None,
+         _rule(lambda p: 1.0 <= p < np.inf, "{name} must be finite and >= 1, got {value}")),
+        ("a", "pvar", float, None, None, None),
+        ("b", "pvar", float, None, None, None))),
 }
 
 
@@ -314,16 +326,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="pvreflect",
-        description="reflected differential equations driven by bounded "
-                    "p-variation paths",
-    )
+    parser = _Parser(prog="pvreflect", description="reflected differential equations "
+                                                   "driven by bounded p-variation paths")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, summary, rows) in _COMMANDS.items():
         sp = sub.add_parser(name, help=summary)
         sp.add_argument("--config", help="INI config file; flags override it")
-        for key, _, cast, _, text in rows:
+        for key, _, cast, _, text, _ in rows:
             sp.add_argument(f"--{key}", type=cast, help=text)
         if _PRESET in rows:  # every [problem] key overrides the preset, flag or not
             rows += tuple(_PROBLEM.values())
@@ -334,20 +343,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        cfg = _load_config(args.config, args.rows)
-        settings = _settings(args, cfg, args.rows)
-        # checked once here, before a command opens its output or starts work
-        if _SEED in args.rows:
-            _check_seed("seed", settings["seed"])
-        return args.func(settings)
-    except NoConvergence as exc:
-        print(f"error={type(exc).__name__}", file=sys.stderr)
-        print(str(exc), file=sys.stderr)
-        return 3
+        return args.func(_settings(args, _load_config(args.config, args.rows), args.rows))
     except (PvreflectError, OSError) as exc:
-        print(f"error={type(exc).__name__}", file=sys.stderr)
-        print(str(exc), file=sys.stderr)
-        return 2
+        print(f"error={type(exc).__name__}\n{exc}", file=sys.stderr)
+        return 3 if isinstance(exc, NoConvergence) else 2
 
 
 def console_main() -> None:

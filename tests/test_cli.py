@@ -14,9 +14,9 @@ import pytest
 
 import pvreflect
 from pvreflect import campaigns, cli, read_path_csv, write_path_csv
-from pvreflect.checks import holds_with_slack
 from pvreflect.cli import CORRUPT_ENV, main
 from pvreflect.drivers import FBM_MAX_STEPS
+from pvreflect.errors import PvreflectError
 from pvreflect.pathcore import STEP_CAP
 
 
@@ -280,6 +280,43 @@ def test_fbm_steps_cap_exits_2_before_allocating(tmp_path, capsys):
     assert "error=UsageError" in capsys.readouterr().err
     assert peak < 1 << 20
     assert run_cli(["fbm", "--steps", "1", "--out", str(tmp_path / "y.csv")]) == 0
+
+
+class _Built(Exception):
+    """Raised by a patched `build_problem`: the run got past every check."""
+
+
+def _dimension_args(tmp_path, command, by_config, dimension):
+    if not by_config:
+        return [command, "--preset", "geometric", f"--dimension={dimension}"]
+    cfg = tmp_path / f"d{dimension}.ini"
+    cfg.write_text(f"[problem]\npreset = geometric\ndimension = {dimension}\n")
+    return [command, "--config", str(cfg)]
+
+
+@pytest.mark.parametrize("dimension", [70, 10**8, 2**64])
+@pytest.mark.parametrize("command, by_config", [
+    ("simulate", False), ("simulate", True), ("convergence", True),
+], ids=["simulate-flag", "simulate-config", "convergence-config"])
+def test_dimension_past_the_array_cap_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                              command, by_config, dimension):
+    # 10**8 used to fail in numpy allocating 5.96 TiB, and 2**64 on an array
+    # size, each with a traceback and exit 1; at 70, each sweep's g block of
+    # 2048 x 70 x 70 values is past STEP_CAP, and at 69 it is not
+    def no_problem(*args, **kwargs):
+        raise _Built
+
+    monkeypatch.setattr("pvreflect.cli.build_problem", no_problem)
+    out = tmp_path / "x.csv"
+    argv = _dimension_args(tmp_path, command, by_config, dimension)
+    assert run_cli([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error=UsageError"
+    assert err[1].startswith(f"dimension {dimension} would make an array of ")
+    assert not out.exists()
+    if dimension == 70:  # the positive control: the patch is the one a run reaches
+        with pytest.raises(_Built):
+            run_cli([*_dimension_args(tmp_path, command, by_config, 69), "--out", str(out)])
 
 
 def test_simulate_replicates_workers_identical(tmp_path):
@@ -884,8 +921,8 @@ def test_verify_corrupted_solver_exits_1(tmp_path, monkeypatch):
 
 
 def test_verify_corrupt_control_inflates_every_row_of_every_campaign(tmp_path, monkeypatch):
-    # adding 1 + |lhs| fails a row only where rhs is below the inflated side,
-    # so each row is checked against its clean twin rather than for pass = 0
+    # each left side becomes max(lhs, rhs) + 1 + |lhs| + |rhs|, so every row of
+    # every campaign fails; adding 1 + |lhs| used to fail only 3 of these 24 rows
     tables = {}
     for corrupt in (False, True):
         if corrupt:
@@ -895,14 +932,14 @@ def test_verify_corrupt_control_inflates_every_row_of_every_campaign(tmp_path, m
         assert rc == (1 if corrupt else 0)
         tables[corrupt] = [line.split(",") for line in out.read_text().splitlines()[1:-1]]
     assert {row[-1] for row in tables[False]} == {"1"}
+    assert {row[-1] for row in tables[True]} == {"0"}
     assert {row[0] for row in tables[True]} == {"running_max_contraction",
                                                 "reflection_estimates", "stieltjes_bound"}
     assert [row[:3] for row in tables[True]] == [row[:3] for row in tables[False]]
     for clean, bad in zip(tables[False], tables[True]):
         lhs, rhs = float(clean[3]), float(clean[4])
-        inflated = lhs + 1.0 + abs(lhs)
+        inflated = max(lhs, rhs) + 1.0 + abs(lhs) + abs(rhs)
         assert (float(bad[3]), float(bad[4])) == (inflated, rhs)
-        assert bad[-1] == str(int(holds_with_slack(inflated, rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -968,6 +1005,47 @@ def test_every_setting_reads_the_same_as_flag_and_config_key(tmp_path, command):
 
     assert stable(by_key) == stable(by_flag)
     assert stable(both) == stable(by_flag)
+
+
+#: the typed candidates of each checked setting, as command-line text
+CANDIDATES = {int: ["0", "-1", str(2**64), str(10**400)],
+              float: ["nan", "inf", "-inf", "-1", "0"],
+              str: ["bogus"]}
+
+
+def _checked_rows(command):
+    """Each setting row of ``command`` with a check, once, and whether it has a flag."""
+    rows = cli._build_parser().parse_args([command]).rows
+    return [(row, row in cli._COMMANDS[command][2])
+            for row in dict.fromkeys(rows) if row[-1] is not None]
+
+
+@pytest.mark.parametrize("command", sorted(SETTINGS))
+def test_every_refused_value_of_every_checked_setting_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, command):
+    # each row's own check is the oracle: every candidate it refuses, by flag
+    # and by key, must exit 2 with the class it raises, before any work
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("pvreflect.cli.build_problem", "pvreflect.cli.sample_fbm",
+                 "pvreflect.cli.read_path_csv", "pvreflect.campaigns.iter_campaigns"):
+        monkeypatch.setattr(name, no_work)
+    out, cfg = tmp_path / "x.csv", tmp_path / "bad.ini"
+    for (name, section, cast, _, _, check), flagged in _checked_rows(command):
+        refused = []
+        for text in CANDIDATES[cast]:
+            try:
+                check(name, cast(text))
+            except PvreflectError as exc:
+                refused.append((text, type(exc).__name__))
+        assert refused, f"{command}'s {name} refuses no candidate"
+        for text, error in refused:
+            cfg.write_text(f"[{section}]\n{name} = {text}\n")
+            for argv in [[f"--{name}={text}"]] * flagged + [["--config", str(cfg)]]:
+                assert run_cli([command, *argv, "--out", str(out)]) == 2, argv
+                assert capsys.readouterr().err.splitlines()[0] == f"error={error}"
+                assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
