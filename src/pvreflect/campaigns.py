@@ -42,12 +42,16 @@ __all__ = [
     "stieltjes_bound_campaign",
     "iter_campaigns",
     "CAMPAIGN_CSV_HEADER",
+    "MAX_CASES",
 ]
 
 CAMPAIGN_CSV_HEADER = ["campaign", "case", "check", "lhs", "rhs", "margin", "pass"]
 
 # each campaign's cases draw from their own Philox block, so streams never collide
 _STREAM_BLOCK = 1 << 32
+#: most cases a campaign runs from the CLI: far below ``_STREAM_BLOCK``, so no
+#: case's stream is another campaign's, and about 800k rows (70 MB) of output
+MAX_CASES = 100_000
 
 #: the exponents, dimensions and path sizes the campaigns cycle through
 _P_VALUES = (1.0, 1.5, 2.0, 3.0)

@@ -306,7 +306,8 @@ _COMMANDS = {
         ("horizon", "fbm", float, 1.0, None, None))),
     "verify": (cmd_verify, "randomized inequality campaigns", (
         _SEED, _OUT, ("cases", "verify", int, 1000, None,
-                      _rule(lambda cases: cases >= 0, "{name} must be >= 0")))),
+                      _rule(lambda cases: 0 <= cases <= campaigns.MAX_CASES,
+                            f"{{name}} must be >= 0 and <= {campaigns.MAX_CASES}, got {{value}}")))),
     "pvar": (cmd_pvar, "p-variation seminorm v_p(x)^(1/p) of a CSV path", (
         _OUT,
         ("input", "pvar", str, None, None, None),

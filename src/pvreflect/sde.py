@@ -230,16 +230,18 @@ class _Recursion:
                  step_cap: int) -> None:
         # the one place partitions are built: each from its problem's `_jump_table`
         count, m, partitions, distinct = len(problems), 0, [], {}
+        d = problems[0].dim
         for problem, (times, norms) in zip(problems, tables):
             partition = _partition(problem.horizon, n, np.unique(times[norms > 1.0 / n]), step_cap)
             # problems whose partitions coincide share one array, and so one grid
             partitions.append(distinct.setdefault(partition.tobytes(), partition))
             m = max(m, partition.size)
-            if count * (m - 1) > step_cap:  # before any batch array is allocated
+            # values of a batch array, refused before any is allocated
+            if count * (m - 1) * d > step_cap:
                 raise PartitionOverflow(
-                    f"{count} replicates of up to {m - 1} steps exceed {step_cap}")
+                    f"{count} replicates of up to {m - 1} steps of {d} values exceed {step_cap}")
         self.partitions, self.scheme, self.n = partitions, scheme, n
-        self.coeffs, d = problems[0].coeffs, problems[0].dim
+        self.coeffs = problems[0].coeffs
         sizes = np.array([times.size for times in partitions])
         # replicate r owns rows r * m .. r * m + m - 1; its row j holds x_j, dy_j,
         # and the increments of step j + 1 with the barrier at its end.  The row
@@ -379,7 +381,7 @@ def euler_batch(problems, n: int, scheme: str = "adaptive",
     many sweeps as the longest partition has steps.  Solutions whose
     partitions coincide share one `TimeGrid` object.  Raises
     :class:`PartitionOverflow` before the batch arrays are allocated when R
-    times the longest partition's step count exceeds ``step_cap``, and
+    times the longest partition's step count times d exceeds ``step_cap``, and
     :class:`CoefficientEvaluationFailure` when ``f`` or ``g`` returns the
     wrong shape, or a value that is not finite at a state of a solution,
     where the loop would stop.

@@ -861,6 +861,24 @@ def test_verify_zero_cases_empty_table(tmp_path):
     assert lines[1].startswith("summary")
 
 
+def test_verify_cases_over_the_cap_exit_2_before_any_case(tmp_path, capsys, monkeypatch):
+    # 2^64 cases used to stream rows without end; past the cap a case's
+    # Philox stream could also be another campaign's
+    assert campaigns.MAX_CASES < campaigns._STREAM_BLOCK
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(campaigns, "iter_campaigns", no_work)
+    out = tmp_path / "v.csv"
+    for cases in (campaigns.MAX_CASES + 1, 2**64):
+        assert run_cli(["verify", "--cases", str(cases), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "error=UsageError"
+        assert f"got {cases}" in err[1]
+        assert not out.exists()
+
+
 def test_verify_small_run_passes(tmp_path):
     out = tmp_path / "v.csv"
     rc = run_cli(["verify", "--cases", "20", "--seed", "7", "--out", str(out)])

@@ -40,6 +40,8 @@ from pvreflect.errors import (
 from pvreflect import pathcore
 from pvreflect.cli import main as cli_main
 from pvreflect.drivers import FbmSpec, sample_fbm
+from pvreflect.presets import PROBLEM_PRESETS, build_problem
+from pvreflect.sde import euler_batch
 from pvreflect.pathcore import (
     _CSV_CHUNK_ROWS,
     _PVAR_BLOCK_CELLS,
@@ -437,6 +439,16 @@ def test_pvariation_bound_skips_most_chunks_of_a_long_walk(kept_chunks):
     assert 0 < kept_chunks[0] < 0.06 * kept_chunks[1]
 
 
+def test_pvariation_bound_prunes_the_ensemble_stack(kept_chunks):
+    # the vbar_p_x DP of 16 fbm-reflected solutions at n = 1024 (d = 2, p = 2):
+    # the balls of 16-point chunks keep 19.7% of the (row block, chunk) pairs
+    # there, and those of 32-point chunks 26.3%.  Counts work, times nothing
+    problems = build_problem(PROBLEM_PRESETS["fbm-reflected"], seed=5, replicates=16)
+    solutions = euler_batch(problems, 1024, "adaptive")
+    variation_norms([solution.x for solution in solutions], problems[0].p)
+    assert 0 < kept_chunks[0] < 0.22 * kept_chunks[1]
+
+
 def test_pvariation_stacked_fbm_windows_match_their_lone_pair_kernel(kept_chunks):
     windows = [sample_fbm(FbmSpec(hurst=0.75, steps=1 << 14, seed=seed)).values
                for seed in range(4)]
@@ -665,9 +677,11 @@ def test_three_component_norms_equal_einsum_bit_for_bit(rng):
 
 def _dist_p_from_differences(here, there, p, shape):
     """The DP's distances as they were computed before they were summed in
-    place: the ``(B, D, n, C)`` differences, transposed, into `_increment_norms`."""
+    place: the ``(B, D, n, C)`` differences, transposed, into `_increment_norms`,
+    laid out ``(B, C, n)`` as `_dist_p` returns them."""
     diffs = (here[..., :, None] - there[..., None, :]).transpose(0, 2, 3, 1)
-    return _increment_norms(diffs.reshape(*diffs.shape[:3], *shape), len(shape) == 2) ** p
+    norms = _increment_norms(diffs.reshape(*diffs.shape[:3], *shape), len(shape) == 2) ** p
+    return norms.transpose(0, 2, 1)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -684,7 +698,7 @@ def test_dist_p_in_place_equals_the_difference_tensor_bit_for_bit(d, p, rng):
         there[:, :, 2::9] = here[:, :, :1]
         with np.errstate(under="ignore", over="ignore"):
             got = _dist_p(here, there, p, (d,))
-            assert got.shape == (b, n, c)
+            assert got.shape == (b, c, n)
             assert np.array_equal(got.view(np.int64),
                                   _dist_p_from_differences(here, there, p, (d,)).view(np.int64))
 

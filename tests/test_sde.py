@@ -658,6 +658,15 @@ def test_batch_step_cap_counts_every_replicate():
         euler_batch([prob] * 5, 8, "uniform", step_cap=32)
 
 
+def test_batch_step_cap_counts_every_value_of_a_step():
+    # 100 uniform steps of a d = 2 problem fit a cap of 150 in points, and
+    # their 200 values do not: each batch array holds d values a step
+    prob = fbm_problem(2, d=2, n_driver=64)
+    assert len(euler_batch([prob], 100, "uniform", step_cap=200)) == 1
+    with pytest.raises(PartitionOverflow, match="of 2 values exceed 150"):
+        euler_batch([prob], 100, "uniform", step_cap=150)
+
+
 def test_batch_overflow_raises_before_allocating():
     # each partition has 5000 steps, far below the cap; 2001 of them are not
     prob = fbm_problem(2, n_driver=64)
