@@ -23,35 +23,40 @@ a monotone run only splits an increment into two of the same sign, and
 (Butkus & Norvaisa, "Computation of p-variation", Lith. Math. J. 2018).
 The windows are then padded to the longest with copies of their last point,
 which adds zero increments and so leaves each window's result unchanged, and
-the stack advances a block of ``_PVAR_STACK_ROWS`` rows at a time.  Each
-numpy call computes at most ``_PVAR_BLOCK_CELLS`` point pairs, and the block
-holds rows x (rows + 2) cells per window (69,632 at 64 windows).  Past
-``_PVAR_BOUND_FROM`` earlier points, those come in chunks of 16 with a
-bounding ball (centre ``c``, radius ``rho``; Frobenius for matrices, which
-bounds the operator norm), and the block's rows lie in one ball ``(C, R)``.
-Every candidate of a block row in a chunk is at most the chunk's largest
-``best`` plus ``(|C - c| + R + rho)^p``.  ``best`` never falls along a
-window, so every row of a block starting at ``r0`` ends at least at
+the stack advances a block of rows at a time.  Each numpy call computes at
+most ``_PVAR_BLOCK_CELLS`` point pairs, and the block holds rows x (rows + 2)
+cells per window.  Past a number of earlier points, those come in chunks
+with a bounding ball (centre ``c``, radius ``rho``; Frobenius for matrices,
+which bounds the operator norm), and the block's rows lie in one ball ``(C,
+R)``.  Every candidate of a block row in a chunk is at most the chunk's
+largest ``best`` plus ``(|C - c| + R + rho)^p``.  ``best`` never falls along
+a window, so every row of a block starting at ``r0`` ends at least at
 ``best[r0 - 1]``; a chunk whose bound, raised by a rounding margin, stays
 below that is skipped.  It cannot hold a row's maximum, and every kept cell
-is computed by the same operations, so results are the same to the last bit.
+is computed by the same operations, so results are the same to the last bit,
+whatever the block's rows, the chunk's points and the bound's start.
 
+A routing table picks those three for each stack (`_pvar_block_shape`), and
+the kernel of each window (`_pvar_kernel`).  A stack of short windows takes
+no bound.  A long stack takes 64-row blocks alone, 32 with a few windows and
+16 with 16 or more, and chunks of 8; a matrix stack, whose distances cost an
+SVD each, takes 8-row blocks and chunks of 2, which skip more of them.
 A window alone in its call may take one of two other kernels; a stack keeps
 the kernel above, whose row step serves all its windows at once.  A short
 window of a stack shares the row steps of its first block with the longer
-windows, which costs less than a kernel call of its own.  With at most 128
-points left (``m^2 <= _PVAR_BLOCK_CELLS``), of any value shape, a lone
-window goes to `_pvar_small`: one numpy call computes its distances, and the
-rows advance on Python floats, which costs less than a numpy call per row.
-A scalar window with more than ``_PVAR_BOUND_FROM`` points left takes an
-exact pruned kernel (`_pvar_pairs`), in blocks of ``_PVAR_BLOCK_ROWS`` rows.
-Candidate ``i`` of row ``j`` cannot win when a point ``k`` between has
-``|v_k - v_i| >= |v_j - v_i|`` (so ``best[k] >= best[i] + d(i, j)``) or
-``|v_j - v_k| >= |v_j - v_i|`` (and ``best[k] >= best[i]``), as rounded
-differences and sums, the square root and numpy's power (a test pins it)
-are monotone.  That leaves exactly the ``i`` whose points between lie
-strictly between ``v_i`` and ``v_j``; where those are more than ``m^2 /
-_PVAR_PAIRS_DENSE`` pairs, the window takes the dense kernel after all.
+windows, which costs less than a kernel call of its own.  With at most 56
+points left (128 for a matrix), a lone window goes to `_pvar_small`: one
+numpy call computes its distances, and the rows advance on Python floats,
+which costs less than a numpy call per row.  A scalar window with more than
+``_PVAR_LONG`` points left takes an exact pruned kernel (`_pvar_pairs`), in
+blocks of ``_PVAR_BLOCK_ROWS`` rows.  Candidate ``i`` of row ``j`` cannot win
+when a point ``k`` between has ``|v_k - v_i| >= |v_j - v_i|`` (so ``best[k]
+>= best[i] + d(i, j)``) or ``|v_j - v_k| >= |v_j - v_i|`` (and ``best[k] >=
+best[i]``), as rounded differences and sums, the square root and numpy's
+power (a test pins it) are monotone.  That leaves exactly the ``i`` whose
+points between lie strictly between ``v_i`` and ``v_j``; where those are more
+than ``_PVAR_PAIRS_PER_ROW`` pairs a row, the window takes the dense kernel
+after all.
 
 Input is checked once, where it enters: `make_path`, `make_matrix_path`,
 `read_path_csv`, `TimeGrid` and `Interval` check shapes, finiteness and that
@@ -379,37 +384,74 @@ def _window_values(path, window, include_right: bool = True) -> np.ndarray:
 _PVAR_BLOCK_CELLS = 1 << 14
 #: rows `_pvar_pairs` advances per block
 _PVAR_BLOCK_ROWS = 64
-#: rows `_pvar_stack` advances per block; the rest of the cap goes to
-#: columns.  A short window is padded to its first block, so the block
-#: bounds what it costs to stack it
-_PVAR_STACK_ROWS = 32
 #: most windows advanced together; each holds a block of rows x (rows + 2)
 #: distances while its rows advance
 _PVAR_STACK_WINDOWS = 64
-#: earlier points per ball of the branch and bound.  On `ensemble`'s stacks 16
-#: keeps a quarter fewer chunk cells than 32, which pays only with the reduce
-#: over contiguous rows of `_column_max` (DP time 0.81x; 0.99x along a last axis)
-_PVAR_CHUNK = 16
-#: the bound applies to row blocks with more earlier points than this; with
-#: fewer, computing every pair costs less than bounding them
-_PVAR_BOUND_FROM = 256
 #: absolute slack of the bound: covers squares that underflow in a distance
 #: (at most ``sqrt(D) * 2^-537``) and sums that round in the subnormal range
 _PVAR_BOUND_FLOOR = 2.0 ** -500
 #: distances below this have no square that overflows
 _PVAR_BOUND_REACH = 2.0 ** 510
-#: a scalar window with more than ``m^2 / _PVAR_PAIRS_DENSE`` pairs that can
-#: win goes from `_pvar_pairs` to the dense kernel: measured at 8k to 32k
-#: turns, a pair costs about 12 ns there, the dense kernel 0.5 (8k) to
-#: 0.14 (32k) ns per ``m^2`` on a rising zigzag, where its bound skips most
-#: chunks
-_PVAR_PAIRS_DENSE = 24
+
+# The routing table of the DP: the kernel of each window and the block shape
+# of each stack.  No entry changes a result bit (module docstring); each was
+# kept on the DP's time on its named input, in alternating pairs against the
+# shape or kernel it replaced (CHANGES.md has the numbers).
+
+#: a lone vector window of at most this many points left goes to
+#: `_pvar_small`; a longer one is faster stacked (d = 1 to 3)
+_PVAR_SMALL_VECTOR = 56
+#: the same for a matrix window, whose SVDs dominate: `_pvar_small` takes only
+#: the pairs ``i < j``, and stays the faster up to 128 points
+_PVAR_SMALL_MATRIX = 128
+#: a window of more points left is long: alone and scalar it goes to
+#: `_pvar_pairs`, and a stack of long windows takes the branch and bound
+_PVAR_LONG = 256
+#: a scalar window with more pairs a row that can win goes from `_pvar_pairs`
+#: to the dense kernel: on rising zigzags followed by walks, a pair costs
+#: about 12 ns there, and the dense kernel, whose bound skips most chunks,
+#: about 4-5 us a point, from 1k to 22k turns
+_PVAR_PAIRS_PER_ROW = 200
 
 
-def _pvar_block_shape(m: int) -> tuple[int, int]:
-    """Rows per block of `_pvar_stack` and earlier points per column chunk for ``m`` points."""
+def _costly(shape: tuple[int, ...]) -> bool:
+    """Whether a distance between values of ``shape`` costs an SVD."""
+    return len(shape) == 2 and shape != (1, 1)
+
+
+def _pvar_kernel(count: int, m: int, shape: tuple[int, ...]) -> str:
+    """The kernel of a window of ``m >= 2`` points of value ``shape`` left, in a call of
+    ``count`` windows: ``"pairs"``, ``"small"`` or ``"stack"``."""
+    if count > 1:
+        return "stack"
+    if shape == (1,) and m > _PVAR_LONG:
+        return "pairs"
+    limit = _PVAR_SMALL_MATRIX if _costly(shape) else _PVAR_SMALL_VECTOR
+    return "small" if m <= limit else "stack"
+
+
+def _pvar_pairs_too_many(m: int, pairs: int) -> bool:
+    """Whether a scalar window of ``m`` turns with ``pairs`` pairs that can win goes from
+    `_pvar_pairs` to the dense kernel."""
+    return pairs > _PVAR_PAIRS_PER_ROW * m
+
+
+def _pvar_block_shape(count: int, m: int, shape: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """Block shape of `_pvar_stack` on ``count`` windows of value ``shape``, the longest of ``m``
+    points: rows per block, earlier points per column piece, points per chunk of the branch and
+    bound, and the earlier points past which a row block takes the bound.
+
+    A stack of short windows (`verify`'s) takes no bound.  The bound of a long stack pays more
+    with finer chunks and blocks where a distance costs an SVD.  A long vector stack takes
+    fewer rows the more windows it holds: 64 alone, 32 with 4 and 16 with 16 were measured."""
+    if m <= _PVAR_LONG:
+        rows, chunk, bound_from = 32, 16, m
+    elif _costly(shape):
+        rows, chunk, bound_from = 8, 2, 128
+    else:
+        rows, chunk, bound_from = (64 if count == 1 else 32 if count < 16 else 16), 8, 128
     span = max(m - 1, 1)
-    return min(_PVAR_STACK_ROWS, span), min(_PVAR_BLOCK_CELLS // _PVAR_STACK_ROWS, span)
+    return min(rows, span), min(_PVAR_BLOCK_CELLS // rows, span), chunk, bound_from
 
 
 def _reduce_window(vals: np.ndarray) -> np.ndarray:
@@ -469,8 +511,8 @@ def _chunk_bounds(centre: np.ndarray, radius: np.ndarray, centres: np.ndarray,
 
 
 def _kept_chunks(rows: np.ndarray, best: np.ndarray, centres: np.ndarray, radii: np.ndarray,
-                 p: float) -> np.ndarray:
-    """Mask ``(B, Q)`` of the full chunks of earlier points that a row block may need.
+                 p: float, chunk: int) -> np.ndarray:
+    """Mask ``(B, Q)`` of the full chunks of ``chunk`` earlier points that a row block may need.
 
     ``rows`` ``(B, n, D)`` are the block's points, ``best`` ``(B, r0)`` the
     final ``best`` of the earlier points.  ``best`` never decreases along a
@@ -479,7 +521,7 @@ def _kept_chunks(rows: np.ndarray, best: np.ndarray, centres: np.ndarray, radii:
     with ``best[j] >= best[r0 - 1]``.  A chunk whose bound stays below
     ``best[r0 - 1]`` cannot hold a row's maximum.
     """
-    top = best[:, _PVAR_CHUNK - 1 : radii.shape[1] * _PVAR_CHUNK : _PVAR_CHUNK]
+    top = best[:, chunk - 1 : radii.shape[1] * chunk : chunk]
     return _chunk_bounds(*_balls(rows), centres, radii, top, p) >= best[:, -1:]
 
 
@@ -535,10 +577,10 @@ def _pvar_stack(windows: list[np.ndarray], p: float) -> list[float]:
             flat[b, ends[b] :] = flat[b, ends[b] - 1]
     # one row per component keeps each component's block differences contiguous
     comps = np.ascontiguousarray(flat.transpose(0, 2, 1))
-    if ends[0] > _PVAR_BOUND_FROM:
-        cut = ends[0] // _PVAR_CHUNK * _PVAR_CHUNK
-        centres, radii = _balls(flat[:, :cut].reshape(len(ends), -1, _PVAR_CHUNK, flat.shape[2]))
-    rows, cols = _pvar_block_shape(ends[0])
+    rows, cols, chunk, bound_from = _pvar_block_shape(len(ends), ends[0], shape)
+    if ends[0] > bound_from:
+        cut = ends[0] // chunk * chunk
+        centres, radii = _balls(flat[:, :cut].reshape(len(ends), -1, chunk, flat.shape[2]))
     best = np.zeros(flat.shape[:2])
     live = len(ends)
     for r0 in range(1, ends[0], rows):
@@ -553,15 +595,16 @@ def _pvar_stack(windows: list[np.ndarray], p: float) -> list[float]:
         block[:, 0] = -np.inf
         first = block[:, 0].T
         start = 0
-        if r0 > _PVAR_BOUND_FROM:
+        if r0 > bound_from:
             # kept (window, chunk) pairs in window order: a window's are one run of b
-            full = (r0 - 1) // _PVAR_CHUNK
-            start = full * _PVAR_CHUNK
+            full = (r0 - 1) // chunk
+            start = full * chunk
             wins, chunks = np.nonzero(_kept_chunks(flat[:live, r0:r1], best[:live, :r0],
-                                                   centres[:live, :full], radii[:live, :full], p))
-            pts = comps[:live, :, :start].reshape(live, -1, full, _PVAR_CHUNK)
-            prior = best[:live, :start].reshape(live, full, _PVAR_CHUNK)
-            step = max(cols // _PVAR_CHUNK, 1)
+                                                   centres[:live, :full], radii[:live, :full],
+                                                   p, chunk))
+            pts = comps[:live, :, :start].reshape(live, -1, full, chunk)
+            prior = best[:live, :start].reshape(live, full, chunk)
+            step = max(cols // chunk, 1)
             for k in range(0, wins.size, step):
                 b, q = wins[k : k + step], chunks[k : k + step]
                 top = _column_max(here[b], pts[b, :, q], prior[b, q], p, shape)
@@ -671,7 +714,7 @@ def _pvar_pairs(vals: np.ndarray, p: float) -> float:
     low, inner = lowest[: m - 1], lowest[m - 1 :]
     del table, heads, cut, after, span
     # row j's pairs are its chain's nodes from depth low to depth[j - 1]
-    if int((depth[:-1] - low).sum()) + m - 1 > m * m // _PVAR_PAIRS_DENSE:
+    if _pvar_pairs_too_many(m, int((depth[:-1] - low).sum()) + m - 1):
         return _pvar_stack([vals], p)[0]
     # nodes sorted by depth, kind and index: one depth up is 2m down in key
     keys = (depth * 2 + nodes % 2) * m + nodes
@@ -722,14 +765,14 @@ def _pvar_dp(windows: Sequence[np.ndarray], p: float) -> list[float]:
     ``best[j] = max_{i<j} best[i] + |v_j - v_i|^p`` with ``best[0] = 0``, for
     every window of one value shape.  For p > 1 each window first drops its
     repeated points, and a scalar one keeps only its end points and turns
-    (`_reduce_window`).  A window alone in the call then goes to
-    `_pvar_small` if it has ``m >= 2`` points left with ``m^2 <=
-    _PVAR_BLOCK_CELLS``, and to `_pvar_pairs` if it is scalar with more than
-    ``_PVAR_BOUND_FROM`` points left.  The others are stacked, up to
-    ``_PVAR_STACK_WINDOWS`` and longest first, and advance a block of
-    ``_PVAR_STACK_ROWS`` rows at a time in pieces of at most
-    ``_PVAR_BLOCK_CELLS`` point pairs (`_pvar_stack`): against the chunks of
-    earlier points whose ball bound on the block's ball reaches
+    (`_reduce_window`).  The routing table then sends a window alone in the
+    call with ``m >= 2`` points left to `_pvar_small` if it is short (at most
+    56 points, 128 for a matrix), and to `_pvar_pairs` if it is scalar with
+    more than ``_PVAR_LONG`` points (`_pvar_kernel`).  The others are stacked,
+    up to ``_PVAR_STACK_WINDOWS`` and longest first, and advance a block of
+    rows at a time in pieces of at most ``_PVAR_BLOCK_CELLS`` point pairs
+    (`_pvar_stack`, its block shape from `_pvar_block_shape`): against the
+    chunks of earlier points whose ball bound on the block's ball reaches
     ``best[r0 - 1]`` (`_kept_chunks`), then one row at a time for all
     windows.  Every kernel computes each cell it keeps as a row-by-row loop
     would and skips only cells that cannot hold a row's maximum, so the
@@ -743,11 +786,14 @@ def _pvar_dp(windows: Sequence[np.ndarray], p: float) -> list[float]:
             out[b] = float(np.sum(_increment_norms(np.diff(vals, axis=0), vals.ndim == 3)))
             continue
         vals = _reduce_window(vals)
-        if len(windows) == 1 and vals.shape[1:] == (1,) and vals.shape[0] > _PVAR_BOUND_FROM:
+        if vals.shape[0] < 2:
+            continue
+        kernel = _pvar_kernel(len(windows), vals.shape[0], vals.shape[1:])
+        if kernel == "pairs":
             out[b] = _pvar_pairs(vals, p)
-        elif len(windows) == 1 and 1 < vals.shape[0] ** 2 <= _PVAR_BLOCK_CELLS:
+        elif kernel == "small":
             out[b] = _pvar_small(vals, p)
-        elif vals.shape[0] > 1:
+        else:
             stack.append((b, vals))
     # longest first: the windows still running at a row are a prefix
     stack.sort(key=lambda item: -item[1].shape[0])
@@ -777,12 +823,12 @@ def p_variation(path, p: float, window=None) -> float:
     step paths this equals the supremum over all subdivisions.  For p > 1 the
     window drops repeated points and, if scalar, keeps only its turns, and the
     program skips only candidates that cannot win (module docstring), so the
-    result is exact to the last bit.  Three kernels serve it: up to 128 points
-    left, the rows advance on Python floats; a longer scalar window keeps only
-    the pairs that can win; any other window advances a numpy row at a time.
-    All pairs of points cost O(n^2); a long scalar window keeps 24 pairs a row
-    at 3k turns of fBm, 100 at 95k, and takes the dense kernel where it keeps
-    more than ``n^2 / 24`` pairs.
+    result is exact to the last bit.  Three kernels serve it: up to 56 points
+    left (128 for a matrix), the rows advance on Python floats; a scalar
+    window of more than 256 keeps only the pairs that can win; any other
+    window advances a numpy row at a time.  All pairs of points cost O(n^2);
+    a long scalar window keeps 24 pairs a row at 3k turns of fBm, 100 at 95k,
+    and takes the dense kernel where it keeps more than 200 pairs a row.
     Memory is bounded by ``_PVAR_BLOCK_CELLS`` pairs at a time, plus tables of
     ``O(n log n)`` for a long scalar window.  Degenerate windows yield 0.
     ``p`` must be finite and at least 1.

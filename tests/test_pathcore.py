@@ -45,7 +45,7 @@ from pvreflect.sde import euler_batch
 from pvreflect.pathcore import (
     _CSV_CHUNK_ROWS,
     _PVAR_BLOCK_CELLS,
-    _PVAR_CHUNK,
+    _PVAR_LONG,
     _SVD_BIG,
     _SVD_SMALL,
     _balls,
@@ -277,10 +277,10 @@ def kept_chunks(monkeypatch):
 @pytest.mark.parametrize("shape", [(2,), (3,), (2, 2)])
 @pytest.mark.parametrize("p", [1.5, 2.0])
 def test_pvariation_blocks_match_row_by_row_dp(shape, p, rng, kept_chunks):
-    rows, cols = _pvar_block_shape(10 ** 6)
-    # several row blocks, more earlier points than one column chunk holds,
-    # and row blocks with enough earlier points for the bound
-    m = cols + 2 * rows + 3
+    rows = _pvar_block_shape(1, 10 ** 6, shape)[0]
+    # a long window: row blocks with too few earlier points for the bound,
+    # then several with enough, the last one short
+    m = _PVAR_LONG + 2 * rows + 3
     vals = np.cumsum(rng.normal(size=(m, *shape)), axis=0)
     build = make_path if len(shape) == 1 else make_matrix_path
     path = build(np.arange(m, dtype=float), vals)
@@ -317,8 +317,8 @@ def _with_repeats(rng, m, shape):
 
 @pytest.mark.parametrize("shape", [(2,), (3,), (2, 2)])
 def test_pvariation_drops_repeated_points_exactly(shape, rng):
-    # windows the bound prunes and windows of one row block, with runs of
-    # repeated points, a zero that repeats as -0.0 and a repeated last point
+    # windows the bound prunes and short windows, with runs of repeated
+    # points, a zero that repeats as -0.0 and a repeated last point
     windows = [_with_repeats(rng, m, shape) for m in (420, 90)]
     signed = np.zeros((4, *shape))
     signed[1] = -0.0
@@ -418,22 +418,24 @@ def test_chunk_bounds_cover_every_candidate(shape, p, rng):
     else:
         direction = rng.normal(size=shape[0])
     chunks, rows = 40, 64
-    along = rng.uniform(-1.0, 1.0, size=(chunks * _PVAR_CHUNK, 1))
-    points = rng.normal(size=direction.size) + along * direction
-    here = points[:1] + rng.uniform(2.0, 3.0, size=(rows, 1)) * direction
-    best = np.abs(rng.normal(size=chunks * _PVAR_CHUNK)) + (1.0 - along[:, 0])
-    centres, radii = _balls(points.reshape(chunks, _PVAR_CHUNK, -1))
-    top = best.reshape(chunks, _PVAR_CHUNK).max(axis=1)
-    bound = _chunk_bounds(*_balls(here), centres, radii, top, p)
-    # every candidate as the DP computes it
-    diffs = here[:, None, :] - points[None, :, :]
-    cand = _increment_norms(diffs.reshape(rows, -1, *shape), len(shape) == 2) ** p + best
-    assert (bound >= cand.reshape(rows, chunks, _PVAR_CHUNK).max(axis=2)).all()
+    # every chunk length of the routing table
+    for chunk in sorted({_pvar_block_shape(count, 10 ** 6, shape)[2] for count in (1, 4, 16)}):
+        along = rng.uniform(-1.0, 1.0, size=(chunks * chunk, 1))
+        points = rng.normal(size=direction.size) + along * direction
+        here = points[:1] + rng.uniform(2.0, 3.0, size=(rows, 1)) * direction
+        best = np.abs(rng.normal(size=chunks * chunk)) + (1.0 - along[:, 0])
+        centres, radii = _balls(points.reshape(chunks, chunk, -1))
+        top = best.reshape(chunks, chunk).max(axis=1)
+        bound = _chunk_bounds(*_balls(here), centres, radii, top, p)
+        # every candidate as the DP computes it
+        diffs = here[:, None, :] - points[None, :, :]
+        cand = _increment_norms(diffs.reshape(rows, -1, *shape), len(shape) == 2) ** p + best
+        assert (bound >= cand.reshape(rows, chunks, chunk).max(axis=2)).all()
 
 
 def test_pvariation_bound_skips_most_chunks_of_a_long_walk(kept_chunks):
     # a bound that stops pruning keeps every result but fails here: on this
-    # walk the block balls keep 3.2% of the (row block, chunk) pairs
+    # walk the block balls keep 2.7% of the (row block, chunk) pairs
     walk = np.cumsum(np.random.default_rng(0).normal(size=(8192, 2)), axis=0)
     _pvar_dp([walk], 2.0)
     assert 0 < kept_chunks[0] < 0.06 * kept_chunks[1]
@@ -441,12 +443,13 @@ def test_pvariation_bound_skips_most_chunks_of_a_long_walk(kept_chunks):
 
 def test_pvariation_bound_prunes_the_ensemble_stack(kept_chunks):
     # the vbar_p_x DP of 16 fbm-reflected solutions at n = 1024 (d = 2, p = 2):
-    # the balls of 16-point chunks keep 19.7% of the (row block, chunk) pairs
-    # there, and those of 32-point chunks 26.3%.  Counts work, times nothing
+    # 16-row blocks and the balls of 8-point chunks keep 11.1% of the (row
+    # block, chunk) pairs there, 32-row blocks with 16-point chunks 19.7% and
+    # with 32-point chunks 26.3%.  Counts work, times nothing
     problems = build_problem(PROBLEM_PRESETS["fbm-reflected"], seed=5, replicates=16)
     solutions = euler_batch(problems, 1024, "adaptive")
     variation_norms([solution.x for solution in solutions], problems[0].p)
-    assert 0 < kept_chunks[0] < 0.22 * kept_chunks[1]
+    assert 0 < kept_chunks[0] < 0.13 * kept_chunks[1]
 
 
 def test_pvariation_stacked_fbm_windows_match_their_lone_pair_kernel(kept_chunks):
@@ -459,12 +462,100 @@ def test_pvariation_stacked_fbm_windows_match_their_lone_pair_kernel(kept_chunks
 
 @pytest.mark.parametrize("m", [2, 100, 70_000])
 def test_pvariation_blocks_stay_under_the_cell_cap(m):
-    rows, cols = _pvar_block_shape(m)
     assert _PVAR_BLOCK_CELLS <= 1 << 16
-    # column chunks against earlier points, then the block's own rows plus
-    # one column for the best over earlier points
-    assert rows * cols <= _PVAR_BLOCK_CELLS
-    assert rows * (rows + 1) <= _PVAR_BLOCK_CELLS
+    # every shape the routing table gives a stack of this length
+    for count in (1, 2, 6, 15, 16, pathcore._PVAR_STACK_WINDOWS):
+        for shape in [(1,), (2,), (3,), (1, 1), (2, 2), (3, 3)]:
+            rows, cols, chunk, _ = _pvar_block_shape(count, m, shape)
+            # column pieces against earlier points, pieces of kept chunks,
+            # then the block's own rows plus one column for the best over
+            # earlier points
+            assert rows * cols <= _PVAR_BLOCK_CELLS
+            assert rows * max(cols // chunk, 1) * chunk <= _PVAR_BLOCK_CELLS
+            assert rows * (rows + 1) <= _PVAR_BLOCK_CELLS
+
+
+def _routed_shapes():
+    """Every (rows, chunk, bound start) the routing table gives a stack, and the
+    shape it replaced; a short stack's bound start is its length."""
+    shapes = {(32, 16, 256)}
+    for count in (1, 2, 6, 16, pathcore._PVAR_STACK_WINDOWS):
+        for shape in [(1,), (2,), (3,), (1, 1), (2, 2)]:
+            for m in (_PVAR_LONG, 10 ** 6):
+                rows, _, chunk, bound_from = _pvar_block_shape(count, m, shape)
+                shapes.add((rows, chunk, None if bound_from == m else bound_from))
+    return sorted(shapes, key=str)
+
+
+def test_pvariation_block_shape_never_changes_a_bit(monkeypatch):
+    # stacks of 1, 6 and 16 windows on both sides of the table's lengths: the
+    # small kernel's limits (56, 128), a long window (256) and the bound's
+    # start (128).  Each result equals the row-by-row reference under every
+    # shape the table can give, forced on every stack
+    rng = np.random.default_rng(27)
+    groups = [(57,), (129,), (300,), (300, 257, 256, 129, 57, 2),
+              (270, 257, 200, 129, 128, 60, 57, 56, 40, 33, 32, 17, 9, 3, 2, 1)]
+    # matrix distances cost an SVD: one long window a stack
+    matrix_groups = [(129,), (260,), (260, 129, 128, 57, 56, 2),
+                     (260, 60, 57, 56, 40, 33, 32, 17, 9, 8, 5, 4, 3, 2, 2, 1)]
+    cases = []
+    for shape in [(1,), (2,), (3,), (2, 2)]:
+        for group in matrix_groups if len(shape) == 2 else groups:
+            # a scalar zigzag keeps every point through `_reduce_window`
+            windows = [_zigzag(rng, m) if shape == (1,) else
+                       np.cumsum(rng.normal(size=(m, *shape)), axis=0) for m in group]
+            cases.append((windows, [{p: _pvar_row_by_row(w, p) for p in (1.5, 2.0)}
+                                    for w in windows]))
+    for rows, chunk, bound_from in _routed_shapes():
+        def forced(count, m, shape, rows=rows, chunk=chunk, bound_from=bound_from):
+            span = max(m - 1, 1)
+            return (min(rows, span), min(_PVAR_BLOCK_CELLS // rows, span), chunk,
+                    m if bound_from is None else bound_from)
+
+        monkeypatch.setattr(pathcore, "_pvar_block_shape", forced)
+        for windows, want in cases:
+            for p in (1.5, 2.0):
+                assert _pvar_dp(windows, p) == [w[p] for w in want]
+
+
+@pytest.fixture
+def routed(monkeypatch):
+    """Arguments and answers of the routing table's two functions."""
+    seen = {"kernel": [], "shape": []}
+    for name, key in (("_pvar_kernel", "kernel"), ("_pvar_block_shape", "shape")):
+        def spy(*args, route=getattr(pathcore, name), key=key):
+            seen[key].append((args, route(*args)))
+            return seen[key][-1][1]
+
+        monkeypatch.setattr(pathcore, name, spy)
+    return seen
+
+
+def test_pvariation_routing_table_is_pinned(routed, rng):
+    def walks(count, m, shape):
+        return [np.cumsum(rng.normal(size=(m, *shape)), axis=0) for _ in range(count)]
+
+    # ensemble's vbar_p_x stack, 16 two-dimensional windows of 1,025 points
+    _pvar_dp(walks(16, 1025, (2,)), 2.0)
+    # a lone long two-dimensional walk, as simulate's vbar_p_x at large n
+    _pvar_dp(walks(1, 8192, (2,)), 2.0)
+    # a lone 2 x 2 matrix window
+    _pvar_dp(walks(1, 2000, (2, 2)), 2.0)
+    # a verify-like stack of six short windows
+    _pvar_dp(walks(1, 120, (3,)) + walks(5, 40, (3,)), 1.5)
+    assert [answer for _, answer in routed["shape"]] == [
+        (16, 1024, 8, 128), (64, 256, 8, 128), (8, 1999, 2, 128), (32, 119, 16, 120)]
+    # the kernels: a lone window short enough for `_pvar_small`, one past it
+    for shape, limit in (((2,), 56), ((3,), 56), ((2, 2), 128)):
+        assert pathcore._pvar_kernel(1, limit, shape) == "small"
+        assert pathcore._pvar_kernel(1, limit + 1, shape) == "stack"
+        assert pathcore._pvar_kernel(2, limit, shape) == "stack"
+    assert pathcore._pvar_kernel(1, 56, (1,)) == "small"
+    assert pathcore._pvar_kernel(1, 256, (1,)) == "stack"
+    assert pathcore._pvar_kernel(1, 257, (1,)) == "pairs"
+    assert pathcore._pvar_kernel(2, 257, (1,)) == "stack"
+    assert not pathcore._pvar_pairs_too_many(1000, 200_000)
+    assert pathcore._pvar_pairs_too_many(1000, 200_001)
 
 
 @pytest.fixture
@@ -506,8 +597,8 @@ def _long_scalar_windows(rng):
         "signed-zeros": signed,
         "monotone-runs": np.cumsum(runs * rng.uniform(0.1, 1.0, size=runs.size)),
         # every earlier minimum is a candidate of a maximum, about m^2 / 8
-        # pairs: the window goes to the dense kernel
-        "rising": np.arange(m) + 10.0 * (-1.0) ** np.arange(m),
+        # pairs, 250 a row at 2000 turns: the window goes to the dense kernel
+        "rising": np.arange(2000) + 10.0 * (-1.0) ** np.arange(2000),
         # the same, then a walk: few enough pairs in all to stay, but row
         # blocks past the cap on pairs come in several pieces
         "rising-then-walk": _rising_then_walk(rng)[:, 0],
@@ -520,18 +611,18 @@ def _long_scalar_windows(rng):
 def test_pvariation_pairs_match_row_by_row_dp(kind, p, rng, pair_windows):
     vals = _long_scalar_windows(rng)[kind][:, None]
     reduced = _reduce_window(vals)
-    assert reduced.shape[0] > pathcore._PVAR_BOUND_FROM
+    assert reduced.shape[0] > _PVAR_LONG
     assert _pvar_dp([vals], p) == [_pvar_row_by_row(reduced, p)]
     assert len(pair_windows) == 1 and np.array_equal(pair_windows[0], reduced)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_pvariation_pairs_from_just_past_the_bound(p, rng, pair_windows):
-    for m in (pathcore._PVAR_BOUND_FROM, pathcore._PVAR_BOUND_FROM + 1):
+    for m in (_PVAR_LONG, _PVAR_LONG + 1):
         vals = _zigzag(rng, m)
         assert _reduce_window(vals).shape[0] == m
         assert _pvar_dp([vals], p) == [_pvar_row_by_row(vals, p)]
-    assert len(pair_windows) == 1 and pair_windows[0].shape[0] == pathcore._PVAR_BOUND_FROM + 1
+    assert len(pair_windows) == 1 and pair_windows[0].shape[0] == _PVAR_LONG + 1
 
 
 def test_pvariation_pairs_serve_only_a_lone_long_scalar_window(rng, pair_windows):
@@ -586,7 +677,7 @@ def test_pvariation_pairs_of_a_zigzag_then_walk_come_in_pieces(rng, stack_window
 
 def test_pvariation_pairs_hand_a_rising_zigzag_to_the_dense_kernel(pair_windows, stack_windows):
     # every earlier minimum is a candidate of each maximum: m^2 / 8 pairs,
-    # past the m^2 / 24 that the pruned kernel takes on
+    # 4096 a row, past the 200 a row that the pruned kernel takes on
     k = np.arange(32768)
     vals = (k + 10.0 * (-1.0) ** k)[:, None]
     assert _reduce_window(vals).shape[0] == 32768
@@ -630,28 +721,28 @@ def small_windows(monkeypatch):
     return seen
 
 
-def test_pvariation_small_kernel_serves_only_a_lone_window_of_at_most_128_points(
-        rng, small_windows):
-    assert 128 ** 2 == _PVAR_BLOCK_CELLS
-    # 129 points that `_reduce_window` keeps, scalar, vector and matrix
-    walks = [_zigzag(rng, 129), np.cumsum(rng.normal(size=(129, 2)), axis=0),
-             np.cumsum(rng.normal(size=(129, 2, 2)), axis=0)]
-    for walk in walks:
+def test_pvariation_small_kernel_serves_only_a_lone_window_up_to_its_limit(rng, small_windows):
+    # up to 56 points for a vector window, 128 for a matrix window, counted
+    # after `_reduce_window`, which keeps every point of these: scalar,
+    # vector and matrix
+    walks = [(_zigzag(rng, 129), 56), (np.cumsum(rng.normal(size=(129, 2)), axis=0), 56),
+             (np.cumsum(rng.normal(size=(129, 2, 2)), axis=0), 128)]
+    for walk, limit in walks:
         assert _reduce_window(walk).shape[0] == 129
-        # 129 points alone, windows of a stack, p = 1 and one point take another way
-        _pvar_dp([walk], 2.0)
-        _pvar_dp([walk[:128], walk[:128]], 2.0)
+        # one point more alone, windows of a stack, p = 1 and one point take another way
+        _pvar_dp([walk[: limit + 1]], 2.0)
+        _pvar_dp([walk[:limit], walk[:limit]], 2.0)
         _pvar_dp([walk[:10], walk[:3]], 2.0)
         _pvar_dp([walk[:10]], 1.0)
         _pvar_dp([walk[:1]], 2.0)
         assert small_windows == []
-        for m in (128, 2):
+        for m in (limit, 2):
             assert _pvar_dp([walk[:m]], 2.0) == [_pvar_row_by_row(walk[:m], 2.0)]
             assert len(small_windows) == 1 and small_windows.pop().shape[0] == m
     # the kernel sees the window after repeated points are dropped
-    repeats = np.repeat(walks[1], 2, axis=0)
-    assert _pvar_dp([repeats[:200]], 1.5) == [_pvar_row_by_row(walks[1][:100], 1.5)]
-    assert len(small_windows) == 1 and np.array_equal(small_windows[0], walks[1][:100])
+    repeats = np.repeat(walks[1][0], 2, axis=0)
+    assert _pvar_dp([repeats[:100]], 1.5) == [_pvar_row_by_row(walks[1][0][:50], 1.5)]
+    assert len(small_windows) == 1 and np.array_equal(small_windows[0], walks[1][0][:50])
 
 
 def test_three_component_norms_equal_einsum_bit_for_bit(rng):
