@@ -25,10 +25,9 @@ import collections
 import configparser
 import contextlib
 import dataclasses
-import functools
+import itertools
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from . import campaigns
 from .errors import NoConvergence, PartitionOverflow, PvreflectError
 from .pathcore import (CSV_FLOAT_FORMAT, STEP_CAP, Interval, _chunk_templates, _write_rows,
                        p_variation, read_path_csv, write_path_csv)
-from .drivers import FbmSpec, _check_hurst, _check_seed, sample_fbm
+from .drivers import FBM_MAX_STEPS, FbmSpec, _check_hurst, _check_seed, sample_fbm
 from .presets import PROBLEM_PRESETS, ProblemPreset, build_problem
 from .sde import (_SWEEP_ROWS, Solution, _check_tol, euler_batch, refinement_ladder, solve,
                   with_vbar_p_x)
@@ -81,11 +80,9 @@ def _load_config(path: str | None, rows) -> configparser.ConfigParser:
     return cfg
 
 
-def _positive_int(name: str, value: int, cap: int | None = None) -> None:
+def _positive_int(name: str, value: int) -> None:
     if value < 1:
         raise UsageError(f"{name} must be >= 1, got {value}")
-    if cap is not None and value > cap:
-        raise UsageError(f"{name} must be <= {cap}, got {value}")
 
 
 def _rule(admits, message: str):
@@ -107,7 +104,7 @@ _PRESET = ("preset", "problem", str, "linear-reflected", ", ".join(sorted(PROBLE
 #: and the part names itself, before it samples anything
 _PROBLEM_CHECKS = {
     "dim": _positive_int,
-    "driver_steps": functools.partial(_positive_int, cap=STEP_CAP),
+    "driver_steps": _positive_int,
     "horizon": _rule(lambda h: 0 < h < np.inf, "{name} must be finite and positive, got {value}"),
     # refused for every preset, not only where an fBm driver would refuse it
     "hurst": lambda name, value: _check_hurst(value),
@@ -141,13 +138,23 @@ def _resolve_preset(s: dict) -> ProblemPreset:
     return dataclasses.replace(PROBLEM_PRESETS[s["preset"]], **overrides)
 
 
-def _check_dimension(preset: ProblemPreset, replicates: int, batch: int, steps: int) -> None:
-    """Refuse a dimension d that puts over STEP_CAP values in one array: ``replicates x d``
-    driver paths, ``batch`` partitions of ``steps`` steps or more, or a sweep's g block."""
-    d = preset.dim
-    values = d * max(replicates * preset.driver_steps, batch * steps, max(_SWEEP_ROWS, batch) * d)
+def _check_sizes(preset: ProblemPreset, replicates: int, batch: int, mesh: int, doublings: int,
+                 overflow: type[PvreflectError]) -> None:
+    """The size budget, before any work, in exact integers: ``overflow`` where ``batch``
+    partitions of ``mesh x 2^doublings x horizon`` steps pass STEP_CAP, else `UsageError`
+    where the ``replicates x d`` driver paths, the partition rows of d values or a sweep's
+    g block pass STEP_CAP values.  1100 doublings pass it at any horizon >= 2**-1074."""
+    d, (num, den) = preset.dim, preset.horizon.as_integer_ratio()
+    scaled = (mesh * num) << min(doublings, 1100)  # den x the steps of one partition
+    if batch * scaled > STEP_CAP * den:
+        raise overflow(f"{batch} partition(s) of {mesh} x 2^{doublings} x horizon steps exceed "
+                       f"{STEP_CAP}, horizon={preset.horizon}")
+    rows = scaled // den  # steps of one partition, rounded down
+    values = d * max(replicates * preset.driver_steps, batch * rows, max(_SWEEP_ROWS, batch) * d)
     if values > STEP_CAP:
-        raise UsageError(f"dimension {d} would make an array of {values} values, over {STEP_CAP}")
+        raise UsageError(f"dimension {d} would make an array of {values} values, over {STEP_CAP}: "
+                         f"{replicates} x {preset.driver_steps} driver steps, "
+                         f"{batch} x {rows} partition rows")
 
 
 def _open_out(path: str | None):
@@ -175,19 +182,10 @@ def _write_diagnostics(fh, solution: Solution, replicate: int | None = None) -> 
 
 def cmd_simulate(s: dict) -> int:
     preset, replicates, n, tol = _resolve_preset(s), s["replicates"], s["n"], s["tol"]
-    # a partition has at least n x horizon steps, exact in integers, and a
-    # batch without tol holds every replicate's partition at once
-    num, den = preset.horizon.as_integer_ratio()
-    batch = replicates if tol is None else 1
-    if batch * n * num > STEP_CAP * den:
-        raise PartitionOverflow(f"{batch} partition(s) of n x horizon steps exceed {STEP_CAP}, "
-                                f"got n={n}, horizon={preset.horizon}")
+    # a batch without tol holds every replicate's partition at once
+    _check_sizes(preset, replicates, replicates if tol is None else 1, n, 0, PartitionOverflow)
     if tol is not None and s["scheme"] == "uniform":
         raise UsageError("tol refines the adaptive scheme; it cannot be used with scheme uniform")
-    if replicates * preset.driver_steps > STEP_CAP:
-        raise UsageError(f"replicates x driver-steps must be <= {STEP_CAP}, "
-                         f"got {replicates} x {preset.driver_steps}")
-    _check_dimension(preset, replicates, batch, n * num // den)
     problems = build_problem(preset, seed=s["seed"], replicates=replicates)
     if tol is not None:
         solutions = [solve(problem, tol=tol, n0=n) for problem in problems]
@@ -218,24 +216,13 @@ def cmd_simulate(s: dict) -> int:
 
 def cmd_convergence(s: dict) -> int:
     preset, n0, levels = _resolve_preset(s), s["n0"], s["levels"]
-    # the last level has about n0 * 2**(levels-1) * horizon steps, exact in
-    # integers; as horizon >= 2**-1074, 1100 doublings are over the cap anyway
-    num, den = preset.horizon.as_integer_ratio()
-    if (n0 * num) << min(levels - 1, 1100) > STEP_CAP * den:
-        raise UsageError(f"n0 x 2^(levels-1) x horizon must be <= {STEP_CAP}, "
-                         f"got n0={n0}, levels={levels}, horizon={preset.horizon}")
-    _check_dimension(preset, 1, 1, ((n0 * num) << (levels - 1)) // den)
+    _check_sizes(preset, 1, 1, n0, levels - 1, UsageError)
     (problem,) = build_problem(preset, seed=s["seed"])
     with _open_out(s["out"]) as fh:
-        fh.write("n,gap,runtime_s\n")
-        ladder = refinement_ladder(problem, n0)
-        for _ in range(levels):
-            # each level's time includes its gap to the level before
-            start = time.perf_counter()
-            sol, gap = next(ladder)
-            elapsed = time.perf_counter() - start
-            gap_cell = "" if gap is None else CSV_FLOAT_FORMAT % gap
-            fh.write(f"{sol.n},{gap_cell},{elapsed:.6f}\n")
+        fh.write("n,gap\n")
+        # islice asks the ladder for no level past the last
+        for sol, gap in itertools.islice(refinement_ladder(problem, n0), levels):
+            fh.write(f"{sol.n},{'' if gap is None else CSV_FLOAT_FORMAT % gap}\n")
     return 0
 
 
@@ -302,7 +289,9 @@ _COMMANDS = {
     "fbm": (cmd_fbm, "sample one fractional Brownian path", (
         _SEED, _OUT,
         ("hurst", "fbm", float, 0.75, None, None),  # FbmSpec checks hurst and horizon
-        ("steps", "fbm", int, 1024, None, functools.partial(_positive_int, cap=STEP_CAP)),
+        ("steps", "fbm", int, 1024, None,
+         _rule(lambda steps: 1 <= steps <= FBM_MAX_STEPS,
+               f"{{name}} must be >= 1 and <= {FBM_MAX_STEPS}, got {{value}}")),
         ("horizon", "fbm", float, 1.0, None, None))),
     "verify": (cmd_verify, "randomized inequality campaigns", (
         _SEED, _OUT, ("cases", "verify", int, 1000, None,

@@ -1,16 +1,21 @@
+import contextlib
+import functools
 import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
 import types
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import pvreflect
 from pvreflect import campaigns, cli, read_path_csv, write_path_csv
@@ -18,6 +23,8 @@ from pvreflect.cli import CORRUPT_ENV, main
 from pvreflect.drivers import FBM_MAX_STEPS
 from pvreflect.errors import PvreflectError
 from pvreflect.pathcore import STEP_CAP
+from pvreflect.presets import PROBLEM_PRESETS
+from pvreflect.sde import _SWEEP_ROWS
 
 
 def run_cli(args):
@@ -283,7 +290,32 @@ def test_fbm_steps_cap_exits_2_before_allocating(tmp_path, capsys):
 
 
 class _Built(Exception):
-    """Raised by a patched `build_problem`: the run got past every check."""
+    """Raised by a patched first work call, such as `build_problem`: the run got past
+    every check."""
+
+
+def _built(*args, **kwargs):
+    raise _Built
+
+
+@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+def test_fbm_steps_past_the_sampler_cap_exit_2_before_sampling(tmp_path, capsys, monkeypatch,
+                                                               by_config):
+    # the row's cap is the sampler's, so a value in (2**20, STEP_CAP] reads
+    # UsageError as every larger one does, not the sampler's InvalidParameter
+    monkeypatch.setattr("pvreflect.cli.sample_fbm", _built)
+    out, cfg = tmp_path / "x.csv", tmp_path / "steps.ini"
+    for steps in (FBM_MAX_STEPS + 1, FBM_MAX_STEPS):
+        cfg.write_text(f"[fbm]\nsteps = {steps}\n")
+        argv = ["fbm", "--config", str(cfg)] if by_config else ["fbm", f"--steps={steps}"]
+        if steps == FBM_MAX_STEPS:
+            with pytest.raises(_Built):
+                run_cli([*argv, "--out", str(out)])
+            continue
+        assert run_cli([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error=UsageError", f"steps must be >= 1 and <= {FBM_MAX_STEPS}, got {steps}"]
+        assert not out.exists()
 
 
 def _dimension_args(tmp_path, command, by_config, dimension):
@@ -681,7 +713,7 @@ def test_convergence_constant_preset_all_zero_gaps(tmp_path):
                   "--levels", "4", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "n,gap,runtime_s"
+    assert lines[0] == "n,gap"
     gaps = [float(l.split(",")[1]) for l in lines[2:]]
     assert all(g == 0.0 for g in gaps)
 
@@ -712,8 +744,13 @@ def test_convergence_levels_past_step_cap_exit_2_before_allocating(tmp_path, cap
 
 @pytest.mark.parametrize("levels, rc", [("20", 0), ("21", 2), ("1000000", 2)])
 def test_convergence_levels_bound(tmp_path, monkeypatch, levels, rc):
+    # a run takes exactly its levels from the ladder: one more at --levels 20
+    # would be level 21, past STEP_CAP steps
+    pulls = []
+
     def ladder(problem, n0):
         for level in itertools.count():
+            pulls.append(level)
             yield types.SimpleNamespace(n=n0 * 2**level), None if level == 0 else 0.0
 
     monkeypatch.setattr("pvreflect.cli.refinement_ladder", ladder)
@@ -721,6 +758,15 @@ def test_convergence_levels_bound(tmp_path, monkeypatch, levels, rc):
     assert run_cli(["convergence", "--preset", "geometric", "--n0", "16",
                     "--levels", levels, "--out", str(out)]) == rc
     assert out.exists() == (rc == 0)
+    assert pulls == (list(range(int(levels))) if rc == 0 else [])
+
+
+def test_convergence_writes_the_same_bytes_twice(tmp_path):
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        assert run_cli(["convergence", "--preset", "geometric", "--levels", "4",
+                        "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 #: sha256 of the ``n,gap`` columns of ``convergence`` runs (``runtime_s``,
@@ -1014,15 +1060,8 @@ def test_every_setting_reads_the_same_as_flag_and_config_key(tmp_path, command):
                     *flags, "--out", str(both)]) == 0
     assert not ignored.exists()
 
-    def stable(path):
-        # convergence's runtime_s column is the one that varies between runs
-        data = path.read_bytes()
-        if command == "convergence":
-            return [line.rsplit(b",", 1)[0] for line in data.splitlines()]
-        return data
-
-    assert stable(by_key) == stable(by_flag)
-    assert stable(both) == stable(by_flag)
+    assert by_key.read_bytes() == by_flag.read_bytes()
+    assert both.read_bytes() == by_flag.read_bytes()
 
 
 #: the typed candidates of each checked setting, as command-line text
@@ -1063,6 +1102,223 @@ def test_every_refused_value_of_every_checked_setting_exits_2_before_any_work(
             for argv in [[f"--{name}={text}"]] * flagged + [["--config", str(cfg)]]:
                 assert run_cli([command, *argv, "--out", str(out)]) == 2, argv
                 assert capsys.readouterr().err.splitlines()[0] == f"error={error}"
+                assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the size budget of simulate and convergence
+# ---------------------------------------------------------------------------
+
+def _size_refusal(command, dimension, replicates, driver_steps, mesh, levels, horizon, tol):
+    """The ``error=`` class a run's sizes are refused with, or None: a plain count of
+    each array.  A batch without tol holds every replicate's partition at once, and
+    the last level of ``levels`` has ``mesh x 2^(levels-1) x horizon`` steps or more."""
+    if levels > 1100:  # every horizon is at least 2**-1074, so this is past the cap
+        return "UsageError"
+    batch = replicates if tol is None else 1
+    steps = mesh * 2 ** (levels - 1) * Fraction(horizon)
+    if batch * steps > STEP_CAP:
+        return "PartitionOverflow" if command == "simulate" else "UsageError"
+    arrays = [replicates * dimension * driver_steps,  # the driver paths
+              batch * math.floor(steps) * dimension,  # the partition rows
+              max(_SWEEP_ROWS, batch) * dimension ** 2]  # a sweep's g block
+    return "UsageError" if max(arrays) > STEP_CAP else None
+
+
+@functools.lru_cache(maxsize=None)
+def _divisors(total):
+    small = [k for k in range(1, math.isqrt(total) + 1) if total % k == 0]
+    return sorted(set(small + [total // k for k in small]))
+
+
+_NEAR_CAP = st.sampled_from([STEP_CAP - 1, STEP_CAP, STEP_CAP + 1, STEP_CAP + 2])
+#: dyadic horizons, and 0.1 and 1.5, whose partitions have fractional step counts
+_HORIZONS = st.sampled_from([1.0, 0.5, 2.0, 0.25, 1.5, 0.1, 2.0**-30])
+
+
+@st.composite
+def _sizes(draw, command):
+    """(dimension, replicates, driver-steps, mesh, levels, horizon, tol) with one array,
+    or all of them, drawn at or next to STEP_CAP and the other sizes small."""
+    horizon, target, delta = draw(_HORIZONS), draw(_NEAR_CAP), draw(st.sampled_from([-1, 0, 1]))
+    tol = None if command == "convergence" else draw(st.sampled_from([None, 1e-3]))
+    small = st.integers(1, 4)
+    dim, rep, steps, mesh = draw(small), draw(small), draw(st.integers(1, 64)), draw(small)
+    batch_free = command == "simulate" and tol is None  # replicates set the batch
+
+    def split(total):  # a divisor of total and its cofactor
+        part = draw(st.sampled_from(_divisors(total)))
+        return part, total // part
+
+    array = draw(st.sampled_from(["drivers", "rows", "values", "g", "all"]))
+    if array == "drivers":
+        dim, rest = split(target)
+        rep, steps = split(rest) if command == "simulate" else (1, rest)
+    elif array == "rows":  # batch x mesh x horizon steps
+        total = max(1, math.ceil(target / Fraction(horizon)) + delta)
+        rep, mesh = split(total) if batch_free else (rep, total)
+    elif array == "values":  # batch x floor(mesh x horizon) x d, with d >= 2
+        dim, rest = split(target)
+        dim, rest = (2, target // 2 + delta) if dim == 1 else (dim, rest)
+        rep, rows = split(rest) if batch_free else (rep, rest)
+        mesh = max(1, math.ceil(rows / Fraction(horizon)) + draw(st.sampled_from([-1, 0])))
+    elif array == "g":  # max(_SWEEP_ROWS, batch) x d^2
+        dim = draw(st.sampled_from([1, 2, 10, 50, 69, 70, 3162, 3163]))
+        if batch_free:
+            rep = max(1, target // dim**2 + delta)
+    else:
+        wide = st.integers(1, 2 * STEP_CAP)
+        dim, rep, steps, mesh = draw(small), draw(wide), draw(wide), draw(wide)
+    levels = 1
+    if command == "convergence":  # one replicate; factors of two of the mesh as doublings
+        doublings = draw(st.integers(0, (mesh & -mesh).bit_length() - 1))
+        rep, mesh, levels = 1, mesh >> doublings, doublings + 1
+    return dim, rep, steps, mesh, levels, horizon, tol
+
+
+def _size_argvs(tmp_path, command, dim, rep, steps, mesh, levels, horizon, tol):
+    """The run's settings by flag where a setting has one, and all by INI key."""
+    if command == "simulate":
+        flags = {"replicates": rep, "n": mesh, "dimension": dim, "driver-steps": steps}
+        keys = {"problem": {"n": mesh, "dimension": dim, "driver-steps": steps,
+                            "horizon": horizon}, "run": {"replicates": rep}}
+        if tol is not None:
+            flags["tol"] = keys["problem"]["tol"] = tol
+    else:
+        flags = {"n0": mesh, "levels": levels}
+        keys = {"problem": {"dimension": dim, "driver-steps": steps, "horizon": horizon},
+                "convergence": flags}
+    by_flag, by_key = tmp_path / "flag.ini", tmp_path / "key.ini"
+    by_flag.write_text("[problem]\n" + "".join(
+        f"{name} = {value!r}\n" for name, value in keys["problem"].items()
+        if name not in flags))
+    by_key.write_text("".join(f"[{section}]\n" + "".join(
+        f"{name} = {value!r}\n" for name, value in rows.items())
+        for section, rows in keys.items()))
+    return ([command, "--config", str(by_flag)] + [f"--{k}={v!r}" for k, v in flags.items()],
+            [command, "--config", str(by_key)])
+
+
+#: (command, sizes) that put each array at exactly STEP_CAP and at STEP_CAP + 1;
+#: sizes are (dimension, replicates, driver-steps, n or n0, levels, horizon, tol)
+_AT_THE_CAP = [
+    # the driver paths: 5 x 2 x 10**6, and 11 x 909,091
+    ("simulate", (2, 5, STEP_CAP // 10, 1, 1, 1.0, None)),
+    ("simulate", (11, 1, 909_091, 1, 1, 1.0, None)),
+    ("convergence", (2, 1, STEP_CAP // 2, 1, 1, 1.0, None)),
+    ("convergence", (11, 1, 909_091, 1, 1, 1.0, None)),
+    # the partitions' steps: 4 x 2.5M at horizon 1, and 2 x (CAP + 1) x 1/2
+    ("simulate", (1, 4, 1, STEP_CAP // 4, 1, 1.0, None)),
+    ("simulate", (1, 2, 1, STEP_CAP + 1, 1, 0.5, None)),
+    ("simulate", (1, 3, 1, STEP_CAP + 1, 1, 1.0, 1e-3)),
+    ("convergence", (1, 1, 5**7, 5**7, 8, 1.0, None)),
+    ("convergence", (1, 1, 1, STEP_CAP + 1, 2, 0.5, None)),
+    # the partition rows of d values: batch x floor(n x horizon) x d, where
+    # 2 x floor(1,666,667 x 1.5) x 2 is the cap and floor(2 x 1,666,667 x 1.5) x 2 not
+    ("simulate", (2, 1, 1, STEP_CAP // 2, 1, 1.0, None)),
+    ("simulate", (2, 2, 1, 1_666_667, 1, 1.5, None)),
+    ("simulate", (11, 1, 1, 909_091, 1, 1.0, None)),
+    ("convergence", (2, 1, 1, 5**7, 7, 1.0, None)),
+    ("convergence", (11, 1, 1, 909_091, 1, 1.0, None)),
+    # a sweep's g block: 4000 x 50^2 and 4001 x 50^2 (no square divides CAP + 1),
+    # CAP + 1 replicates of one component, and 2048 x d^2 on each side of the cap
+    ("simulate", (50, 4000, 1, 1, 1, 1.0, None)),
+    ("simulate", (50, 4001, 1, 1, 1, 1.0, None)),
+    ("simulate", (1, STEP_CAP + 1, 1, 1, 1, 2.0**-30, None)),
+    ("simulate", (69, 1, 1, 1, 1, 1.0, None)),
+    ("convergence", (70, 1, 1, 1, 1, 1.0, None)),
+    # two arrays past the cap: the partitions' class wins
+    ("simulate", (1, 1, STEP_CAP + 1, STEP_CAP + 1, 1, 1.0, None)),
+    ("simulate", (1, 2, STEP_CAP // 2 + 1, STEP_CAP, 1, 1.0, None)),
+]
+
+
+def _at_the_cap(test):
+    for run in _AT_THE_CAP:
+        test = example(run=run)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(run=st.sampled_from(["simulate", "convergence"]).flatmap(
+    lambda command: st.tuples(st.just(command), _sizes(command))))
+@_at_the_cap
+def test_size_budget_refuses_exactly_the_runs_whose_arrays_pass_the_cap(tmp_path_factory, run):
+    # the sizes are drawn at or next to STEP_CAP for one of the arrays, and
+    # set by flag and by INI key; the plain count above is the oracle of the
+    # budget, for its refusals and their classes
+    command, sizes = run
+    refusal = _size_refusal(command, *sizes)
+    tmp_path = tmp_path_factory.mktemp("sizes")
+    out = tmp_path / "x.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("pvreflect.cli.build_problem", _built)
+        for argv in _size_argvs(tmp_path, command, *sizes):
+            if refusal is None:
+                with pytest.raises(_Built):
+                    run_cli([*argv, "--out", str(out)])
+                continue
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert run_cli([*argv, "--out", str(out)]) == 2, argv
+            assert err.getvalue().splitlines()[0] == f"error={refusal}", argv
+            assert not out.exists()
+
+
+#: one value each checked setting admits, as command-line text
+VALID = {"seed": "5", "preset": "geometric", "replicates": "3", "workers": "2", "n": "16",
+         "tol": "1e-3", "scheme": "uniform", "hurst": "0.7", "dimension": "2",
+         "driver-steps": "64", "horizon": "2", "n0": "8", "levels": "3", "steps": "64",
+         "cases": "2", "p": "2"}
+#: each command's first work call, which a run reaches once every check passed
+FIRST_WORK = {"simulate": "pvreflect.cli.build_problem",
+              "convergence": "pvreflect.cli.build_problem",
+              "fbm": "pvreflect.cli.sample_fbm", "verify": "pvreflect.campaigns.iter_campaigns",
+              "pvar": "pvreflect.cli.read_path_csv"}
+
+
+def _size_refusal_of(command, name, value):
+    """`_size_refusal` of a run at its defaults with ``name`` set to ``value``."""
+    if command not in ("simulate", "convergence"):
+        return None
+    preset = PROBLEM_PRESETS[value if name == "preset" else "linear-reflected"]
+    sizes = {"dimension": preset.dim, "replicates": 1, "driver-steps": preset.driver_steps,
+             "n": 256, "n0": 16, "levels": 6 if command == "convergence" else 1,
+             "horizon": preset.horizon, "tol": None, name: value}
+    return _size_refusal(command, sizes["dimension"], sizes["replicates"],
+                         sizes["driver-steps"], sizes["n" if command == "simulate" else "n0"],
+                         sizes["levels"], sizes["horizon"], sizes["tol"])
+
+
+@pytest.mark.parametrize("command", sorted(SETTINGS))
+def test_every_admitted_value_of_every_checked_setting_reaches_the_first_work(
+        tmp_path, capsys, monkeypatch, command):
+    # the valid half of the test above and of the refused-value test: a value
+    # its row admits is refused only by the size budget, and otherwise the run
+    # reaches its command's first work call
+    monkeypatch.setattr(FIRST_WORK[command], _built)
+    base = ["pvar", "--input", ZIGZAG] if command == "pvar" else [command]
+    out, cfg = tmp_path / "x.csv", tmp_path / "ok.ini"
+    for (name, section, cast, _, _, check), flagged in _checked_rows(command):
+        admitted = []
+        for text in CANDIDATES[cast] + [VALID[name]]:
+            try:
+                check(name, cast(text))
+            except PvreflectError:
+                continue
+            admitted.append(text)
+        assert VALID[name] in admitted
+        for text in admitted:
+            refusal = _size_refusal_of(command, name, cast(text))
+            cfg.write_text(f"[{section}]\n{name} = {text}\n")
+            for argv in [[f"--{name}={text}"]] * flagged + [["--config", str(cfg)]]:
+                if refusal is None:
+                    with pytest.raises(_Built):
+                        run_cli([*base, *argv, "--out", str(out)])
+                    out.unlink(missing_ok=True)  # verify opens its output first
+                    continue
+                assert run_cli([*base, *argv, "--out", str(out)]) == 2, argv
+                assert capsys.readouterr().err.splitlines()[0] == f"error={refusal}"
                 assert not out.exists()
 
 
