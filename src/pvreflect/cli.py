@@ -34,11 +34,10 @@ import numpy as np
 from . import campaigns
 from .errors import NoConvergence, PartitionOverflow, PvreflectError
 from .pathcore import (CSV_FLOAT_FORMAT, STEP_CAP, Interval, _chunk_templates, _write_rows,
-                       p_variation, read_path_csv, write_path_csv)
+                       p_variation, read_path_csv, variation_norms, write_path_csv)
 from .drivers import FBM_MAX_STEPS, FbmSpec, _check_hurst, _check_seed, sample_fbm
 from .presets import PROBLEM_PRESETS, ProblemPreset, build_problem
-from .sde import (_SWEEP_ROWS, Solution, _check_tol, euler_batch, refinement_ladder, solve,
-                  with_vbar_p_x)
+from .sde import _SWEEP_ROWS, Solution, _check_tol, euler_batch, refinement_ladder, solve
 
 __all__ = ["main", "console_main"]
 
@@ -169,11 +168,12 @@ def _solution_header(dim: int, with_rep: bool) -> str:
     return ",".join(prefix + ["t"] + cols)
 
 
-def _write_diagnostics(fh, solution: Solution, replicate: int | None = None) -> None:
+def _write_diagnostics(fh, solution: Solution, vbar_p_x: float, replicate: int | None) -> None:
     tag = f" rep={replicate}" if replicate is not None else ""
     fh.write(f"#{tag} scheme={solution.scheme} n={solution.n}\n")
-    for key in sorted(solution.diagnostics):
-        fh.write(f"#{tag} {key}={CSV_FLOAT_FORMAT % solution.diagnostics[key]}\n")
+    diagnostics = dict(solution.diagnostics, vbar_p_x=vbar_p_x)
+    for key in sorted(diagnostics):
+        fh.write(f"#{tag} {key}={CSV_FLOAT_FORMAT % diagnostics[key]}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,10 @@ def cmd_simulate(s: dict) -> int:
         solutions = [solve(problem, tol=tol, n0=n) for problem in problems]
     else:
         solutions = euler_batch(problems, n, s["scheme"])
-    solutions = with_vbar_p_x(solutions, problems[0].p)
+    # the schemes leave the variation norm of x out, because `solve` discards
+    # every level but the last: it is computed only for the solutions written,
+    # in one stacked p-variation DP
+    norms = variation_norms([sol.x for sol in solutions], problems[0].p)
     # a single replicate is written without the rep column and tags
     tags = [None] if replicates == 1 else range(replicates)
     # replicates on one partition share its grid, whose time text is formatted
@@ -209,8 +212,8 @@ def cmd_simulate(s: dict) -> int:
             if id(grid) not in templates:
                 templates[id(grid)] = _chunk_templates(grid.times, cells.shape[1])
             _write_rows(fh, cells, prefix, templates[id(grid)])
-        for rep, sol in zip(tags, solutions):
-            _write_diagnostics(fh, sol, replicate=rep)
+        for rep, sol, norm in zip(tags, solutions, norms):
+            _write_diagnostics(fh, sol, norm, rep)
     return 0
 
 

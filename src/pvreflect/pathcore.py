@@ -356,6 +356,17 @@ def _increment_norms(diffs: np.ndarray, matrix: bool = False) -> np.ndarray:
     return np.sqrt(squares)
 
 
+def _largest_norm(vectors: np.ndarray) -> float:
+    """The largest Euclidean norm of stacked vectors, 0 on none.  Vectors whose
+    largest ``|component|`` lies outside [2^-500, 2^500] are first scaled by a
+    power of two, exactly, so that no square overflows or underflows."""
+    top = float(np.abs(vectors).max(initial=0.0))
+    if top == 0.0 or 2.0**-500 <= top <= 2.0**500 or not math.isfinite(top):
+        return float(_increment_norms(vectors).max(initial=0.0))
+    exp = math.frexp(top)[1]
+    return math.ldexp(float(_increment_norms(np.ldexp(vectors, -exp)).max()), exp)
+
+
 def _resolve_window(path, window) -> tuple[float, float]:
     if window is None:
         return 0.0, max(path.end_time, 0.0)
@@ -683,9 +694,9 @@ def _pvar_pairs(vals: np.ndarray, p: float) -> float:
     a block at a time: a stack of those last nodes gives the pairs from
     before the block in pieces of ``_PVAR_BLOCK_CELLS``, one maximum per row;
     then each row adds its few pairs inside the block one by one.  A window
-    with more than ``m^2 / _PVAR_PAIRS_DENSE`` pairs, such as a rising zigzag
-    whose every earlier minimum is a candidate of each maximum, goes to the
-    dense kernel instead.
+    with more than ``_PVAR_PAIRS_PER_ROW`` pairs a row (`_pvar_pairs_too_many`),
+    such as a rising zigzag whose every earlier minimum is a candidate of each
+    maximum, goes to the dense kernel instead.
     """
     v, m = vals[:, 0], vals.shape[0]
     nodes = np.arange(m)
@@ -910,8 +921,7 @@ def oscillation(path: StepPath, window=None) -> float:
 
 def sup_norm(path: StepPath, window=None) -> float:
     """``sup_t |x_t|`` (Euclidean) over the window."""
-    vals = _window_values(path, window)
-    return float(_increment_norms(vals).max())
+    return _largest_norm(_window_values(path, window))
 
 
 def sup_distance(path: StepPath, other: StepPath, window=None) -> float:
@@ -927,8 +937,7 @@ def sup_distance(path: StepPath, other: StepPath, window=None) -> float:
 STEP_CAP = 10_000_000
 
 
-def jump_adapted_times(horizon: float, n: float, jumps: np.ndarray,
-                       step_cap: int = STEP_CAP) -> np.ndarray:
+def jump_adapted_times(horizon: float, n: float, jumps: np.ndarray) -> np.ndarray:
     """0, the ``jumps``, and the mesh points ``base + j/n`` between them.
 
     ``jumps`` are sorted, distinct times in ``(0, horizon]``.  After each
@@ -937,7 +946,7 @@ def jump_adapted_times(horizon: float, n: float, jumps: np.ndarray,
     accumulated sums, so with no jumps the points are exactly ``j/n``.  The
     horizon itself is not appended.  Each segment's count is estimated in
     float as ``ceil((next - base) * n) - 1`` and corrected until stable, so
-    :class:`PartitionOverflow` (more than ``step_cap`` points) is raised
+    :class:`PartitionOverflow` (more than `STEP_CAP` points) is raised
     before any array of that size is built.
     """
     bases = np.concatenate(([0.0], jumps))
@@ -948,8 +957,8 @@ def jump_adapted_times(horizon: float, n: float, jumps: np.ndarray,
         total = float(estimate.sum())
     # rounding of base + j/n can at most halve a count: past this, no
     # correction brings the partition back under the cap (NaN fails too)
-    if not total <= 3.0 * (step_cap + bases.size):
-        raise PartitionOverflow(f"partition exceeds {step_cap} points")
+    if not total <= 3.0 * (STEP_CAP + bases.size):
+        raise PartitionOverflow(f"partition exceeds {STEP_CAP} points")
     counts = estimate.astype(np.int64)
     while True:
         grow = bases + (counts + 1) / n < limits
@@ -958,8 +967,8 @@ def jump_adapted_times(horizon: float, n: float, jumps: np.ndarray,
             break
         counts += grow
         counts -= shrink
-    if bases.size + counts.sum() > step_cap:
-        raise PartitionOverflow(f"partition exceeds {step_cap} points")
+    if bases.size + counts.sum() > STEP_CAP:
+        raise PartitionOverflow(f"partition exceeds {STEP_CAP} points")
     # segment s holds its base (j = 0) and then j = 1 .. counts[s]
     sizes = counts + 1
     segment = np.repeat(np.arange(bases.size), sizes)

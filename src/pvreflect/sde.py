@@ -55,8 +55,8 @@ from .errors import (
     PartitionOverflow,
 )
 from .pathcore import (STEP_CAP, StepPath, TimeGrid, _check_count, _check_p, _derived,
-                       _increment_norms, _locate, jump_adapted_times, sup_norm,
-                       variation_norm, variation_norms)
+                       _increment_norms, _largest_norm, _locate, jump_adapted_times, sup_norm,
+                       variation_norm)
 from .skorokhod import Reflection
 
 __all__ = [
@@ -69,7 +69,6 @@ __all__ = [
     "refinement_ladder",
     "solve",
     "solution_gap",
-    "with_vbar_p_x",
     "a_priori_check",
 ]
 
@@ -168,8 +167,8 @@ def _jump_table(problem: Problem) -> tuple[np.ndarray, np.ndarray]:
     return times[keep], np.concatenate([_increment_norms(d) for _, d in jumps])[keep]
 
 
-def _partition(horizon: float, n: int, jumps: np.ndarray, step_cap: int) -> np.ndarray:
-    times = jump_adapted_times(horizon, n, jumps, step_cap)
+def _partition(horizon: float, n: int, jumps: np.ndarray) -> np.ndarray:
+    times = jump_adapted_times(horizon, n, jumps)
     return np.append(times, horizon) if times[-1] < horizon else times
 
 
@@ -226,20 +225,19 @@ class _Recursion:
     recursion keeps its guesses and resumes with the sweeps it would have made.
     """
 
-    def __init__(self, problems: list[Problem], tables, scheme: str, n: int,
-                 step_cap: int) -> None:
+    def __init__(self, problems: list[Problem], tables, scheme: str, n: int) -> None:
         # the one place partitions are built: each from its problem's `_jump_table`
         count, m, partitions, distinct = len(problems), 0, [], {}
         d = problems[0].dim
         for problem, (times, norms) in zip(problems, tables):
-            partition = _partition(problem.horizon, n, np.unique(times[norms > 1.0 / n]), step_cap)
+            partition = _partition(problem.horizon, n, np.unique(times[norms > 1.0 / n]))
             # problems whose partitions coincide share one array, and so one grid
             partitions.append(distinct.setdefault(partition.tobytes(), partition))
             m = max(m, partition.size)
             # values of a batch array, refused before any is allocated
-            if count * (m - 1) * d > step_cap:
+            if count * (m - 1) * d > STEP_CAP:
                 raise PartitionOverflow(
-                    f"{count} replicates of up to {m - 1} steps of {d} values exceed {step_cap}")
+                    f"{count} replicates of up to {m - 1} steps of {d} values exceed {STEP_CAP}")
         self.partitions, self.scheme, self.n = partitions, scheme, n
         self.coeffs = problems[0].coeffs
         sizes = np.array([times.size for times in partitions])
@@ -368,8 +366,7 @@ class _Recursion:
         return solutions
 
 
-def euler_batch(problems, n: int, scheme: str = "adaptive",
-                step_cap: int = STEP_CAP) -> list[Solution]:
+def euler_batch(problems, n: int, scheme: str = "adaptive") -> list[Solution]:
     """One Euler recursion for several problems; one `Solution` per problem.
 
     Each problem runs on its own partition of ``scheme`` (``"adaptive"`` or
@@ -381,7 +378,7 @@ def euler_batch(problems, n: int, scheme: str = "adaptive",
     many sweeps as the longest partition has steps.  Solutions whose
     partitions coincide share one `TimeGrid` object.  Raises
     :class:`PartitionOverflow` before the batch arrays are allocated when R
-    times the longest partition's step count times d exceeds ``step_cap``, and
+    times the longest partition's step count times d exceeds `STEP_CAP`, and
     :class:`CoefficientEvaluationFailure` when ``f`` or ``g`` returns the
     wrong shape, or a value that is not finite at a state of a solution,
     where the loop would stop.
@@ -399,7 +396,7 @@ def euler_batch(problems, n: int, scheme: str = "adaptive",
     if any(problem.dim != d for problem in problems):
         raise DimensionMismatch("every problem of a batch must have one dimension")
     tables = (_jump_table(p) if scheme == "adaptive" else (np.empty(0),) * 2 for p in problems)
-    return _Recursion(problems, tables, scheme, n, step_cap).solutions()
+    return _Recursion(problems, tables, scheme, n).solutions()
 
 
 def euler_uniform(problem: Problem, n: int) -> Solution:
@@ -407,22 +404,21 @@ def euler_uniform(problem: Problem, n: int) -> Solution:
     return euler_batch([problem], n, "uniform")[0]
 
 
-def euler_adaptive(problem: Problem, n: int, step_cap: int = STEP_CAP) -> Solution:
+def euler_adaptive(problem: Problem, n: int) -> Solution:
     """Euler scheme on the jump-adaptive partition.
 
     The partition advances by mesh 1/n but stops exactly at every jump of
     ``a``, ``z`` or ``l`` whose size exceeds 1/n, so large jumps are applied
     in a single step.  With no such jumps it coincides with the uniform grid.
     Raises :class:`PartitionOverflow` when it would have more than
-    ``step_cap`` points before the horizon.
+    `STEP_CAP` points before the horizon.
     """
-    return euler_batch([problem], n, "adaptive", step_cap)[0]
+    return euler_batch([problem], n, "adaptive")[0]
 
 
 def _sup_gap(fine_x, fine_k, coarse_x, coarse_k) -> float:
     """The largest norm of the differences of x and of k, 0 on no points."""
-    return max(float(_increment_norms(fine_x - coarse_x).max(initial=0.0)),
-               float(_increment_norms(fine_k - coarse_k).max(initial=0.0)))
+    return max(_largest_norm(fine_x - coarse_x), _largest_norm(fine_k - coarse_k))
 
 
 def solution_gap(fine: Solution, coarse: Solution) -> float:
@@ -431,21 +427,7 @@ def solution_gap(fine: Solution, coarse: Solution) -> float:
     return _sup_gap(fine.x.eval(ts), fine.k.eval(ts), coarse.x.values, coarse.k.values)
 
 
-def with_vbar_p_x(solutions, p: float) -> list[Solution]:
-    """The solutions with ``vbar_p_x``, the variation norm of x, in their diagnostics.
-
-    One stacked p-variation DP serves every solution.  The schemes leave the
-    norm out, because `solve` discards every level but the last and a
-    refinement ladder reports none; callers compute it only for the
-    solutions they report.
-    """
-    solutions = list(solutions)
-    norms = variation_norms([solution.x for solution in solutions], p)
-    return [replace(solution, diagnostics=dict(solution.diagnostics, vbar_p_x=norm))
-            for solution, norm in zip(solutions, norms)]
-
-
-def _walk(problem: Problem, n0: int, tol: float, step_cap: int):
+def _walk(problem: Problem, n0: int, tol: float):
     """Yield ``(level, gap)``: `_Recursion`s of the adaptive scheme at n0, 2*n0,
     ... on one jump table, each built when asked for, n0 unswept with gap
     ``None``.  Each finer level is swept only as far as its Cauchy gap, folded
@@ -453,10 +435,10 @@ def _walk(problem: Problem, n0: int, tol: float, step_cap: int):
     next level's coarse one, paused."""
     _check_count("n0", n0)
     tables = [_jump_table(problem)]
-    coarse = _Recursion([problem], tables, "adaptive", n0, step_cap)
+    coarse = _Recursion([problem], tables, "adaptive", n0)
     yield coarse, None
     for doubling in itertools.count(1):
-        fine = _Recursion([problem], tables, "adaptive", n0 * 2**doubling, step_cap)
+        fine = _Recursion([problem], tables, "adaptive", n0 * 2**doubling)
         ft, ct = fine.partitions[0], coarse.partitions[0]
         gap, folded, rows = 0.0, 0, 1
         # the fine level doubles its committed rows between folds; a coarse point
@@ -475,12 +457,12 @@ def _walk(problem: Problem, n0: int, tol: float, step_cap: int):
         coarse = fine
 
 
-def refinement_ladder(problem: Problem, n0: int, step_cap: int = STEP_CAP):
+def refinement_ladder(problem: Problem, n0: int):
     """Yield ``(solution, gap)`` for the adaptive scheme at n0, 2*n0, 4*n0, ...:
     `_walk` with no tolerance, each level swept to its end when it is asked for,
     so the `euler_adaptive` solutions and their `solution_gap`s (``None`` at n0)."""
     # a level's folds stop early here only at an infinite gap, its gap over all points
-    for level, gap in _walk(problem, n0, math.inf, step_cap):
+    for level, gap in _walk(problem, n0, math.inf):
         yield level.solutions()[0], gap
 
 
@@ -489,8 +471,11 @@ def _check_tol(tol: float) -> None:
         raise InvalidParameter("tol must be >= 0")
 
 
-def solve(problem: Problem, tol: float, n0: int,
-          max_doublings: int = 14, step_cap: int = STEP_CAP) -> Solution:
+#: the most doublings `solve` refines past n0 before it gives up
+MAX_DOUBLINGS = 14
+
+
+def solve(problem: Problem, tol: float, n0: int) -> Solution:
     """Adaptive scheme with a posteriori refinement control.
 
     Returns the first level of `refinement_ladder` past n0 whose Cauchy gap,
@@ -499,17 +484,16 @@ def solve(problem: Problem, tol: float, n0: int,
     its first point where the gap is not below ``tol`` (`refine`'s 8 levels
     take 101 sweeps, not 150), so `CoefficientEvaluationFailure` and
     `NonFiniteValue` come only from rows the walk commits.  Raises
-    :class:`NoConvergence` after ``max_doublings`` refinements (an integer
-    >= 1), which signals non-regular coefficients or an unreachable tolerance.
+    :class:`NoConvergence` after `MAX_DOUBLINGS` refinements, which signals
+    non-regular coefficients or an unreachable tolerance.
     """
     _check_tol(tol)
-    _check_count("max_doublings", max_doublings)
-    for doubling, (fine, gap) in zip(range(max_doublings + 1), _walk(problem, n0, tol, step_cap)):
+    for doubling, (fine, gap) in zip(range(MAX_DOUBLINGS + 1), _walk(problem, n0, tol)):
         if doubling and gap < tol:
             (solution,) = fine.solutions()
             return replace(solution, diagnostics=dict(solution.diagnostics, cauchy_gap=gap))
     raise NoConvergence(
-        f"no Cauchy gap below {tol} within {max_doublings} doublings from n0={n0}"
+        f"no Cauchy gap below {tol} within {MAX_DOUBLINGS} doublings from n0={n0}"
     )
 
 

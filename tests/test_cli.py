@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pvreflect
-from pvreflect import campaigns, cli, read_path_csv, write_path_csv
+from pvreflect import campaigns, cli, make_path, read_path_csv, variation_norm, write_path_csv
 from pvreflect.cli import CORRUPT_ENV, main
 from pvreflect.drivers import FBM_MAX_STEPS
 from pvreflect.errors import PvreflectError
@@ -411,6 +411,29 @@ def test_simulate_shared_and_distinct_partition_bytes_are_golden(tmp_path, case)
     assert len({tuple(column) for column in times.values()}) == partitions
 
 
+@pytest.mark.parametrize("replicates", [1, 4])
+def test_simulate_vbar_p_x_footer_is_the_norm_of_the_written_x(tmp_path, replicates):
+    # the GOLDEN_PARTITIONS "distinct" run, and its first replicate alone
+    args = GOLDEN_PARTITIONS["distinct"][0] + ["--replicates", str(replicates)]
+    out = tmp_path / "sim.csv"
+    assert run_cli(["simulate", *args, "--out", str(out)]) == 0
+    rows, footer = {}, {}
+    for line in out.read_text().splitlines()[1:]:
+        if line.startswith("#"):
+            *tag, pair = line[2:].split(" ")
+            footer.setdefault(tuple(tag), {}).update([pair.split("=")])
+        else:
+            fields = [float(v) for v in line.split(",")]
+            rep = () if replicates == 1 else (f"rep={int(fields.pop(0))}",)
+            rows.setdefault(rep, []).append(fields[:3])
+    assert len(rows) == replicates
+    p = PROBLEM_PRESETS["fbm-reflected"].p
+    for tag, cells in rows.items():
+        cells = np.array(cells)
+        norm = variation_norm(make_path(cells[:, 0], cells[:, 1:]), p)
+        assert footer[tag]["vbar_p_x"] == "%.17g" % norm
+
+
 #: sha256 of the benchmark's ``refine`` run: ``simulate --preset fbm-reflected
 #: --dimension 1 --driver-steps 8192 --tol 1e-4 --n 64 --seed 1``, an 8-level
 #: refinement ladder of single-replicate Euler runs, as written by the
@@ -729,6 +752,16 @@ def test_convergence_geometric_gaps_shrink(tmp_path):
     for a, b in zip(gaps, gaps[1:]):
         assert b < a
         assert b / a == pytest.approx(0.5, abs=0.2)
+
+
+def test_convergence_gaps_of_huge_states_are_finite(tmp_path):
+    # the gaps of states near 1e300 are scaled before they are squared, so
+    # they neither overflow to inf nor warn (tier-1 makes warnings errors)
+    cfg, out = tmp_path / "big.ini", tmp_path / "big.csv"
+    cfg.write_text("[problem]\npreset = geometric\nx0 = 1e300\n")
+    assert run_cli(["convergence", "--config", str(cfg), "--levels", "4", "--out", str(out)]) == 0
+    gaps = [float(line.split(",")[1]) for line in out.read_text().splitlines()[2:]]
+    assert gaps == pytest.approx([3.906e298, 2.035e298, 1.039e298], rel=1e-3)
 
 
 def test_convergence_levels_past_step_cap_exit_2_before_allocating(tmp_path, capsys):

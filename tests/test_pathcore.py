@@ -905,6 +905,28 @@ def test_oscillation_and_sup_norm():
     assert sup_norm(make_path([0, 1], [-2, 3]), (0, 1)) == 3.0
 
 
+def test_sup_norm_scales_vectors_whose_squares_overflow_or_underflow():
+    # 3e200 squared overflows and 1e-200 squared underflows; a power of two
+    # brings the components into range exactly
+    def sup(values):
+        return sup_norm(make_path([0, 1], [values, [0.0] * len(values)]))
+
+    assert sup([3e200, 4e200]) == pytest.approx(5e200, rel=1e-15)
+    assert sup([1e-200, 1e-200]) == pytest.approx(math.sqrt(2.0) * 1e-200, rel=1e-15)
+    assert sup([-1e300]) == 1e300
+    assert sup([1e-310, 0.0, 0.0, 0.0]) == 1e-310
+    assert sup([math.ldexp(1.0, -1074)]) == math.ldexp(1.0, -1074)
+
+
+def test_largest_norm_leaves_vectors_in_range_unscaled_bit_for_bit(rng):
+    # from 2^-500 to 2^500 the squares are summed as they are
+    for d, top in itertools.product((1, 2, 3, 5), (-500, -20, 0, 20, 499)):
+        vals = rng.uniform(-1.0, 1.0, size=(50, d)) * math.ldexp(1.0, top)
+        vals[7, 0] = math.ldexp(1.0, top)
+        assert pathcore._largest_norm(vals) == float(pathcore._increment_norms(vals).max())
+    assert pathcore._largest_norm(np.empty((0, 2))) == 0.0
+
+
 @pytest.mark.parametrize("d, m", [(2, 40), (3, 40), (2, 1500), (3, 1500)])
 def test_oscillation_vector_paths_match_pairwise_max(rng, d, m):
     # m = 1500 spans two memory chunks of the pairwise diameter

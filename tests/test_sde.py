@@ -39,9 +39,8 @@ from pvreflect.errors import (
     PartitionOverflow,
 )
 from pvreflect.presets import PROBLEM_PRESETS, build_problem, coefficient_preset
-from pvreflect.pathcore import STEP_CAP, _increment_norms
-from pvreflect.sde import (_SWEEP_ROWS, _jump_table, _partition, refinement_ladder,
-                           solution_gap, with_vbar_p_x)
+from pvreflect.pathcore import STEP_CAP, _increment_norms, variation_norms
+from pvreflect.sde import _SWEEP_ROWS, _jump_table, _partition, refinement_ladder, solution_gap
 from pvreflect.drivers import philox_stream
 from conftest import random_step_path
 
@@ -215,10 +214,11 @@ def test_adaptive_collapses_to_uniform_without_jumps():
     assert np.array_equal(sa.k.values, su.k.values)
 
 
-def test_partition_overflow_guard():
+def test_partition_overflow_guard(monkeypatch):
     prob = fbm_problem(1, n_driver=64)
-    with pytest.raises(PartitionOverflow):
-        euler_adaptive(prob, 1024, step_cap=100)
+    monkeypatch.setattr("pvreflect.pathcore.STEP_CAP", 100)
+    with pytest.raises(PartitionOverflow, match="exceeds 100 points"):
+        euler_adaptive(prob, 1024)
 
 
 def _reference_partition(horizon, n, big, step_cap=STEP_CAP):
@@ -266,21 +266,23 @@ def test_partition_equals_reference_loop(data, horizon, n):
     jumps = np.unique(np.asarray([t for t in jumps if 0.0 < t <= horizon], dtype=float))
     for big in (jumps, np.empty(0)):
         expected = _reference_partition(horizon, n, big)
-        got = _partition(horizon, n, big, STEP_CAP)
+        got = _partition(horizon, n, big)
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
 
 
-def test_partition_cap_is_the_reference_cap():
+def test_partition_cap_is_the_reference_cap(monkeypatch):
     # the cap counts points before the horizon is appended, as the loop did
     big = np.array([0.25, 0.5])
     times = _reference_partition(1.0, 8, big)
     assert times.size == 9
-    assert np.array_equal(_partition(1.0, 8, big, 8), times)
+    monkeypatch.setattr("pvreflect.pathcore.STEP_CAP", 8)
+    assert np.array_equal(_partition(1.0, 8, big), times)
     with pytest.raises(PartitionOverflow):
         _reference_partition(1.0, 8, big, step_cap=7)
+    monkeypatch.setattr("pvreflect.pathcore.STEP_CAP", 7)
     with pytest.raises(PartitionOverflow):
-        _partition(1.0, 8, big, 7)
+        _partition(1.0, 8, big)
 
 
 def _reference_big_jumps(problem, threshold):
@@ -650,21 +652,24 @@ def test_batch_rejects_bad_arguments_before_any_step():
         euler_batch([prob, flat], 8)
 
 
-def test_batch_step_cap_counts_every_replicate():
+def test_batch_step_cap_counts_every_replicate(monkeypatch):
     prob = fbm_problem(2, n_driver=64)
     # 4 replicates of 8 uniform steps each are 32 steps
-    assert len(euler_batch([prob] * 4, 8, "uniform", step_cap=32)) == 4
+    monkeypatch.setattr("pvreflect.sde.STEP_CAP", 32)
+    assert len(euler_batch([prob] * 4, 8, "uniform")) == 4
     with pytest.raises(PartitionOverflow):
-        euler_batch([prob] * 5, 8, "uniform", step_cap=32)
+        euler_batch([prob] * 5, 8, "uniform")
 
 
-def test_batch_step_cap_counts_every_value_of_a_step():
+def test_batch_step_cap_counts_every_value_of_a_step(monkeypatch):
     # 100 uniform steps of a d = 2 problem fit a cap of 150 in points, and
     # their 200 values do not: each batch array holds d values a step
     prob = fbm_problem(2, d=2, n_driver=64)
-    assert len(euler_batch([prob], 100, "uniform", step_cap=200)) == 1
+    monkeypatch.setattr("pvreflect.sde.STEP_CAP", 200)
+    assert len(euler_batch([prob], 100, "uniform")) == 1
+    monkeypatch.setattr("pvreflect.sde.STEP_CAP", 150)
     with pytest.raises(PartitionOverflow, match="of 2 values exceed 150"):
-        euler_batch([prob], 100, "uniform", step_cap=150)
+        euler_batch([prob], 100, "uniform")
 
 
 def test_batch_overflow_raises_before_allocating():
@@ -718,20 +723,15 @@ def test_vbar_p_x_stacked_equals_each_solution_alone():
                  for s in (8, 9, 10)]
     solutions = euler_batch(problems, 200)
     assert len({sol.x.values.shape[0] for sol in solutions}) > 1
-    reported = with_vbar_p_x(solutions, 2.0)
-    for sol, rep in zip(solutions, reported):
-        assert rep.diagnostics["vbar_p_x"] == variation_norm(sol.x, 2.0)
-        assert rep.reflection is sol.reflection
+    norms = variation_norms([sol.x for sol in solutions], 2.0)
+    assert norms == [variation_norm(sol.x, 2.0) for sol in solutions]
 
 
 def test_vbar_p_x_only_for_the_reported_solution():
+    # the schemes leave the norm to the caller that reports a solution
     prob = fbm_problem(seed=5, d=2)
     sol = solve(prob, tol=1e-2, n0=16)
-    assert "vbar_p_x" not in sol.diagnostics
-    (reported,) = with_vbar_p_x([sol], prob.p)
-    assert reported.diagnostics["vbar_p_x"] == variation_norm(sol.x, prob.p)
-    assert reported.diagnostics["cauchy_gap"] == sol.diagnostics["cauchy_gap"]
-    assert reported.reflection is sol.reflection
+    assert sorted(sol.diagnostics) == ["cauchy_gap", "steps", "sup_k"]
 
 
 def test_refinement_ladder_is_lazy_and_feeds_solve(monkeypatch):
@@ -809,9 +809,10 @@ def test_refinement_ladder_equals_full_levels(name):
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEM_PRESETS))
-def test_solve_stops_where_the_full_ladder_stops(name):
+def test_solve_stops_where_the_full_ladder_stops(name, monkeypatch):
     # the rejected levels stop early, but the level solve returns and its
     # gap are those of the full ladder, bit for bit
+    monkeypatch.setattr("pvreflect.sde.MAX_DOUBLINGS", 6)
     for dim, barrier, (tol, n0) in itertools.product(
             (1, 2), ("zero", "minus-wall", "sine", "jump"), ((1e-3, 16), (1e-4, 64), (0.0, 4))):
         preset = dataclasses.replace(PROBLEM_PRESETS[name], dim=dim, barrier=barrier,
@@ -820,9 +821,9 @@ def test_solve_stops_where_the_full_ladder_stops(name):
         expected = _ladder_solve(prob, tol, n0, 6)
         if expected is None:
             with pytest.raises(NoConvergence):
-                solve(prob, tol=tol, n0=n0, max_doublings=6)
+                solve(prob, tol=tol, n0=n0)
             continue
-        sol = solve(prob, tol=tol, n0=n0, max_doublings=6)
+        sol = solve(prob, tol=tol, n0=n0)
         fine, gap = expected
         assert (sol.n, sol.diagnostics) == (fine.n, dict(fine.diagnostics, cauchy_gap=gap))
         _assert_same_reflection(sol, fine)
@@ -840,20 +841,6 @@ def test_solve_rejects_nan_tolerance_before_any_level(monkeypatch):
     for tol in (float("nan"), -1e-300, -float("inf")):
         with pytest.raises(InvalidParameter):
             solve(prob, tol=tol, n0=16)
-
-
-def test_solve_rejects_bad_max_doublings_before_any_level(monkeypatch):
-    prob = Problem(x0=[1.0], a=zero_a(), z=make_path([0, 1], [0, 1]),
-                   l=constant_path(0.0, 1.0),
-                   coeffs=identity_coeffs(), p=2.0)
-
-    def no_level(*args, **kwargs):
-        raise AssertionError("a level was built")
-
-    monkeypatch.setattr("pvreflect.sde._partition", no_level)
-    for max_doublings in (0, -1, 2.5, float("nan"), 3.0, "4", None):
-        with pytest.raises(InvalidParameter, match="max_doublings"):
-            solve(prob, tol=1e-3, n0=16, max_doublings=max_doublings)
 
 
 @pytest.mark.parametrize("n", [0, -1, 2.5, float("nan"), 3.0, "4", None])
@@ -882,12 +869,13 @@ def test_solve_rejects_zero_n0():
         solve(prob, tol=1e-3, n0=0)
 
 
-def test_solve_unreachable_tolerance():
+def test_solve_unreachable_tolerance(monkeypatch):
     prob = Problem(x0=[1.0], a=zero_a(), z=make_path([0, 1], [0, 1]),
                    l=constant_path(0.0, 1.0),
                    coeffs=identity_coeffs(), p=2.0)
-    with pytest.raises(NoConvergence):
-        solve(prob, tol=0.0, n0=1, max_doublings=6)
+    monkeypatch.setattr("pvreflect.sde.MAX_DOUBLINGS", 6)
+    with pytest.raises(NoConvergence, match="within 6 doublings"):
+        solve(prob, tol=0.0, n0=1)
 
 
 def test_refinement_gaps_shrink_monotonically_beyond_burn_in():
